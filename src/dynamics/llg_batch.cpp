@@ -181,6 +181,20 @@ std::size_t BatchMacrospinSim::preferred_lanes() {
   return lanes;
 }
 
+std::size_t BatchMacrospinSim::step_budget(double duration, double dt) {
+  if (duration != budget_duration_ || dt != budget_dt_) {
+    // The number of iterations the scalar while-loop executes for this
+    // window, replayed with the scalar path's exact floating-point time
+    // accumulation so both paths agree on every window.
+    std::size_t n = 0;
+    for (double tt = 0.0; tt < duration; ++n) tt += dt;
+    budget_duration_ = duration;
+    budget_dt_ = dt;
+    budget_steps_ = n;
+  }
+  return budget_steps_;
+}
+
 void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
                                          util::Rng* rngs, double duration,
                                          double dt, SwitchResult* out,
@@ -226,12 +240,7 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
     crossed_[l] = 0.0;
     logw_[l] = 0.0;
     lane_of_[l] = l;
-    // Step budget of lane l: the number of iterations the scalar while-loop
-    // executes for durations[l], replayed with the scalar path's exact
-    // floating-point time accumulation so both paths agree on every window.
-    std::size_t n = 0;
-    for (double tt = 0.0; tt < durations[l]; ++n) tt += dt;
-    budget_[l] = n;
+    budget_[l] = step_budget(durations[l], dt);
     out[l] = {false, durations[l], 0.0, m0[l]};
   }
 

@@ -11,8 +11,14 @@ namespace mram::obs {
 namespace {
 
 struct Parser {
+  /// Object/array nesting limit. The parser recurses once per level, so a
+  /// hostile document fails here instead of overflowing the stack; every
+  /// document this repository emits nests fewer than ten levels deep.
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text;
   std::size_t pos = 0;
+  std::size_t depth = 0;
 
   [[noreturn]] void fail(const std::string& msg) const {
     throw util::ConfigError("JSON parse error at byte " +
@@ -54,8 +60,16 @@ struct Parser {
     skip_ws();
     if (at_end()) fail("unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        JsonValue v = (peek() == '{') ? parse_object() : parse_array();
+        --depth;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <istream>
@@ -103,10 +104,12 @@ class BinWriter {
 };
 
 /// Deserializing archive, the exact mirror of BinWriter. Throws
-/// util::ConfigError on a short or failed read (truncated dump).
+/// util::ConfigError on a short or failed read (truncated dump). Vector
+/// length prefixes are bounded by the bytes actually left in the stream, so
+/// a corrupt prefix fails before it can allocate more than the dump holds.
 class BinReader {
  public:
-  explicit BinReader(std::istream& is) : is_(&is) {}
+  explicit BinReader(std::istream& is) : is_(&is), left_(bytes_left(is)) {}
 
   template <class... Ts>
   void operator()(Ts&... vs) {
@@ -121,9 +124,22 @@ class BinReader {
   }
 
  private:
-  /// Sanity cap on length prefixes: a corrupt dump must fail with a clear
-  /// error, not an allocation of whatever 8 garbage bytes decode to.
-  static constexpr std::uint64_t kMaxElements = 1ull << 32;
+  /// Largest step a vector grows by before its bytes are read. Bounds the
+  /// up-front allocation on a stream whose length is unknown (not seekable);
+  /// beyond that the vector grows only as its data actually arrives.
+  static constexpr std::uint64_t kReadStepBytes = std::uint64_t{1} << 16;
+
+  /// Bytes from the current position to the end of `is`, or UINT64_MAX when
+  /// the stream cannot seek.
+  static std::uint64_t bytes_left(std::istream& is) {
+    const auto here = is.tellg();
+    if (here < 0) return UINT64_MAX;
+    is.seekg(0, std::ios::end);
+    const auto end = is.tellg();
+    is.seekg(here);
+    if (end < here || !is) throw ConfigError("serialize: unreadable dump");
+    return static_cast<std::uint64_t>(end - here);
+  }
 
   template <class T>
   void field(T& v) {
@@ -134,16 +150,27 @@ class BinReader {
     } else if constexpr (detail::IsStdVector<T>::value) {
       std::uint64_t n = 0;
       raw(&n, sizeof n);
-      if (n > kMaxElements) {
-        throw ConfigError("serialize: implausible vector length in dump");
-      }
-      v.resize(static_cast<std::size_t>(n));
+      v.clear();
       using Elem = typename T::value_type;
       if constexpr (std::is_trivially_copyable_v<Elem> &&
                     !detail::HasSerialize<BinReader, Elem>) {
-        if (n > 0) raw(v.data(), v.size() * sizeof(Elem));
+        if (n > left_ / sizeof(Elem)) {
+          throw ConfigError("serialize: truncated dump (vector length "
+                            "exceeds the bytes left)");
+        }
+        constexpr std::uint64_t kStep =
+            std::max<std::uint64_t>(1, kReadStepBytes / sizeof(Elem));
+        for (std::uint64_t todo = n; todo > 0;) {
+          const std::size_t step =
+              static_cast<std::size_t>(std::min(todo, kStep));
+          const std::size_t at = v.size();
+          v.resize(at + step);
+          raw(v.data() + at, step * sizeof(Elem));
+          todo -= step;
+        }
       } else {
-        for (auto& e : v) field(e);
+        // Every element decodes before the next is allocated.
+        for (std::uint64_t i = 0; i < n; ++i) field(v.emplace_back());
       }
     } else {
       raw(&v, sizeof v);
@@ -155,9 +182,11 @@ class BinReader {
     if (is_->gcount() != static_cast<std::streamsize>(n) || !*is_) {
       throw ConfigError("serialize: truncated or unreadable dump");
     }
+    if (left_ != UINT64_MAX) left_ -= n;
   }
 
   std::istream* is_;
+  std::uint64_t left_;  ///< bytes left in the stream (UINT64_MAX: unknown)
 };
 
 }  // namespace mram::util::io

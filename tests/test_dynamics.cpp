@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "device/mtj_device.h"
 #include "dynamics/llg.h"
@@ -188,25 +191,27 @@ LlgParams thermal_driven_params() {
   return p;
 }
 
-/// Runs `lanes` trials through both kernels on identical per-lane streams
-/// and requires bit-identical SwitchResults.
-void expect_batch_matches_scalar(const LlgParams& p, std::size_t lanes,
-                                 double duration, double dt,
-                                 std::uint64_t seed) {
-  const MacrospinSim scalar(p);
-  BatchMacrospinSim batch(p);
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-  std::vector<Vec3> m0(lanes);
-  util::Rng tilt(seed);
-  for (auto& m : m0) {
-    m = num::normalized({0.08 * tilt.uniform(-1.0, 1.0),
-                         0.08 * tilt.uniform(-1.0, 1.0), -1.0});
-  }
+/// Runs one trial per m0 entry through a (possibly reused) batch sim and
+/// the scalar reference on identical per-lane streams, and requires every
+/// SwitchResult field bitwise equal. A lane that does not switch reports
+/// time = duration whatever its step count, so its m_end is what exposes an
+/// off-by-one step budget. `per_lane` selects the per-lane-durations
+/// overload; otherwise every durations entry must be equal and the
+/// uniform-window overload runs.
+void expect_lanes_match_scalar(BatchMacrospinSim& batch,
+                               const std::vector<Vec3>& m0,
+                               const std::vector<double>& durations,
+                               double dt, std::uint64_t seed,
+                               bool per_lane = false) {
+  const MacrospinSim scalar(batch.params());
+  const std::size_t lanes = m0.size();
 
   std::vector<SwitchResult> expected(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
     util::Rng rng = util::Rng::stream(seed, l);
-    expected[l] = scalar.run_until_switch(m0[l], duration, dt, rng);
+    expected[l] = scalar.run_until_switch(m0[l], durations[l], dt, rng);
   }
 
   std::vector<util::Rng> rngs;
@@ -214,13 +219,39 @@ void expect_batch_matches_scalar(const LlgParams& p, std::size_t lanes,
     rngs.push_back(util::Rng::stream(seed, l));
   }
   std::vector<SwitchResult> got(lanes);
-  batch.run_until_switch(lanes, m0.data(), rngs.data(), duration, dt,
-                         got.data());
+  if (per_lane) {
+    batch.run_until_switch(lanes, m0.data(), rngs.data(), durations.data(),
+                           dt, got.data());
+  } else {
+    batch.run_until_switch(lanes, m0.data(), rngs.data(), durations[0], dt,
+                           got.data());
+  }
 
   for (std::size_t l = 0; l < lanes; ++l) {
     EXPECT_EQ(got[l].switched, expected[l].switched) << "lane " << l;
-    EXPECT_EQ(got[l].time, expected[l].time) << "lane " << l;  // bitwise
+    EXPECT_EQ(bits(got[l].time), bits(expected[l].time)) << "lane " << l;
+    EXPECT_EQ(bits(got[l].log_weight), bits(expected[l].log_weight))
+        << "lane " << l;
+    EXPECT_EQ(bits(got[l].m_end.x), bits(expected[l].m_end.x)) << "lane " << l;
+    EXPECT_EQ(bits(got[l].m_end.y), bits(expected[l].m_end.y)) << "lane " << l;
+    EXPECT_EQ(bits(got[l].m_end.z), bits(expected[l].m_end.z)) << "lane " << l;
   }
+}
+
+/// Runs `lanes` trials through both kernels on identical per-lane streams
+/// and requires bit-identical SwitchResults.
+void expect_batch_matches_scalar(const LlgParams& p, std::size_t lanes,
+                                 double duration, double dt,
+                                 std::uint64_t seed) {
+  BatchMacrospinSim batch(p);
+  std::vector<Vec3> m0(lanes);
+  util::Rng tilt(seed);
+  for (auto& m : m0) {
+    m = num::normalized({0.08 * tilt.uniform(-1.0, 1.0),
+                         0.08 * tilt.uniform(-1.0, 1.0), -1.0});
+  }
+  expect_lanes_match_scalar(batch, m0, std::vector<double>(lanes, duration),
+                            dt, seed);
 }
 
 TEST(BatchLlg, BitIdenticalToScalarThermalDriven) {
@@ -277,6 +308,51 @@ TEST(BatchLlg, NoSwitchLanesReportFullDuration) {
     EXPECT_FALSE(r.switched);
     EXPECT_DOUBLE_EQ(r.time, 1e-9);
   }
+}
+
+/// Steps the scalar loop executes for a window: its floating-point clock
+/// replayed, as the batch kernel's step budget must reproduce.
+std::size_t replayed_steps(double duration, double dt) {
+  std::size_t n = 0;
+  for (double t = 0.0; t < duration; ++n) t += dt;
+  return n;
+}
+
+TEST(BatchLlg, ReusedSimTracksEveryWindowChange) {
+  // The step budget is memoised per (duration, dt), so one sim reused
+  // across calls must recompute it whenever either changes: here duration,
+  // then dt, then back to the first pair, then per-lane windows that mix
+  // equal and different values. The two windows are ones where no closed
+  // form matches the scalar clock.
+  EXPECT_EQ(replayed_steps(1e-9, 1e-12), 1000u);
+  EXPECT_EQ(std::ceil(1e-9 / 1e-12), 1001.0);
+  EXPECT_EQ(replayed_steps(8e-9, 2e-13), 40001u);
+  EXPECT_EQ(std::ceil(8e-9 / 2e-13), 40000.0);
+  EXPECT_EQ(std::round(8e-9 / 2e-13), 40000.0);
+
+  // Thermal lanes precessing under an in-plane field, no spin torque:
+  // none switches, so every lane runs its whole budget.
+  auto p = base_params();
+  p.temperature = 300.0;
+  p.h_applied = {0.2 * p.hk, 0.0, 0.0};
+  const std::vector<Vec3> m0 = {
+      num::normalized({0.05, 0.0, 1.0}), num::normalized({0.0, 0.05, 1.0}),
+      num::normalized({0.03, -0.02, -1.0}),
+      num::normalized({-0.04, 0.01, 1.0}),
+      num::normalized({0.02, 0.02, -1.0})};
+  const std::size_t lanes = m0.size();
+  const auto uniform = [&](double d) { return std::vector<double>(lanes, d); };
+
+  BatchMacrospinSim batch(p);
+  expect_lanes_match_scalar(batch, m0, uniform(1e-9), 1e-12, 11);
+  expect_lanes_match_scalar(batch, m0, uniform(8e-9), 1e-12, 12);
+  expect_lanes_match_scalar(batch, m0, uniform(8e-9), 2e-13, 13);
+  expect_lanes_match_scalar(batch, m0, uniform(1e-9), 1e-12, 14);
+  expect_lanes_match_scalar(batch, m0, {1e-9, 1e-9, 2.5e-9, 1e-9, 4e-9},
+                            1e-12, 15, /*per_lane=*/true);
+  expect_lanes_match_scalar(batch, m0, {8e-9, 8e-9, 3e-9, 8e-9, 1e-9},
+                            2e-13, 16, /*per_lane=*/true);
+  expect_lanes_match_scalar(batch, m0, uniform(1e-9), 1e-12, 17);
 }
 
 TEST(BatchLlg, SwitchingStatsBatchedMatchesScalarAcrossThreads) {

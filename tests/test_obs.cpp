@@ -422,6 +422,20 @@ TEST(ObsJson, RejectsMalformedInput) {
       util::ConfigError);
 }
 
+TEST(ObsJson, RejectsDeepNestingWithoutStackOverflow) {
+  // The parser recurses once per nesting level: ~100k levels would overflow
+  // the stack without the depth cap.
+  EXPECT_THROW(obs::json_parse(std::string(100000, '[')), util::ConfigError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(obs::json_parse(objects), util::ConfigError);
+  // Well-formed but too deep fails as well; a modest depth still parses.
+  EXPECT_THROW(obs::json_parse(std::string(300, '[') + std::string(300, ']')),
+               util::ConfigError);
+  const auto ok = obs::json_parse(std::string(64, '[') + std::string(64, ']'));
+  EXPECT_EQ(ok.kind, obs::JsonValue::Kind::kArray);
+}
+
 // --- metrics document -------------------------------------------------------
 
 obs::MetricsDoc sample_doc() {
