@@ -7,7 +7,6 @@
 namespace mram::arr {
 
 using dev::Layer;
-using dev::MtjState;
 using num::Vec3;
 
 InterCellSolver::InterCellSolver(const dev::StackGeometry& stack, double pitch,
@@ -16,19 +15,35 @@ InterCellSolver::InterCellSolver(const dev::StackGeometry& stack, double pitch,
   stack_.validate();
   MRAM_EXPECTS(pitch >= stack.ecd,
                "pitch must be at least one device diameter");
+  // Biot-Savart polygons are not rotation-invariant bit for bit, so one
+  // evaluation per ring would not reproduce the per-cell sum.
+  MRAM_EXPECTS(method != mag::FieldMethod::kBiotSavart,
+               "InterCellSolver supports the exact and dipole methods only");
 
-  const Vec3 victim_fl_center{};  // victim FL mid-plane at the origin
+  // The z-field of each layer of the cell at `o` (FL in the P state), seen
+  // from the victim FL mid-plane at the origin.
+  struct CellField {
+    double rl, hl, fl_p;
+  };
+  auto cell_field = [&](const NeighborOffset& o) {
+    const Vec3 cell{o.dx * pitch_, o.dy * pitch_, 0.0};
+    auto hz = [&](Layer layer) {
+      return mag::disk_field(stack_.source_for(layer, cell), Vec3{}, method).z;
+    };
+    return CellField{hz(Layer::kReferenceLayer), hz(Layer::kHardLayer),
+                     hz(Layer::kFreeLayer)};
+  };
   const auto& offsets = neighbor_offsets();
+  const CellField direct = cell_field(offsets[0]);
+  const CellField diagonal = cell_field(offsets[4]);
+
+  // Replay the per-cell sum in paper order so the rounding sequence is that
+  // of eight separate evaluations.
   fixed_ = 0.0;
   for (int i = 0; i < 8; ++i) {
-    const Vec3 cell{offsets[i].dx * pitch_, offsets[i].dy * pitch_, 0.0};
-    const auto rl = stack_.source_for(Layer::kReferenceLayer, cell);
-    const auto hl = stack_.source_for(Layer::kHardLayer, cell);
-    const auto fl_p =
-        stack_.source_for(Layer::kFreeLayer, cell, MtjState::kParallel);
-    fixed_ += mag::disk_field(rl, victim_fl_center, method).z +
-              mag::disk_field(hl, victim_fl_center, method).z;
-    fl_unit_[i] = mag::disk_field(fl_p, victim_fl_center, method).z;
+    const CellField& f = offsets[i].diagonal ? diagonal : direct;
+    fixed_ += f.rl + f.hl;
+    fl_unit_[i] = f.fl_p;
   }
 }
 

@@ -18,13 +18,25 @@
 // The solver precomputes the fixed part and the per-aggressor FL unit
 // contribution once per (stack, pitch), making the 256-pattern sweep and the
 // Monte Carlo loops O(#neighbors) per evaluation.
+//
+// That precomputation takes 6 disk evaluations, not 24: one RL, HL and FL
+// field for the direct ring (C0..C3) and one for the diagonal ring (C4..C7).
+// A disk's z-field at the victim depends on the cell offset only through
+// rho = sqrt(dx*dx + dy*dy), and rho is bitwise equal within a ring:
+// (+-1)*pitch and 0*pitch are exact, squaring drops the sign, and adding an
+// exact zero or swapping the operands of + does not round differently. The
+// ring values are then summed per cell in paper order, so fixed_field() and
+// fl_unit_field() are bitwise what eight separate evaluations give. This
+// holds for FieldMethod::kExact and kDipole; a kBiotSavart polygon is not
+// rotation-invariant bit for bit, so the constructor rejects that method.
 
 namespace mram::arr {
 
 class InterCellSolver {
  public:
   /// `stack`: common device stack of every cell; `pitch`: center-to-center
-  /// spacing [m]. Preconditions: pitch >= eCD (cells must not overlap).
+  /// spacing [m]. Preconditions: pitch >= eCD (cells must not overlap);
+  /// `method` is kExact or kDipole.
   InterCellSolver(const dev::StackGeometry& stack, double pitch,
                   mag::FieldMethod method = mag::FieldMethod::kExact);
 

@@ -36,9 +36,15 @@ std::vector<IntraFieldAnchor> anchors_from_csv(const std::string& path) {
   const auto w_col = doc.column("weight");
   std::vector<IntraFieldAnchor> anchors;
   anchors.reserve(doc.rows.size());
-  for (const auto& row : doc.rows) {
+  for (std::size_t i = 0; i < doc.rows.size(); ++i) {
+    const auto& row = doc.rows[i];
+    // The parser already rejects non-finite cells.
     if (row[ecd_col] <= 0.0) {
-      throw util::ConfigError("anchor eCD must be positive");
+      throw util::ConfigError(doc.where(i) + ": anchor eCD must be positive");
+    }
+    if (row[w_col] < 0.0) {
+      throw util::ConfigError(doc.where(i) +
+                              ": anchor weight must be non-negative");
     }
     anchors.push_back({nm_to_m(row[ecd_col]), oe_to_a_per_m(row[hz_col]),
                        row[w_col]});

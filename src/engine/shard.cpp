@@ -1,5 +1,6 @@
 #include "engine/shard.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -171,10 +172,19 @@ std::size_t detect_shard_count(const std::string& dir) {
       continue;
     }
     const std::string count = name.substr(pos + 4);
-    if (!count.empty() &&
-        count.find_first_not_of("0123456789") == std::string::npos) {
-      return static_cast<std::size_t>(std::stoull(count));
+    if (count.empty() ||
+        count.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
     }
+    std::size_t n = 0;
+    const auto parsed =
+        std::from_chars(count.data(), count.data() + count.size(), n);
+    if (parsed.ec != std::errc{} || n == 0) {
+      throw util::ConfigError("shard dump " + entry.path().string() +
+                              " names an invalid shard count '" + count +
+                              "'");
+    }
+    return n;
   }
   return 0;
 }

@@ -154,7 +154,8 @@ class AtomicFile {
 void remove_file(const std::string& path);
 
 /// Shard count N inferred from the first `*.shard-*-of-N` file in `dir`;
-/// 0 when the directory holds none.
+/// 0 when the directory holds none. Throws util::ConfigError naming the
+/// file when N is 0 or does not fit a std::size_t.
 std::size_t detect_shard_count(const std::string& dir);
 
 /// Number of run() calls covered by the shard dumps in `dir` (max call

@@ -63,8 +63,7 @@ num::Vec3 loop_field_exact(const CurrentLoop& loop, const Vec3& p) {
   }
 
   const double m = 4.0 * a * rho / d_outer;  // elliptic parameter k^2
-  const double kk = num::ellint_k(m);
-  const double ee = num::ellint_e(m);
+  const auto [kk, ee] = num::ellint_ke(m);
   const double sqrt_outer = std::sqrt(d_outer);
 
   const double hz = loop.current / (2.0 * util::kPi * sqrt_outer) *

@@ -84,4 +84,10 @@ double ellint_e(double m) {
          m / 3.0 * carlson_rd(0.0, 1.0 - m, 1.0);
 }
 
+EllintKE ellint_ke(double m) {
+  MRAM_EXPECTS(m >= 0.0 && m < 1.0, "ellint_ke requires m in [0,1)");
+  const double rf = carlson_rf(0.0, 1.0 - m, 1.0);
+  return {rf, rf - m / 3.0 * carlson_rd(0.0, 1.0 - m, 1.0)};
+}
+
 }  // namespace mram::num

@@ -26,4 +26,12 @@ double ellint_k(double m);
 /// Complete elliptic integral of the second kind, E(m), m = k^2 in [0, 1].
 double ellint_e(double m);
 
+/// K(m) and E(m) together, m in [0, 1): one R_F evaluation shared by both.
+/// Bitwise equal to {ellint_k(m), ellint_e(m)}.
+struct EllintKE {
+  double k;
+  double e;
+};
+EllintKE ellint_ke(double m);
+
 }  // namespace mram::num

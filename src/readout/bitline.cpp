@@ -1,5 +1,6 @@
 #include "readout/bitline.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
@@ -38,19 +39,32 @@ double BitlinePath::series_resistance(std::size_t row) const {
 
 namespace {
 
-/// In-place Gaussian elimination without pivoting. The read-column
+/// In-place Gaussian elimination without pivoting of the dense n x n matrix
+/// `a`, whose nonzeros lie within `band` of the diagonal. The read-column
 /// conductance matrix is symmetric strictly diagonally dominant, for which
 /// elimination without pivoting is numerically stable; `rhs` holds k
 /// right-hand sides column-major and receives the solutions.
-void solve_spd(std::vector<double>& a, std::vector<double>& rhs,
-               std::size_t n, std::size_t k) {
+///
+/// Elimination without pivoting keeps fill-in inside the band: the update of
+/// row r from pivot row col touches only columns where row col is nonzero,
+/// all within col + band <= r + band. Entries outside the band therefore
+/// start at +0 and stay +0, and the work skipped by bounding every loop to
+/// col + band is exactly the updates x -= f * (+0). Those leave x unchanged
+/// bitwise, because no entry is ever -0 (stamps and differences of nonzero
+/// values give nonzero values or +0), so the solution is bit-identical to
+/// the full dense elimination.
+void eliminate_banded(std::vector<double>& a, std::vector<double>& rhs,
+                      std::size_t n, std::size_t band, std::size_t k) {
   for (std::size_t col = 0; col < n; ++col) {
     const double pivot = a[col * n + col];
     MRAM_ENSURES(std::abs(pivot) > 0.0, "singular read-column network");
-    for (std::size_t r = col + 1; r < n; ++r) {
+    const std::size_t end = std::min(n, col + band + 1);
+    for (std::size_t r = col + 1; r < end; ++r) {
       const double f = a[r * n + col] / pivot;
       if (f == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) a[r * n + c] -= f * a[col * n + c];
+      for (std::size_t c = col; c < end; ++c) {
+        a[r * n + c] -= f * a[col * n + c];
+      }
       for (std::size_t s = 0; s < k; ++s) {
         rhs[s * n + r] -= f * rhs[s * n + col];
       }
@@ -58,8 +72,9 @@ void solve_spd(std::vector<double>& a, std::vector<double>& rhs,
   }
   for (std::size_t s = 0; s < k; ++s) {
     for (std::size_t ri = n; ri-- > 0;) {
+      const std::size_t end = std::min(n, ri + band + 1);
       double x = rhs[s * n + ri];
-      for (std::size_t c = ri + 1; c < n; ++c) {
+      for (std::size_t c = ri + 1; c < end; ++c) {
         x -= a[ri * n + c] * rhs[s * n + c];
       }
       rhs[s * n + ri] = x / a[ri * n + ri];
@@ -127,7 +142,8 @@ ReadPort BitlinePath::port(std::size_t row, double v_read,
   rhs[n + row] = 1.0;
   rhs[n + n_rows + row] = -1.0;
 
-  solve_spd(g, rhs, n, 2);
+  // Node i couples only to i +- 1 and i +- n_rows: bandwidth n_rows.
+  eliminate_banded(g, rhs, n, n_rows, 2);
 
   ReadPort port;
   port.v_thevenin = rhs[row] - rhs[n_rows + row];

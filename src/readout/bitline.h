@@ -22,12 +22,13 @@
 // branch and reduces everything else to the Thevenin equivalent (v_th, r_th)
 // seen by that cell. Downstream consumers (sense-amp statistics, Monte Carlo
 // read trials) then evaluate any cell resistance against the port in O(1),
-// so the dense solve stays out of every trial loop that can hoist it.
+// so the ladder solve stays out of every trial loop that can hoist it.
 //
 // The conductance matrix is symmetric and strictly diagonally dominant
 // (every node has a path to the supply or the sink), so plain Gaussian
 // elimination without pivoting is stable and the solve is deterministic --
-// no randomness, identical on every thread.
+// no randomness, identical on every thread. Its bandwidth is N (node i
+// couples to i +- 1 and i +- N), and the elimination is bounded to it.
 
 namespace mram::rdo {
 

@@ -1,5 +1,6 @@
 #include "util/csv.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -24,20 +25,33 @@ std::vector<std::string> split_line(const std::string& line) {
   return cells;
 }
 
+/// "source:line" prefix of an error message.
+std::string location(const std::string& source, std::size_t line) {
+  return source + ":" + std::to_string(line);
+}
+
 }  // namespace
 
 std::size_t CsvDocument::column(const std::string& name) const {
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (header[i] == name) return i;
   }
-  throw ConfigError("CSV column not found: " + name);
+  throw ConfigError(source + ": CSV column not found: " + name);
 }
 
-CsvDocument parse_numeric_csv(const std::string& text) {
+std::string CsvDocument::where(std::size_t row) const {
+  return location(source, row_lines.at(row));
+}
+
+CsvDocument parse_numeric_csv(const std::string& text,
+                              const std::string& source) {
   CsvDocument doc;
+  doc.source = source;
   std::istringstream is(text);
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(is, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     auto cells = split_line(line);
     if (cells.empty()) continue;
@@ -46,25 +60,36 @@ CsvDocument parse_numeric_csv(const std::string& text) {
       continue;
     }
     if (cells.size() != doc.header.size()) {
-      throw ConfigError("CSV row width mismatch: expected " +
+      throw ConfigError(location(source, line_no) +
+                        ": CSV row width mismatch: expected " +
                         std::to_string(doc.header.size()) + ", got " +
                         std::to_string(cells.size()));
     }
     std::vector<double> row;
     row.reserve(cells.size());
     for (const auto& c : cells) {
+      double v = 0.0;
       try {
         std::size_t consumed = 0;
-        const double v = std::stod(c, &consumed);
+        v = std::stod(c, &consumed);
         if (consumed != c.size()) throw std::invalid_argument(c);
-        row.push_back(v);
       } catch (const std::exception&) {
-        throw ConfigError("CSV cell is not numeric: '" + c + "'");
+        throw ConfigError(location(source, line_no) +
+                          ": CSV cell is not numeric: '" + c + "'");
       }
+      // stod accepts "nan", "inf" and "infinity"; no data set means them.
+      if (!std::isfinite(v)) {
+        throw ConfigError(location(source, line_no) +
+                          ": CSV cell is not finite: '" + c + "'");
+      }
+      row.push_back(v);
     }
     doc.rows.push_back(std::move(row));
+    doc.row_lines.push_back(line_no);
   }
-  if (doc.header.empty()) throw ConfigError("CSV has no header line");
+  if (doc.header.empty()) {
+    throw ConfigError(source + ": CSV has no header line");
+  }
   return doc;
 }
 
@@ -73,7 +98,7 @@ CsvDocument read_numeric_csv(const std::string& path) {
   if (!f) throw ConfigError("cannot open CSV file: " + path);
   std::ostringstream buf;
   buf << f.rdbuf();
-  return parse_numeric_csv(buf.str());
+  return parse_numeric_csv(buf.str(), path);
 }
 
 void write_text_file(const std::string& path, const std::string& text) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "array/array_field.h"
@@ -12,6 +14,7 @@
 #include "array/intercell.h"
 #include "array/neighborhood.h"
 #include "device/mtj_device.h"
+#include "magnetics/disk_source.h"
 #include "magnetics/stray_field.h"
 #include "util/error.h"
 #include "util/units.h"
@@ -157,6 +160,47 @@ TEST(InterCellSolver, DecompositionMatchesExplicitSuperposition) {
                 std::abs(direct.field_at({0, 0, 0}).z) * 1e-9 + 1e-9)
         << "NP8 = " << v;
   }
+}
+
+TEST(InterCellSolver, RingEvaluationMatchesPerCellSumBitwise) {
+  // The solver evaluates one cell per ring; the result must be bitwise what
+  // eight per-cell evaluations summed in paper order give.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto& offsets = neighbor_offsets();
+  const num::Vec3 victim{};
+  for (const auto method : {mag::FieldMethod::kExact,
+                            mag::FieldMethod::kDipole}) {
+    for (const double ecd_nm : {20.0, 35.0, 55.0, 90.0, 120.0, 175.0}) {
+      dev::StackGeometry stack;
+      stack.ecd = ecd_nm * 1e-9;
+      for (const double ratio : {1.0, 1.1, 1.5, 2.0, 2.6, 3.3, 4.0}) {
+        const double pitch = ratio * stack.ecd;
+        const InterCellSolver solver(stack, pitch, method);
+        double fixed = 0.0;
+        for (int i = 0; i < 8; ++i) {
+          const num::Vec3 cell{offsets[i].dx * pitch, offsets[i].dy * pitch,
+                               0.0};
+          auto hz = [&](dev::Layer layer) {
+            return mag::disk_field(stack.source_for(layer, cell), victim,
+                                   method)
+                .z;
+          };
+          fixed += hz(dev::Layer::kReferenceLayer) +
+                   hz(dev::Layer::kHardLayer);
+          EXPECT_EQ(bits(solver.fl_unit_field(i)),
+                    bits(hz(dev::Layer::kFreeLayer)))
+              << "eCD " << ecd_nm << " nm, pitch/eCD " << ratio << ", C" << i;
+        }
+        EXPECT_EQ(bits(solver.fixed_field()), bits(fixed))
+            << "eCD " << ecd_nm << " nm, pitch/eCD " << ratio;
+      }
+    }
+  }
+}
+
+TEST(InterCellSolver, RejectsBiotSavart) {
+  EXPECT_THROW(InterCellSolver(stack55(), 90e-9, mag::FieldMethod::kBiotSavart),
+               util::ContractViolation);
 }
 
 TEST(InterCellSolver, FieldMonotoneInOnesCounts) {

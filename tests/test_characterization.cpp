@@ -298,5 +298,26 @@ TEST(Calibration, AnchorsCsvRejectsBadFiles) {
   EXPECT_THROW(anchors_from_csv(path), util::ConfigError);
 }
 
+TEST(Calibration, AnchorsCsvErrorsNameFileAndLine) {
+  // A NaN eCD used to pass the `<= 0` check and any weight was accepted.
+  const std::string path = ::testing::TempDir() + "/bad_anchor_rows.csv";
+  for (const std::string row :
+       {"nan, -100, 1", "35, -100, -1", "35, -100, inf", "35, nan, 1",
+        "0, -100, 1"}) {
+    util::write_text_file(path,
+                          "ecd_nm, hz_oe, weight\n20, -500, 1\n" + row + "\n");
+    try {
+      anchors_from_csv(path);
+      ADD_FAILURE() << "accepted '" << row << "'";
+    } catch (const util::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":3"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A zero weight is allowed: it drops the anchor from the fit.
+  util::write_text_file(path, "ecd_nm, hz_oe, weight\n20, -500, 0\n");
+  ASSERT_EQ(anchors_from_csv(path).size(), 1u);
+}
+
 }  // namespace
 }  // namespace mram::chr

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -315,6 +316,25 @@ TEST(MergeCli, EmptyPartialsDirFailsWithGuidance) {
                         "/tmp/mram_cli_definitely_missing_dir"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("no shard dumps found"), std::string::npos);
+}
+
+TEST(MergeCli, BadShardCountInDumpNameNamesTheFile) {
+  // The -of-N suffix of a dump name is the only source of N without
+  // --shards: a count that overflows or is zero must fail with the file
+  // named, not with a bare std::stoull message or "no shard dumps found".
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "mram_cli_bad_count";
+  for (const std::string count : {"99999999999999999999", "0", "000"}) {
+    fs::remove_all(root);
+    fs::create_directories(root / "wer_deep");
+    const std::string name = "call-000000.shard-000-of-" + count;
+    std::ofstream(root / "wer_deep" / name) << "x";
+    const auto r = merge({"wer_deep", "--partials", root.string()});
+    EXPECT_EQ(r.code, 1) << count;
+    EXPECT_NE(r.err.find(name), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("no shard dumps found"), std::string::npos) << r.err;
+  }
+  fs::remove_all(root);
 }
 
 }  // namespace

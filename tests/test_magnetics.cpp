@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "magnetics/current_loop.h"
 #include "magnetics/cylinder.h"
@@ -229,16 +230,29 @@ TEST(DiskSource, DipoleMethodUsesTotalMoment) {
 }
 
 TEST(DiskSource, Validation) {
-  DiskSource bad;
-  bad.radius = -1.0;
-  bad.ms_t = 1e-3;
-  EXPECT_THROW(disk_loops(bad), ContractViolation);
-  bad.radius = 1e-8;
-  bad.polarity = 2;
-  EXPECT_THROW(disk_loops(bad), ContractViolation);
-  bad.polarity = 1;
-  bad.sub_loops = 0;
-  EXPECT_THROW(disk_loops(bad), ContractViolation);
+  // disk_loops and the loop-based disk_field share one validation: each bad
+  // disk must be rejected by both.
+  DiskSource good;
+  good.radius = 1e-8;
+  good.ms_t = 1e-3;
+  good.thickness = 2e-9;
+  good.sub_loops = 3;
+  std::vector<DiskSource> bad(5, good);
+  bad[0].radius = -1.0;
+  bad[1].ms_t = -1e-3;
+  bad[2].polarity = 2;
+  bad[3].sub_loops = 0;
+  bad[4].thickness = -1e-9;
+  const Vec3 p{0.0, 0.0, 5e-9};
+  EXPECT_EQ(disk_loops(good).size(), 3u);
+  EXPECT_NO_THROW(disk_field(good, p));
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(disk_loops(bad[i]), ContractViolation) << i;
+    EXPECT_THROW(disk_field(bad[i], p), ContractViolation) << i;
+    EXPECT_THROW(disk_field(bad[i], p, FieldMethod::kBiotSavart, 16),
+                 ContractViolation)
+        << i;
+  }
 }
 
 // --- superposition solver ---------------------------------------------------

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "numerics/cel.h"
 #include "numerics/elliptic.h"
@@ -80,6 +83,20 @@ TEST(Elliptic, DomainChecks) {
   EXPECT_THROW(ellint_k(1.0), ContractViolation);
   EXPECT_THROW(ellint_k(-0.1), ContractViolation);
   EXPECT_THROW(ellint_e(1.1), ContractViolation);
+}
+
+TEST(Elliptic, JointKEMatchesSeparateCallsBitwise) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<double> grid{0.0, 1e-300, 1e-16, 1e-8, 1.0 - 1e-16,
+                           std::nextafter(1.0, 0.0)};
+  for (int i = 1; i < 1000; ++i) grid.push_back(i / 1000.0);
+  for (const double m : grid) {
+    const EllintKE ke = ellint_ke(m);
+    EXPECT_EQ(bits(ke.k), bits(ellint_k(m))) << "m = " << m;
+    EXPECT_EQ(bits(ke.e), bits(ellint_e(m))) << "m = " << m;
+  }
+  EXPECT_THROW(ellint_ke(1.0), ContractViolation);
+  EXPECT_THROW(ellint_ke(-0.1), ContractViolation);
 }
 
 TEST(Elliptic, LegendreRelation) {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "mram/march.h"
@@ -90,6 +92,102 @@ TEST(Bitline, PortArithmetic) {
   const ReadPort port{1.0, 1000.0};
   EXPECT_DOUBLE_EQ(port.current_into(1000.0), 0.5e-3);
   EXPECT_DOUBLE_EQ(port.voltage_across(1000.0), 0.5);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// BitlinePath::port as it was before the band limit: the same stamping,
+/// then Gaussian elimination without pivoting over the full dense matrix.
+ReadPort dense_reference_port(const BitlineParams& params,
+                              const dev::ElectricalModel& cell,
+                              std::size_t row, double v_read,
+                              const std::vector<int>& column_data) {
+  const double r_leak_p =
+      params.r_leak + cell.resistance(MtjState::kParallel, 0.0);
+  const double r_leak_ap =
+      params.r_leak + cell.resistance(MtjState::kAntiParallel, 0.0);
+  const std::size_t n_rows = params.rows;
+  const std::size_t n = 2 * n_rows;
+  std::vector<double> a(n * n, 0.0);
+  std::vector<double> rhs(2 * n, 0.0);
+  auto stamp = [&](std::size_t i, std::size_t j, double g) {
+    a[i * n + i] += g;
+    a[j * n + j] += g;
+    a[i * n + j] -= g;
+    a[j * n + i] -= g;
+  };
+  const double g_driver = 1.0 / params.r_driver;
+  a[0] += g_driver;
+  rhs[0] = v_read * g_driver;
+  a[n_rows * n + n_rows] += 1.0 / params.r_sink;
+  const double g_bl =
+      params.r_bl_segment > 0.0 ? 1.0 / params.r_bl_segment : 1e12;
+  const double g_sl =
+      params.r_sl_segment > 0.0 ? 1.0 / params.r_sl_segment : 1e12;
+  for (std::size_t i = 0; i + 1 < n_rows; ++i) {
+    stamp(i, i + 1, g_bl);
+    stamp(n_rows + i, n_rows + i + 1, g_sl);
+  }
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    if (i == row) continue;
+    stamp(i, n_rows + i, 1.0 / (column_data[i] ? r_leak_ap : r_leak_p));
+  }
+  rhs[n + row] = 1.0;
+  rhs[n + n_rows + row] = -1.0;
+
+  for (std::size_t col = 0; col < n; ++col) {
+    const double pivot = a[col * n + col];
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double f = a[r * n + col] / pivot;
+      if (f == 0.0) continue;
+      for (std::size_t c = col; c < n; ++c) a[r * n + c] -= f * a[col * n + c];
+      for (std::size_t s = 0; s < 2; ++s) {
+        rhs[s * n + r] -= f * rhs[s * n + col];
+      }
+    }
+  }
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (std::size_t ri = n; ri-- > 0;) {
+      double x = rhs[s * n + ri];
+      for (std::size_t c = ri + 1; c < n; ++c) {
+        x -= a[ri * n + c] * rhs[s * n + c];
+      }
+      rhs[s * n + ri] = x / a[ri * n + ri];
+    }
+  }
+  return {rhs[row] - rhs[n_rows + row], rhs[n + row] - rhs[n + n_rows + row]};
+}
+
+TEST(Bitline, BandLimitedSolveMatchesDenseEliminationBitwise) {
+  const auto cell = nominal_cell();
+  for (const std::size_t rows : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{3}, std::size_t{64}}) {
+    for (const double r_segment : {4.0, 0.0}) {  // 0: the 1e12 strong tie
+      BitlineParams params;
+      params.rows = rows;
+      params.r_bl_segment = r_segment;
+      params.r_sl_segment = r_segment;
+      const BitlinePath path(params, cell);
+      // All-P, all-AP, checkerboard.
+      std::vector<std::vector<int>> columns{std::vector<int>(rows, 0),
+                                            std::vector<int>(rows, 1),
+                                            std::vector<int>(rows)};
+      for (std::size_t i = 0; i < rows; ++i) columns[2][i] = i % 2;
+      for (std::size_t k = 0; k < columns.size(); ++k) {
+        for (std::size_t row = 0; row < rows; ++row) {
+          const ReadPort got = path.port(row, 0.2, columns[k]);
+          const ReadPort want =
+              dense_reference_port(params, cell, row, 0.2, columns[k]);
+          EXPECT_EQ(bits(got.v_thevenin), bits(want.v_thevenin))
+              << "rows " << rows << " r_seg " << r_segment << " pattern " << k
+              << " row " << row;
+          EXPECT_EQ(bits(got.r_thevenin), bits(want.r_thevenin))
+              << "rows " << rows << " r_seg " << r_segment << " pattern " << k
+              << " row " << row;
+        }
+      }
+    }
+  }
 }
 
 // --- sense amplifier --------------------------------------------------------

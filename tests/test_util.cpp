@@ -470,6 +470,35 @@ TEST(Csv, RejectsMalformedInput) {
   EXPECT_THROW(parse_numeric_csv("a,b\n1,notanumber\n"), ConfigError);
 }
 
+TEST(Csv, RejectsNonFiniteCellsNamingFileAndLine) {
+  const std::string path = ::testing::TempDir() + "/mram_csv_nonfinite.csv";
+  for (const std::string cell :
+       {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e999"}) {
+    write_text_file(path, "# comment\nx,y\n1,2\n\n3," + cell + "\n");
+    try {
+      read_numeric_csv(path);
+      ADD_FAILURE() << "accepted '" << cell << "'";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path + ":5:"), std::string::npos) << what;
+      EXPECT_NE(what.find(cell), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Csv, RecordsSourceLineOfEveryRow) {
+  const auto doc = parse_numeric_csv("a\n# skipped\n1\n\n2\n", "in.csv");
+  ASSERT_EQ(doc.rows.size(), 2u);
+  EXPECT_EQ(doc.where(0), "in.csv:3");
+  EXPECT_EQ(doc.where(1), "in.csv:5");
+  try {
+    doc.column("missing");
+    ADD_FAILURE() << "found a missing column";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("in.csv"), std::string::npos);
+  }
+}
+
 TEST(Csv, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/mram_csv_test.csv";
   write_text_file(path, "x,y\n1,2\n");
