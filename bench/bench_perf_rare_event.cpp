@@ -143,7 +143,8 @@ BENCHMARK(BM_WerDeepSplitting);
 
 void BM_RerDeepImportance(benchmark::State& state) {
   // The full electrical read path at a healthy margin (~7 sigma, RER
-  // ~1e-11): every tilted trial still pays the fixed-point cell_read solve.
+  // ~1e-11): every tilted trial still pays the AP bias fixed-point solve,
+  // run lane-parallel across each block of trials.
   rdo::RerConfig cfg;
   cfg.path.v_read = 0.16;
   cfg.trials = 2000;

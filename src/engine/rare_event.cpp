@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 namespace mram::eng {
 
@@ -60,32 +61,55 @@ struct ScorePartial {
   }
 };
 
+/// Throws unless every score of a generation is a number: the level
+/// comparator (score descending, index ascending) is only a strict weak
+/// ordering over non-NaN scores. One serial pass per level, off the
+/// per-proposal path.
+void check_scores(const ScorePartial& gen, std::size_t level) {
+  for (const double s : gen.scores) {
+    if (std::isnan(s)) {
+      throw util::ContractViolation(
+          "subset simulation: the score returned NaN at level " +
+          std::to_string(level));
+    }
+  }
+}
+
 }  // namespace
 
-RareEventEstimate subset_simulation(
-    MonteCarloRunner& runner, std::size_t dim, std::size_t n_per_level,
-    std::uint64_t seed, const RareEventConfig& cfg,
-    const std::function<double(const double*)>& score) {
+RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
+                                    std::size_t n_per_level,
+                                    std::uint64_t seed,
+                                    const RareEventConfig& cfg,
+                                    const BatchScore& score) {
   cfg.validate();
   MRAM_EXPECTS(dim > 0, "subset simulation needs a positive dimension");
   MRAM_EXPECTS(n_per_level >= 4, "subset simulation needs >= 4 per level");
   const std::size_t N = n_per_level;
   const double dN = static_cast<double>(N);
+  constexpr std::size_t kLanes = MonteCarloRunner::kMaxLaneWidth;
 
   RareEventEstimate est;
   est.method = RareEventMethod::kSplitting;
 
-  // Level 0: fresh standard-normal latent vectors through the runner.
-  ScorePartial gen = runner.run<ScorePartial>(
-      N, derive_seed(seed, 0),
-      [&] { return std::vector<double>(dim); },
-      [&](std::vector<double>& z, util::Rng& rng, std::size_t,
-          ScorePartial& acc) {
+  // Level 0: fresh standard-normal latent vectors through the runner, one
+  // score call per lane block.
+  ScorePartial gen = runner.run_batched<ScorePartial>(
+      N, derive_seed(seed, 0), kLanes,
+      [&] { return std::vector<double>(kLanes * (dim + 1)); },
+      [&](std::vector<double>& buf, util::Rng* rngs, std::size_t,
+          std::size_t lanes, ScorePartial& acc) {
         obs::tag_kernel(obs::KernelTag::kRare);
-        rng.normal_fill(z.data(), dim);
-        acc.zs.insert(acc.zs.end(), z.begin(), z.end());
-        acc.scores.push_back(score(z.data()));
+        double* zs = buf.data();
+        double* scores = zs + kLanes * dim;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          rngs[l].normal_fill(zs + l * dim, dim);
+        }
+        score(lanes, zs, scores);
+        acc.zs.insert(acc.zs.end(), zs, zs + lanes * dim);
+        acc.scores.insert(acc.scores.end(), scores, scores + lanes);
       });
+  check_scores(gen, 0);
 
   double log_p = 0.0;
   double delta2 = 0.0;
@@ -95,39 +119,53 @@ RareEventEstimate subset_simulation(
   // Resamples the next generation from `parents` (indices into gen),
   // refreshing each trial with cfg.mcmc_steps pCN moves accepted inside
   // {score >= level}. Trial i of level tag k draws only from
-  // Rng::stream(derive_seed(seed, k), i).
+  // Rng::stream(derive_seed(seed, k), i); the chains of a lane block step
+  // in lockstep through one score call per MCMC step.
   const auto resample = [&](const std::vector<std::size_t>& parents,
                             double level, std::uint64_t tag) {
     const double rho = cfg.mcmc_rho;
     const double beta = std::sqrt(1.0 - rho * rho);
     const std::size_t m = parents.size();
-    gen = runner.run<ScorePartial>(
-        N, derive_seed(seed, tag),
-        [&] { return std::vector<double>(2 * dim); },
-        [&, m](std::vector<double>& buf, util::Rng& rng, std::size_t,
-               ScorePartial& acc) {
+    gen = runner.run_batched<ScorePartial>(
+        N, derive_seed(seed, tag), kLanes,
+        [&] { return std::vector<double>(kLanes * (2 * dim + 2)); },
+        [&, m](std::vector<double>& buf, util::Rng* rngs, std::size_t,
+               std::size_t lanes, ScorePartial& acc) {
           obs::tag_kernel(obs::KernelTag::kRare);
           double* cur = buf.data();
-          double* prop = buf.data() + dim;
-          const std::size_t j = parents[rng.below(m)];
-          std::copy_n(gen.zs.data() + j * dim, dim, cur);
-          double cur_score = gen.scores[j];
-          for (std::size_t step = 0; step < cfg.mcmc_steps; ++step) {
-            rng.normal_fill(prop, dim);
-            for (std::size_t d = 0; d < dim; ++d) {
-              prop[d] = rho * cur[d] + beta * prop[d];
-            }
-            const double s = score(prop);
-            obs::counter_add(obs::Counter::kRareMcmcProposals);
-            if (s >= level) {
-              obs::counter_add(obs::Counter::kRareMcmcAccepts);
-              std::copy_n(prop, dim, cur);
-              cur_score = s;
-            }
+          double* prop = cur + kLanes * dim;
+          double* cur_score = prop + kLanes * dim;
+          double* prop_score = cur_score + kLanes;
+          for (std::size_t l = 0; l < lanes; ++l) {
+            const std::size_t j = parents[rngs[l].below(m)];
+            std::copy_n(gen.zs.data() + j * dim, dim, cur + l * dim);
+            cur_score[l] = gen.scores[j];
           }
-          acc.zs.insert(acc.zs.end(), cur, cur + dim);
-          acc.scores.push_back(cur_score);
+          for (std::size_t step = 0; step < cfg.mcmc_steps; ++step) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+              double* p = prop + l * dim;
+              const double* c = cur + l * dim;
+              rngs[l].normal_fill(p, dim);
+              for (std::size_t d = 0; d < dim; ++d) {
+                p[d] = rho * c[d] + beta * p[d];
+              }
+            }
+            score(lanes, prop, prop_score);
+            std::uint64_t accepts = 0;
+            for (std::size_t l = 0; l < lanes; ++l) {
+              if (prop_score[l] >= level) {
+                ++accepts;
+                std::copy_n(prop + l * dim, dim, cur + l * dim);
+                cur_score[l] = prop_score[l];
+              }
+            }
+            obs::counter_add(obs::Counter::kRareMcmcProposals, lanes);
+            obs::counter_add(obs::Counter::kRareMcmcAccepts, accepts);
+          }
+          acc.zs.insert(acc.zs.end(), cur, cur + lanes * dim);
+          acc.scores.insert(acc.scores.end(), cur_score, cur_score + lanes);
         });
+    check_scores(gen, static_cast<std::size_t>(tag));
     evals += dN * static_cast<double>(cfg.mcmc_steps);
   };
 
@@ -167,13 +205,16 @@ RareEventEstimate subset_simulation(
       }
       std::vector<std::size_t> order(N);
       std::iota(order.begin(), order.end(), std::size_t{0});
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (gen.scores[a] != gen.scores[b]) {
-                    return gen.scores[a] > gen.scores[b];
-                  }
-                  return a < b;
-                });
+      // (score desc, index asc) is a strict total order on the NaN-free
+      // scores, so the top-m set and its order are unique: a partial sort
+      // yields exactly the full sort's first m entries.
+      std::partial_sort(order.begin(), order.begin() + m, order.end(),
+                        [&](std::size_t a, std::size_t b) {
+                          if (gen.scores[a] != gen.scores[b]) {
+                            return gen.scores[a] > gen.scores[b];
+                          }
+                          return a < b;
+                        });
       const double level = gen.scores[order[m - 1]];
       if (k >= cfg.max_levels || level <= prev_level) {
         // No further progress possible; settle for the direct estimate at

@@ -216,6 +216,16 @@ RareEventEstimate importance_rounds_batched(MonteCarloRunner& runner,
   return est;
 }
 
+/// Batched score of subset simulation: score(n, zs, out) writes into
+/// out[l] the score of the latent vector zs + l*dim, for l in [0, n). It
+/// must be a pure function of each vector (no state, no dependence on n or
+/// on a vector's position in the batch), may run concurrently on several
+/// worker threads, and is called with n up to
+/// MonteCarloRunner::kMaxLaneWidth. Every score must be a number: NaN
+/// breaks the level ordering and is rejected with a ContractViolation.
+using BatchScore =
+    std::function<void(std::size_t n, const double* zs, double* out)>;
+
 /// Subset simulation (multilevel splitting in a standard-normal latent
 /// space) for the analytic workloads. The event is expressed through a
 /// deterministic score over `dim` iid standard normals; failure is
@@ -227,9 +237,21 @@ RareEventEstimate importance_rounds_batched(MonteCarloRunner& runner,
 /// ties broken by trial index). Deterministic across --threads: level-k
 /// trial i draws only from Rng::stream(derive_seed(seed, k), i), and all
 /// cross-trial logic runs serially on chunk-order-merged results.
-RareEventEstimate subset_simulation(
-    MonteCarloRunner& runner, std::size_t dim, std::size_t n_per_level,
-    std::uint64_t seed, const RareEventConfig& cfg,
-    const std::function<double(const double*)>& score);
+///
+/// Lockstep evaluation: every level runs through runner.run_batched with
+/// lane width kMaxLaneWidth, and the chains of one lane block advance in
+/// lockstep -- level 0 draws all of the block's vectors, then scores them
+/// in one call; a resample level draws each chain's parent
+/// (rng.below(m)), then per MCMC step fills every chain's proposal
+/// (normal_fill), scores the whole block in one call and accepts chain by
+/// chain. Each chain still consumes its own stream in the per-trial order
+/// below(m), then mcmc_steps normal_fill calls, and states are appended in
+/// lane (= trial) order, so the result does not depend on the lane width,
+/// the chunking of the batch or the thread count.
+RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
+                                    std::size_t n_per_level,
+                                    std::uint64_t seed,
+                                    const RareEventConfig& cfg,
+                                    const BatchScore& score);
 
 }  // namespace mram::eng

@@ -173,12 +173,15 @@ RetentionEnsembleResult measure_retention_faults(
       }
       est = eng::subset_simulation(
           runner, b.size(), config.trials, seed, config.rare,
-          [&b](const double* z) {
-            double worst = -std::numeric_limits<double>::infinity();
-            for (std::size_t i = 0; i < b.size(); ++i) {
-              worst = std::max(worst, b[i] - z[i]);
+          [&b](std::size_t n, const double* zs, double* out) {
+            for (std::size_t l = 0; l < n; ++l) {
+              const double* z = zs + l * b.size();
+              double worst = -std::numeric_limits<double>::infinity();
+              for (std::size_t i = 0; i < b.size(); ++i) {
+                worst = std::max(worst, b[i] - z[i]);
+              }
+              out[l] = worst;
             }
-            return worst;
           });
     }
 

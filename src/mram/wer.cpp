@@ -99,7 +99,9 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
     } else {
       est = eng::subset_simulation(
           runner, 1, config.trials, seed, config.rare,
-          [beta](const double* z) { return z[0] - beta; });
+          [beta](std::size_t n, const double* zs, double* out) {
+            for (std::size_t l = 0; l < n; ++l) out[l] = zs[l] - beta;
+          });
     }
 
     WerResult result;

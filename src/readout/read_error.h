@@ -116,17 +116,24 @@ class ReadErrorModel {
                           double hz_stray, double t, util::Rng& rng) const;
 
   /// Deterministic mirror of sample_read's sense decision with the three
-  /// standard-normal deviates made explicit: z[0] is the TMR variation,
-  /// z[1] the comparator offset, z[2] the reference mismatch. Returns the
-  /// signed correct-side differential the latch sees; the read fails
-  /// (wrong decision or metastable strobe) iff the returned margin is
-  /// below the sense amp's metastable band. At z = {0,0,0} this equals
-  /// op.margin. The rare-event drivers tilt / split on this function.
-  double noise_margin(const OperatingPoint& op, dev::MtjState stored,
-                      const double z[3]) const;
+  /// standard-normal deviates of each read made explicit, for n reads at
+  /// once: lane l reads z = zs + 3*l, where z[0] is the TMR variation, z[1]
+  /// the comparator offset, z[2] the reference mismatch. Writes to out[l]
+  /// the signed correct-side differential the latch sees; the read fails
+  /// (wrong decision or metastable strobe) iff that margin is below the
+  /// sense amp's metastable band. At z = {0,0,0} this equals op.margin.
+  /// The rare-event drivers tilt / split on this function; the AP bias
+  /// solve runs lane-parallel, and each lane is bit-identical to a
+  /// one-read call.
+  void noise_margin(const OperatingPoint& op, dev::MtjState stored,
+                    std::size_t n, const double* zs, double* out) const;
 
  private:
-  double mtj_resistance(dev::MtjState state, double v, double tmr_mult) const;
+  /// AP-branch bias (v_mtj) and current (i_cell) of the cell closing
+  /// `port` for n <= 64 lanes of TMR0 multipliers: the fixed point behind
+  /// cell_read and noise_margin, solved for all lanes at once.
+  void solve_ap(const ReadPort& port, std::size_t n, const double* tmr_mult,
+                double* v_mtj, double* i_cell) const;
 
   dev::MtjDevice device_;
   ReadPathConfig path_;

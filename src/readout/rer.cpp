@@ -83,6 +83,7 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
     const double band = sp.metastable_band;
     const double sigma = model.sense_amp().total_sigma();
     const double beta = (op.margin - band) / sigma;
+    constexpr std::size_t kLanes = eng::MonteCarloRunner::kMaxLaneWidth;
     eng::RareEventEstimate est;
     if (config.rare.method == eng::RareEventMethod::kImportanceSampling) {
       // noise_margin ~ op.margin + s*(sigma_off z1 - sigma_ref z2), s = +1
@@ -96,22 +97,34 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
                               s * theta * sp.reference_sigma / sigma};
       const double bias =
           0.5 * (tilt[1] * tilt[1] + tilt[2] * tilt[2]);
-      est = eng::importance_rounds(
-          runner, config.trials, seed, config.rare,
-          [&](util::Rng& trial_rng, std::size_t, util::WeightedStats& ws) {
-            double z[3];
-            trial_rng.normal_fill_tilted(z, 3, tilt, 3);
-            if (model.noise_margin(op, config.stored, z) < band) {
-              ws.add(1.0, std::exp(bias - tilt[1] * z[1] - tilt[2] * z[2]));
-            } else {
-              ws.add(0.0, 0.0);
+      // One lane-parallel noise_margin call per lane block; lanes fold in
+      // trial order, exactly like one trial at a time.
+      est = eng::importance_rounds_batched(
+          runner, config.trials, kLanes, seed, config.rare,
+          [] { return std::vector<double>(4 * kLanes); },
+          [&](std::vector<double>& buf, util::Rng* rngs, std::size_t,
+              std::size_t lanes, util::WeightedStats& ws) {
+            double* zs = buf.data();
+            double* margins = zs + 3 * kLanes;
+            for (std::size_t l = 0; l < lanes; ++l) {
+              rngs[l].normal_fill_tilted(zs + 3 * l, 3, tilt, 3);
+            }
+            model.noise_margin(op, config.stored, lanes, zs, margins);
+            for (std::size_t l = 0; l < lanes; ++l) {
+              const double* z = zs + 3 * l;
+              if (margins[l] < band) {
+                ws.add(1.0, std::exp(bias - tilt[1] * z[1] - tilt[2] * z[2]));
+              } else {
+                ws.add(0.0, 0.0);
+              }
             }
           });
     } else {
       est = eng::subset_simulation(
           runner, 3, config.trials, seed, config.rare,
-          [&](const double* z) {
-            return band - model.noise_margin(op, config.stored, z);
+          [&](std::size_t n, const double* zs, double* out) {
+            model.noise_margin(op, config.stored, n, zs, out);
+            for (std::size_t l = 0; l < n; ++l) out[l] = band - out[l];
           });
     }
 

@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <cmath>
+#include <filesystem>
 
 #include "characterization/calibration.h"
 #include "util/csv.h"
@@ -76,12 +77,11 @@ std::size_t ScenarioContext::scaled_trials(std::size_t trials) const {
 
 std::vector<chr::IntraFieldAnchor> ScenarioContext::fig2b_anchor_set() const {
   if (!data_dir.empty()) {
-    try {
-      return chr::anchors_from_csv(data_dir + "/fig2b_anchors.csv");
-    } catch (const util::ConfigError&) {
-      // Missing or malformed file: fall through to the compiled-in anchors
-      // so scenarios stay runnable from any working directory.
-    }
+    // Only a missing file falls back to the compiled-in anchors (so
+    // scenarios stay runnable from any working directory); a present but
+    // malformed one is an input error and reports its path:line.
+    const std::string path = data_dir + "/fig2b_anchors.csv";
+    if (std::filesystem::exists(path)) return chr::anchors_from_csv(path);
   }
   return chr::fig2b_anchors();
 }

@@ -95,7 +95,9 @@ struct ScenarioContext {
   std::size_t scaled_trials(std::size_t trials) const;
 
   /// The Fig. 2b / 3d intra-field anchors: loaded from
-  /// `<data_dir>/fig2b_anchors.csv` when present, else the compiled-in set.
+  /// `<data_dir>/fig2b_anchors.csv` when that file exists, else the
+  /// compiled-in set. A present but malformed file throws the loader's
+  /// ConfigError (naming path:line) instead of falling back.
   std::vector<chr::IntraFieldAnchor> fig2b_anchor_set() const;
 };
 

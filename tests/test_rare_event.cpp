@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "device/mtj_device.h"
@@ -315,7 +321,9 @@ TEST(RareEvent, SubsetSimulationEstimatesAGaussianTail) {
   cfg.method = eng::RareEventMethod::kSplitting;
   const auto est = eng::subset_simulation(
       runner, 1, 1500, 13, cfg,
-      [beta](const double* z) { return z[0] - beta; });
+      [beta](std::size_t n, const double* zs, double* out) {
+        for (std::size_t l = 0; l < n; ++l) out[l] = zs[l] - beta;
+      });
   EXPECT_FALSE(est.level_probabilities.empty());
   EXPECT_GT(est.probability, 0.0);
   // Subset-simulation error bounds are approximate; a 3x bracket on a
@@ -345,7 +353,12 @@ TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
         });
     const auto split = eng::subset_simulation(
         runner, 2, 400, 22, cfg,
-        [beta](const double* z) { return 0.5 * (z[0] + z[1]) * 1.41421356 - beta; });
+        [beta](std::size_t n, const double* zs, double* out) {
+          for (std::size_t l = 0; l < n; ++l) {
+            const double* z = zs + 2 * l;
+            out[l] = 0.5 * (z[0] + z[1]) * 1.41421356 - beta;
+          }
+        });
     return std::pair{is, split};
   };
   const auto [is1, split1] = run_both(1);
@@ -357,6 +370,228 @@ TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(split1.level_probabilities, split4.level_probabilities);
 }
 
+// --- lockstep subset simulation vs the per-trial reference -----------------
+
+/// The per-trial subset simulation the lockstep driver replaced, kept as the
+/// bitwise oracle: one runner trial per chain, one scalar score call per
+/// proposal, and a full sort of every adaptive level.
+eng::RareEventEstimate per_trial_subset_simulation(
+    eng::MonteCarloRunner& runner, std::size_t dim, std::size_t N,
+    std::uint64_t seed, const eng::RareEventConfig& cfg,
+    const std::function<double(const double*)>& score) {
+  struct Gen {
+    std::vector<double> zs;
+    std::vector<double> scores;
+    void merge(const Gen& o) {
+      zs.insert(zs.end(), o.zs.begin(), o.zs.end());
+      scores.insert(scores.end(), o.scores.begin(), o.scores.end());
+    }
+  };
+  const double dN = static_cast<double>(N);
+  eng::RareEventEstimate est;
+  est.method = eng::RareEventMethod::kSplitting;
+  Gen gen = runner.run<Gen>(
+      N, eng::derive_seed(seed, 0), [&] { return std::vector<double>(dim); },
+      [&](std::vector<double>& z, util::Rng& rng, std::size_t, Gen& acc) {
+        rng.normal_fill(z.data(), dim);
+        acc.zs.insert(acc.zs.end(), z.begin(), z.end());
+        acc.scores.push_back(score(z.data()));
+      });
+  double log_p = 0.0;
+  double delta2 = 0.0;
+  double evals = dN;
+  bool dead = false;
+  const auto resample = [&](const std::vector<std::size_t>& parents,
+                            double level, std::uint64_t tag) {
+    const double rho = cfg.mcmc_rho;
+    const double beta = std::sqrt(1.0 - rho * rho);
+    const std::size_t m = parents.size();
+    gen = runner.run<Gen>(
+        N, eng::derive_seed(seed, tag),
+        [&] { return std::vector<double>(2 * dim); },
+        [&](std::vector<double>& buf, util::Rng& rng, std::size_t,
+            Gen& acc) {
+          double* cur = buf.data();
+          double* prop = buf.data() + dim;
+          const std::size_t j = parents[rng.below(m)];
+          std::copy_n(gen.zs.data() + j * dim, dim, cur);
+          double cur_score = gen.scores[j];
+          for (std::size_t step = 0; step < cfg.mcmc_steps; ++step) {
+            rng.normal_fill(prop, dim);
+            for (std::size_t d = 0; d < dim; ++d) {
+              prop[d] = rho * cur[d] + beta * prop[d];
+            }
+            const double s = score(prop);
+            if (s >= level) {
+              std::copy_n(prop, dim, cur);
+              cur_score = s;
+            }
+          }
+          acc.zs.insert(acc.zs.end(), cur, cur + dim);
+          acc.scores.push_back(cur_score);
+        });
+    evals += dN * static_cast<double>(cfg.mcmc_steps);
+  };
+  const auto count_hits = [&] {
+    return static_cast<std::size_t>(
+        std::count_if(gen.scores.begin(), gen.scores.end(),
+                      [](double s) { return s > 0.0; }));
+  };
+  const auto record_level = [&](double phat, bool first) {
+    log_p += std::log(phat);
+    delta2 += (first ? 1.0 : 3.0) * (1.0 - phat) / (dN * phat);
+    est.level_probabilities.push_back(phat);
+  };
+  if (cfg.levels.empty()) {
+    const std::size_t m = std::max<std::size_t>(
+        1, static_cast<std::size_t>(cfg.level_p0 * dN));
+    double prev_level = -std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0;; ++k) {
+      const std::size_t hits = count_hits();
+      if (hits >= m) {
+        record_level(static_cast<double>(hits) / dN, k == 0);
+        est.ess = static_cast<double>(hits);
+        break;
+      }
+      std::vector<std::size_t> order(N);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) {
+                  if (gen.scores[a] != gen.scores[b]) {
+                    return gen.scores[a] > gen.scores[b];
+                  }
+                  return a < b;
+                });
+      const double level = gen.scores[order[m - 1]];
+      if (k >= cfg.max_levels || level <= prev_level) {
+        if (hits > 0) {
+          record_level(static_cast<double>(hits) / dN, k == 0);
+          est.ess = static_cast<double>(hits);
+        } else {
+          dead = true;
+        }
+        break;
+      }
+      prev_level = level;
+      record_level(static_cast<double>(m) / dN, k == 0);
+      order.resize(m);
+      resample(order, level, k + 1);
+    }
+  } else {
+    bool first = true;
+    std::size_t tag = 1;
+    for (double level : cfg.levels) {
+      std::vector<std::size_t> survivors;
+      for (std::size_t i = 0; i < N; ++i) {
+        if (gen.scores[i] >= level) survivors.push_back(i);
+      }
+      if (survivors.empty()) {
+        dead = true;
+        break;
+      }
+      record_level(static_cast<double>(survivors.size()) / dN, first);
+      first = false;
+      resample(survivors, level, tag++);
+    }
+    if (!dead) {
+      const std::size_t hits = count_hits();
+      if (hits == 0) {
+        dead = true;
+      } else {
+        record_level(static_cast<double>(hits) / dN, first);
+        est.ess = static_cast<double>(hits);
+      }
+    }
+  }
+  est.simulated_trials = evals;
+  est.probability = dead ? 0.0 : std::exp(log_p);
+  return est;
+}
+
+TEST(RareEvent, LockstepSubsetSimulationMatchesPerTrialReferenceBitwise) {
+  // A Gaussian tail, and a quantised score whose many exact ties make the
+  // adaptive level rest on the (score desc, index asc) tie-break that the
+  // partial sort must reproduce.
+  using Scalar = std::function<double(const double*)>;
+  const Scalar gaussian = [](const double* z) {
+    return (z[0] + z[1]) / std::sqrt(2.0) - 3.9;
+  };
+  const Scalar quantised = [](const double* z) {
+    return std::floor(4.0 * (z[0] + z[1])) / 4.0 - 4.0;
+  };
+  struct Shape {
+    std::size_t n;
+    std::size_t chunk_size;  // effective chunks 10, 7 and 79 trials
+  };
+  std::size_t tie_runs = 0;
+  for (const Shape shape : {Shape{600, 64}, Shape{600, 7}, Shape{5000, 100}}) {
+    for (const unsigned threads : {1u, 3u}) {
+      for (const bool explicit_levels : {false, true}) {
+        for (const Scalar* score : {&gaussian, &quantised}) {
+          const std::string where =
+              "n=" + std::to_string(shape.n) +
+              " chunk_size=" + std::to_string(shape.chunk_size) +
+              " threads=" + std::to_string(threads) +
+              (explicit_levels ? " explicit" : " adaptive") +
+              (score == &gaussian ? " gaussian" : " quantised");
+          eng::RareEventConfig cfg;
+          cfg.method = eng::RareEventMethod::kSplitting;
+          if (explicit_levels) cfg.levels = {-2.5, -1.5, -0.75};
+          eng::MonteCarloRunner runner(
+              eng::RunnerConfig{threads, shape.chunk_size});
+          const auto want = per_trial_subset_simulation(runner, 2, shape.n,
+                                                        41, cfg, *score);
+          const auto got = eng::subset_simulation(
+              runner, 2, shape.n, 41, cfg,
+              [score](std::size_t n, const double* zs, double* out) {
+                for (std::size_t l = 0; l < n; ++l) {
+                  out[l] = (*score)(zs + 2 * l);
+                }
+              });
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.probability),
+                    std::bit_cast<std::uint64_t>(want.probability))
+              << where;
+          EXPECT_EQ(got.level_probabilities, want.level_probabilities)
+              << where;
+          EXPECT_EQ(got.ess, want.ess) << where;
+          EXPECT_EQ(got.simulated_trials, want.simulated_trials) << where;
+          EXPECT_GT(want.probability, 0.0) << where;
+          EXPECT_GE(want.level_probabilities.size(), 3u) << where;
+          if (score == &quantised && !explicit_levels) ++tie_runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(tie_runs, 6u);
+}
+
+TEST(RareEvent, SubsetSimulationRejectsNaNScores) {
+  // NaN breaks the strict weak ordering of the level comparator (undefined
+  // behaviour in any sort), so a NaN score is refused, naming the level.
+  eng::MonteCarloRunner runner(eng::RunnerConfig{2, 64});
+  eng::RareEventConfig cfg;
+  cfg.method = eng::RareEventMethod::kSplitting;
+  const auto nan_above_one = [](std::size_t n, const double* zs,
+                                double* out) {
+    for (std::size_t l = 0; l < n; ++l) {
+      out[l] = zs[l] > 1.0 ? std::numeric_limits<double>::quiet_NaN()
+                           : zs[l] - 4.0;
+    }
+  };
+  for (const bool explicit_levels : {false, true}) {
+    cfg.levels.clear();
+    if (explicit_levels) cfg.levels = {-2.0};
+    try {
+      eng::subset_simulation(runner, 1, 400, 5, cfg, nan_above_one);
+      ADD_FAILURE() << "a NaN score was accepted";
+    } catch (const util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("NaN at level 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- read-error model hook --------------------------------------------------
 
 TEST(NoiseMargin, AtZeroDeviatesEqualsTheNominalMargin) {
@@ -366,16 +601,123 @@ TEST(NoiseMargin, AtZeroDeviatesEqualsTheNominalMargin) {
   const rdo::ReadErrorModel model(params, path);
   const std::vector<int> column(16, 0);
   const auto op = model.operating_point(15, column);
+  const auto margin = [&](dev::MtjState stored, const double z[3]) {
+    double out = 0.0;
+    model.noise_margin(op, stored, 1, z, &out);
+    return out;
+  };
   const double z0[3] = {0.0, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(model.noise_margin(op, dev::MtjState::kParallel, z0),
-                   op.margin);
-  EXPECT_DOUBLE_EQ(model.noise_margin(op, dev::MtjState::kAntiParallel, z0),
-                   op.margin);
+  EXPECT_DOUBLE_EQ(margin(dev::MtjState::kParallel, z0), op.margin);
+  EXPECT_DOUBLE_EQ(margin(dev::MtjState::kAntiParallel, z0), op.margin);
   // Comparator offset moves the two stored states in opposite directions.
   const double zo[3] = {0.0, 1.0, 0.0};
-  EXPECT_GT(model.noise_margin(op, dev::MtjState::kParallel, zo), op.margin);
-  EXPECT_LT(model.noise_margin(op, dev::MtjState::kAntiParallel, zo),
-            op.margin);
+  EXPECT_GT(margin(dev::MtjState::kParallel, zo), op.margin);
+  EXPECT_LT(margin(dev::MtjState::kAntiParallel, zo), op.margin);
+}
+
+/// The one-read noise margin with the AP fixed point as a scalar loop, the
+/// bitwise oracle of the lane-parallel solve. Also reports how many
+/// fixed-point iterations the read took (0 for stored P) and whether one
+/// more iteration would still have moved the bias: a lane-parallel solve
+/// that stops a lane late gets such a lane wrong.
+struct ScalarMargin {
+  double margin = 0.0;
+  int iterations = 0;
+  bool moves_on = false;
+};
+
+ScalarMargin scalar_noise_margin(const rdo::ReadErrorModel& model,
+                                 const rdo::ReadErrorModel::OperatingPoint& op,
+                                 dev::MtjState stored, const double z[3]) {
+  const rdo::ReadPathConfig& path = model.path();
+  const auto& ep = model.device().params().electrical;
+  const double rp = model.device().electrical().rp();
+  const double tmr_mult = std::max(1.0 + path.tmr_sigma_rel * z[0], 0.05);
+  const auto r_ap = [&](double v) {
+    const double x = v / ep.vh;
+    return rp * (1.0 + tmr_mult * ep.tmr0 / (1.0 + x * x));
+  };
+  const double v_th = op.port.v_thevenin;
+  const double r_series = op.port.r_thevenin + path.transistor.r_read;
+  ScalarMargin out;
+  double i_cell = 0.0;
+  if (stored == dev::MtjState::kParallel) {
+    i_cell = v_th / (r_series + rp);
+  } else {
+    double v = v_th * r_ap(0.0) / (r_ap(0.0) + r_series);
+    for (int iter = 0; iter < 100; ++iter) {
+      ++out.iterations;
+      const double r = r_ap(v);
+      const double v_next = v_th * r / (r + r_series);
+      const bool converged = std::abs(v_next - v) < 1e-15 * v_th;
+      v = v_next;
+      if (converged) break;
+    }
+    const double r = r_ap(v);
+    out.moves_on = v_th * r / (r + r_series) != v;
+    i_cell = v / r_ap(v);
+  }
+  const double offset = path.sense.offset_sigma * z[1];
+  const double ref_error = path.sense.reference_sigma * z[2];
+  const double differential = (i_cell + offset) - (op.i_ref + ref_error);
+  out.margin =
+      stored == dev::MtjState::kParallel ? differential : -differential;
+  return out;
+}
+
+TEST(NoiseMargin, LaneParallelMatchesScalarFixedPointBitwise) {
+  const auto params = dev::MtjParams::reference_device(35e-9);
+  // TMR deviates interleaved with ordinary draws: -10.15 (at V_read 0.04)
+  // and -18.75 (at 0.18) stop one iteration before the nominal z0 = 0 lane
+  // while a further iteration would still move their bias, then ones that
+  // hit the 0.05 clamp, and large positive ones.
+  const std::vector<double> special = {-10.15, -18.75, -1e3, 0.0,
+                                       -40.0,  -32.0,  25.0, 60.0, 1e3};
+  for (const double v_read : {0.04, 0.18}) {
+    rdo::ReadPathConfig path;
+    path.bitline.rows = 16;
+    path.v_read = v_read;
+    const rdo::ReadErrorModel model(params, path);
+    const auto op = model.operating_point(15, std::vector<int>(16, 1));
+    for (const auto stored :
+         {dev::MtjState::kParallel, dev::MtjState::kAntiParallel}) {
+      for (const std::size_t n : {1u, 7u, 64u, 65u, 130u}) {
+        util::Rng rng = util::Rng::stream(97, n);
+        std::vector<double> zs(3 * n);
+        rng.normal_fill(zs.data(), zs.size());
+        for (std::size_t l = 0; l < n; l += 2) {
+          zs[3 * l] = special[(l / 2) % special.size()];
+        }
+        std::vector<double> got(n);
+        model.noise_margin(op, stored, n, zs.data(), got.data());
+        int min_iter = 1000, max_iter = 0, early_moving = 1000;
+        for (std::size_t l = 0; l < n; ++l) {
+          const auto want =
+              scalar_noise_margin(model, op, stored, zs.data() + 3 * l);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[l]),
+                    std::bit_cast<std::uint64_t>(want.margin))
+              << "v_read=" << v_read << " n=" << n << " lane " << l
+              << " z0=" << zs[3 * l];
+          min_iter = std::min(min_iter, want.iterations);
+          max_iter = std::max(max_iter, want.iterations);
+          if (want.moves_on) {
+            early_moving = std::min(early_moving, want.iterations);
+          }
+        }
+        if (stored == dev::MtjState::kAntiParallel && n >= 7) {
+          // The batch has the shape that tells a per-lane stop from a
+          // stop at the first or at the last lane's convergence.
+          EXPECT_LT(min_iter, max_iter)
+              << "lanes of one batch should converge at different "
+                 "iterations (v_read=" << v_read << ", n=" << n << ")";
+          EXPECT_LT(early_moving, max_iter)
+              << "no lane whose bias an extra iteration would move stops "
+                 "before the last one (v_read=" << v_read << ", n=" << n
+              << ")";
+        }
+      }
+    }
+  }
 }
 
 // --- workload wirings: overlap-regime agreement -----------------------------

@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "characterization/calibration.h"
 #include "scenario/registry.h"
 #include "scenario/result_sink.h"
 #include "scenario/run_command.h"
@@ -261,6 +263,45 @@ TEST(ScenarioContext, ScaledTrialsFloorsAtOne) {
   EXPECT_EQ(ctx.scaled_trials(100), 25u);
   ctx.trial_scale = 1e-9;
   EXPECT_EQ(ctx.scaled_trials(100), 1u);
+}
+
+// --- anchor data directory ---------------------------------------------------
+
+TEST(ScenarioContext, AnchorsFallBackOnlyWhenTheFileIsMissing) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "mram_scenario_anchors";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  eng::MonteCarloRunner runner(eng::RunnerConfig{1, 64});
+  ScenarioContext ctx{runner};
+  ctx.data_dir = dir.string();
+
+  // No anchor file in the data directory: the compiled-in set.
+  const auto builtin = chr::fig2b_anchors();
+  const auto fallback = ctx.fig2b_anchor_set();
+  ASSERT_EQ(fallback.size(), builtin.size());
+  for (std::size_t i = 0; i < builtin.size(); ++i) {
+    EXPECT_EQ(fallback[i].ecd, builtin[i].ecd);
+    EXPECT_EQ(fallback[i].hz_intra, builtin[i].hz_intra);
+    EXPECT_EQ(fallback[i].weight, builtin[i].weight);
+  }
+
+  // A present but malformed file is an input error naming path:line.
+  const std::string path = (dir / "fig2b_anchors.csv").string();
+  util::write_text_file(path, "ecd_nm, hz_oe, weight\n20, -500, 1\n"
+                              "35, -100, -1\n");
+  try {
+    ctx.fig2b_anchor_set();
+    ADD_FAILURE() << "malformed anchors fell back to the built-ins";
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":3"), std::string::npos)
+        << e.what();
+  }
+
+  // A well-formed file is what the scenarios use.
+  util::write_text_file(path, "ecd_nm, hz_oe, weight\n20, -500, 1\n");
+  ASSERT_EQ(ctx.fig2b_anchor_set().size(), 1u);
+  fs::remove_all(dir);
 }
 
 // --- serial vs parallel bit identity ----------------------------------------
