@@ -197,6 +197,34 @@ void BM_LlgSwitchTrialsBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_LlgSwitchTrialsBatched)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
+// One 64-step noise block (192 deviates per lane) at an explicit lane-fill
+// level: range(0) lanes, range(1) the Rng::LaneFill level (0 portable,
+// 1 AVX2, 2 AVX-512F). Levels the host lacks are skipped.
+void BM_NormalFillLanes(benchmark::State& state) {
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  const auto level = static_cast<util::Rng::LaneFill>(state.range(1));
+  if (!util::Rng::lane_fill_supported(level)) {
+    state.SkipWithError("lane-fill level not supported on this CPU");
+    return;
+  }
+  constexpr std::size_t kValues = 192;
+  std::vector<util::Rng> rngs;
+  std::vector<std::size_t> lane_of(lanes);
+  for (std::size_t a = 0; a < lanes; ++a) {
+    rngs.push_back(util::Rng::stream(7, a));
+    lane_of[a] = a;
+  }
+  std::vector<double> out(kValues * lanes);
+  for (auto _ : state) {
+    util::Rng::normal_fill_lanes(level, rngs.data(), lane_of.data(), lanes,
+                                 kValues, out.data(), lanes);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kValues * lanes));
+}
+BENCHMARK(BM_NormalFillLanes)->ArgsProduct({{12, 16}, {0, 1, 2}});
+
 // --- cached coupling kernel -------------------------------------------------
 
 void BM_MramStrayFieldAt(benchmark::State& state) {

@@ -1,5 +1,6 @@
 #include "dynamics/llg_batch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
 
@@ -65,22 +66,47 @@ BatchMacrospinSim::BatchMacrospinSim(const LlgParams& params)
 
 namespace {
 
-/// Steps per thermal-noise prefetch block: one normal_fill call (and one
-/// kernel call, absent switching) covers this many steps per lane.
+/// Steps per thermal-noise prefetch block: one lane fill (and one kernel
+/// call, absent switching) covers this many steps per lane.
 constexpr std::size_t kNoiseBlockSteps = 64;
+
+// Turns the raw deviates z in the first n slots of the field block's
+// 3 * steps rows into thermal fields, in place: h = h_applied + sigma * z,
+// or h_applied + sigma * (z + tilt) under a tilt -- the scalar loop's
+// operations in its order (normal_fill_tilted adds the tilt after the
+// draw, then the field transform scales and shifts).
+template <bool kHasTilt>
+MRAM_NOINLINE MRAM_SIMD_CLONES void thermal_field_rows(
+    std::size_t steps, std::size_t n, std::size_t cap, const double* ha,
+    double sigma, const double* tilt, double* MRAM_RESTRICT field) {
+  for (std::size_t r = 0; r < 3 * steps; ++r) {
+    double* MRAM_RESTRICT row = field + r * cap;
+    const double hac = ha[r % 3];
+    const double tc = tilt[r % 3];
+    for (std::size_t a = 0; a < n; ++a) {
+      double z = row[a];
+      if constexpr (kHasTilt) z += tc;
+      row[a] = hac + sigma * z;
+    }
+  }
+}
 
 // Lockstep Heun steps for the first n active slots, up to `steps` of them:
 // the canonical stochastic_heun_step (shared with the scalar reference
 // path, so each lane is bit-identical to it by construction) inlined into a
 // per-lane loop over the SoA arrays, where the independent lanes fill the
-// FP pipelines and auto-vectorize. Step s reads its per-lane field from row
-// s of the [step][slot] field matrices (h_stride = 0 reuses row 0: the
-// constant-field sigma == 0 case). Returns after the first step at which
+// FP pipelines and auto-vectorize. The field is one [step][xyz][slot]
+// block: hxm, hym and hzm point at its rows 0, 1 and 2, and step s reads
+// rows 3s, 3s+1 and 3s+2 (h_stride = 3*cap). In the constant-field
+// sigma == 0 case the block holds a single xyz row and h_stride = 0 reuses
+// it at every step. Returns after the first step at which
 // any lane crossed -- crossed[] then identifies the finished lanes -- or
 // after `steps` steps, whichever is first; the return value is the number
 // of steps executed. A free function with restrict-qualified *parameters*:
 // GCC only honors restrict on parameters, and without it the possible
-// aliasing between the arrays blocks vectorization.
+// aliasing between the arrays blocks vectorization. The three field
+// pointers may address rows of one block: restrict only forbids overlap
+// with memory that is written, and the kernel never writes a field.
 template <bool kHasTorque, bool kHasTilt>
 MRAM_ALWAYS_INLINE std::size_t step_lanes_body(
     std::size_t n, std::size_t steps, std::size_t h_stride,
@@ -217,9 +243,6 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
   mx_.resize(lanes);
   my_.resize(lanes);
   mz_.resize(lanes);
-  h0x_.resize(lanes);
-  h0y_.resize(lanes);
-  h0z_.resize(lanes);
   sign_.resize(lanes);
   crossed_.resize(lanes);
   logw_.resize(lanes);
@@ -233,9 +256,6 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
     mx_[l] = m0[l].x;
     my_[l] = m0[l].y;
     mz_[l] = m0[l].z;
-    h0x_[l] = params_.h_applied.x;
-    h0y_[l] = params_.h_applied.y;
-    h0z_[l] = params_.h_applied.z;
     sign_[l] = (m0[l].z >= mz_stop) ? 1.0 : -1.0;
     crossed_[l] = 0.0;
     logw_[l] = 0.0;
@@ -251,24 +271,28 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
   const Vec3 ha = params_.h_applied;
   const auto coeffs = detail::HeunStepCoeffs::from(rhs_, dt);
   const auto wcoeffs = detail::TiltWeightCoeffs::from(tilt, ha, sigma);
+  const double ha_arr[3] = {ha.x, ha.y, ha.z};
   const double tilt_arr[3] = {tilt.x, tilt.y, tilt.z};
-  const std::size_t cap = lanes;  // column count of the field matrices
+  const std::size_t cap = lanes;  // slot count of a field row
 
-  // Thermal history is prefetched per lane in blocks of kNoiseBlockSteps
-  // steps: one paired normal_fill call amortizes its dispatch over 3 * 64
-  // values and scatters them straight into the [step][slot] raw-noise
-  // matrices (no transpose pass), so the kernel consumes a whole block per
-  // call with plain contiguous vector loads, applying the scalar loop's
-  // exact field transform h = h_applied + sigma * n lane-parallel as it
-  // goes. normal_fill's stream consistency (one big fill == many 3-value
-  // fills) keeps the consumed values identical to the scalar path's
-  // per-step draws. Under a tilt the same raw stream gets the scalar
-  // path's periodic mean shift applied post-draw (normal_fill_*_tilted).
+  // The field block holds the per-lane fields of kNoiseBlockSteps steps as
+  // rows [step][xyz][slot]: row 3 * s + c is component c of step s. At each
+  // block boundary one lane-parallel fill writes every active lane's next
+  // 3 * 64 deviates straight into it (value k of a lane's stream is
+  // component k % 3 of step k / 3, exactly the order the scalar path draws
+  // three per step), and thermal_field_rows applies the scalar path's field
+  // transform in place. The kernel then reads whole rows with contiguous
+  // vector loads. normal_fill's stream consistency (one big fill == many
+  // 3-value fills) keeps the values identical to the scalar path's per-step
+  // draws. Without a thermal field the block is one constant row of
+  // h_applied that every step reuses (h_stride 0).
   if (sigma > 0.0) {
-    scratch_.resize(2 * 3 * kNoiseBlockSteps);
-    hxm_.resize(kNoiseBlockSteps * cap);
-    hym_.resize(kNoiseBlockSteps * cap);
-    hzm_.resize(kNoiseBlockSteps * cap);
+    field_.resize(kNoiseBlockSteps * 3 * cap);
+  } else {
+    field_.resize(3 * cap);
+    for (std::size_t c = 0; c < 3; ++c) {
+      std::fill_n(field_.begin() + c * cap, cap, ha_arr[c]);
+    }
   }
 
   std::size_t n_active = lanes;
@@ -277,51 +301,28 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
   std::size_t phase = 0;  // step index within the current noise block
   while (n_active > 0) {
     std::size_t steps_avail = kNoiseBlockSteps;
-    const double* hxm = h0x_.data();
-    const double* hym = h0y_.data();
-    const double* hzm = h0z_.data();
+    const double* h = field_.data();
     std::size_t h_stride = 0;
     if (sigma > 0.0) {
       if (phase == 0) {
-        constexpr std::size_t kPerLane = 3 * kNoiseBlockSteps;
-        const auto transform_into = [&](std::size_t slot, const double* raw) {
-          for (std::size_t s = 0; s < kNoiseBlockSteps; ++s) {
-            hxm_[s * cap + slot] = ha.x + sigma * raw[3 * s];
-            hym_[s * cap + slot] = ha.y + sigma * raw[3 * s + 1];
-            hzm_[s * cap + slot] = ha.z + sigma * raw[3 * s + 2];
-          }
-        };
-        std::size_t a = 0;
-        for (; a + 1 < n_active; a += 2) {
-          if (has_tilt) {
-            util::Rng::normal_fill_pair_tilted(
-                rngs[lane_of_[a]], rngs[lane_of_[a + 1]], scratch_.data(),
-                scratch_.data() + kPerLane, kPerLane, tilt_arr, 3);
-          } else {
-            util::Rng::normal_fill_pair(rngs[lane_of_[a]],
-                                        rngs[lane_of_[a + 1]],
-                                        scratch_.data(),
-                                        scratch_.data() + kPerLane, kPerLane);
-          }
-          transform_into(a, scratch_.data());
-          transform_into(a + 1, scratch_.data() + kPerLane);
-        }
-        if (a < n_active) {
-          if (has_tilt) {
-            rngs[lane_of_[a]].normal_fill_tilted(scratch_.data(), kPerLane,
-                                                 tilt_arr, 3);
-          } else {
-            rngs[lane_of_[a]].normal_fill(scratch_.data(), kPerLane);
-          }
-          transform_into(a, scratch_.data());
+        util::Rng::normal_fill_lanes(rngs, lane_of_.data(), n_active,
+                                     3 * kNoiseBlockSteps, field_.data(),
+                                     cap);
+        if (has_tilt) {
+          thermal_field_rows<true>(kNoiseBlockSteps, n_active, cap, ha_arr,
+                                   sigma, tilt_arr, field_.data());
+        } else {
+          thermal_field_rows<false>(kNoiseBlockSteps, n_active, cap, ha_arr,
+                                    sigma, tilt_arr, field_.data());
         }
       }
       steps_avail = kNoiseBlockSteps - phase;
-      hxm = hxm_.data() + phase * cap;
-      hym = hym_.data() + phase * cap;
-      hzm = hzm_.data() + phase * cap;
-      h_stride = cap;
+      h = field_.data() + phase * 3 * cap;
+      h_stride = 3 * cap;
     }
+    const double* hxm = h;
+    const double* hym = h + cap;
+    const double* hzm = h + 2 * cap;
 
     // Steps this kernel call may run: capped by the noise block and by the
     // smallest remaining per-lane budget, so no lane ever oversteps its own
@@ -388,7 +389,7 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
     if (!any_finished) continue;
     // Compact finished lanes out of the active set (order-preserving, so
     // slot order stays the trial-index order within the block), dragging
-    // the remaining rows of the field matrices along. A crossing takes
+    // the remaining rows of the field block along. A crossing takes
     // precedence over budget exhaustion, exactly like the scalar loop's
     // final-step check.
     std::size_t w = 0;
@@ -412,10 +413,8 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
         budget_[w] = budget_[a];
         lane_of_[w] = lane_of_[a];
         if (sigma > 0.0 && phase != 0) {
-          for (std::size_t s = phase; s < kNoiseBlockSteps; ++s) {
-            hxm_[s * cap + w] = hxm_[s * cap + a];
-            hym_[s * cap + w] = hym_[s * cap + a];
-            hzm_[s * cap + w] = hzm_[s * cap + a];
+          for (std::size_t r = 3 * phase; r < 3 * kNoiseBlockSteps; ++r) {
+            field_[r * cap + w] = field_[r * cap + a];
           }
         }
       }

@@ -22,13 +22,14 @@
 // the stop plane.
 //
 // Determinism contract: lane l draws its thermal field from its own
-// util::Rng via Rng::normal_fill (the same sampler and order the scalar
-// path consumes), and the per-lane arithmetic is the same inline code, so
-// every lane's SwitchResult is bit-identical to
-// MacrospinSim::run_until_switch on the same stream -- tests/test_dynamics
-// asserts this, remainder blocks and B=1 included. Finished lanes are
-// compacted out of the active set so a block whose trials switch early
-// stops costing work.
+// util::Rng -- one Rng::normal_fill_lanes call per noise block fills every
+// active lane at once and reproduces each lane's solo Rng::normal_fill
+// stream, the sampler and order the scalar path consumes -- and the
+// per-lane arithmetic is the same inline code, so every lane's
+// SwitchResult is bit-identical to MacrospinSim::run_until_switch on the
+// same stream -- tests/test_dynamics asserts this, remainder blocks and
+// B=1 included. Finished lanes are compacted out of the active set so a
+// block whose trials switch early stops costing work.
 
 namespace mram::dyn {
 
@@ -107,16 +108,16 @@ class BatchMacrospinSim {
   // Kept as members so one BatchMacrospinSim per chunk context amortizes
   // the allocations over every lane-block of the chunk.
   std::vector<double> mx_, my_, mz_;   ///< magnetization lanes
-  std::vector<double> h0x_, h0y_, h0z_;  ///< constant field row (sigma == 0)
   std::vector<double> sign_;           ///< per-lane start_sign
   std::vector<double> crossed_;        ///< per-lane crossing flag (0/1)
   std::vector<double> logw_;           ///< per-lane accumulated log(dP/dQ)
   std::vector<std::size_t> budget_;    ///< per-lane total step budget
   std::vector<std::size_t> lane_of_;   ///< active slot -> caller lane
-  std::vector<double> scratch_;        ///< one lane's raw prefetch block
   std::vector<double> durations_;      ///< broadcast buffer (uniform window)
-  std::vector<double> hxm_, hym_, hzm_;  ///< raw-noise matrices [step][slot]
-                                         ///< of the current prefetch block
+  /// Field block [step][xyz][slot] of the current noise block: 64 steps of
+  /// thermal fields, filled in place by one Rng::normal_fill_lanes call
+  /// per block, or a single constant h_applied row when sigma == 0.
+  std::vector<double> field_;
 
   // One-slot memo of step_budget, keyed on (duration, dt). dt > 0 on every
   // call, so the initial key never matches.

@@ -1,9 +1,25 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
 #include "util/error.h"
+
+// The AVX2 and AVX-512F levels of normal_fill_lanes are compiled with
+// per-function target attributes and dispatched at run time, so the
+// portable build needs no ISA flags.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// GCC 12 flags the header's own _mm512_undefined_* placeholders as maybe
+// uninitialized once they are inlined; the warning is about the header.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#define MRAM_RNG_X86_LANES 1
+#else
+#define MRAM_RNG_X86_LANES 0
+#endif
 
 namespace mram::util {
 
@@ -292,27 +308,6 @@ double Rng::zig_draw() {
   return (x < kZigX[i + 1]) ? zig_signed_by_bit7(x, b) : zig_fallback(b);
 }
 
-void Rng::normal_fill_pair(Rng& a, Rng& b, double* out_a, double* out_b,
-                           std::size_t n) {
-  // Lockstep interleave of two independent engines. Each engine's draw
-  // sequence (including fallback consumption) is exactly its solo
-  // normal_fill sequence; only the instruction-level interleaving differs.
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint64_t ba = a.next();
-    const std::uint64_t bb = b.next();
-    const int ia = static_cast<int>(ba & 0x7F);
-    const int ib = static_cast<int>(bb & 0x7F);
-    const double aua = static_cast<double>(ba >> 11) * 0x1.0p-53;
-    const double aub = static_cast<double>(bb >> 11) * 0x1.0p-53;
-    const double xa = aua * kZigX[ia];
-    const double xb = aub * kZigX[ib];
-    out_a[k] = (xa < kZigX[ia + 1]) ? zig_signed_by_bit7(xa, ba)
-                                    : a.zig_fallback(ba);
-    out_b[k] = (xb < kZigX[ib + 1]) ? zig_signed_by_bit7(xb, bb)
-                                    : b.zig_fallback(bb);
-  }
-}
-
 void Rng::normal_fill_tilted(double* out, std::size_t n, const double* tilt,
                              std::size_t period) {
   MRAM_EXPECTS(period > 0, "normal_fill_tilted requires period > 0");
@@ -327,17 +322,361 @@ void Rng::normal_fill_tilted(double* out, std::size_t n, const double* tilt,
   }
 }
 
-void Rng::normal_fill_pair_tilted(Rng& a, Rng& b, double* out_a, double* out_b,
-                                  std::size_t n, const double* tilt,
-                                  std::size_t period) {
-  MRAM_EXPECTS(period > 0, "normal_fill_pair_tilted requires period > 0");
-  normal_fill_pair(a, b, out_a, out_b, n);
-  std::size_t c = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    out_a[k] += tilt[c];
-    out_b[k] += tilt[c];
-    if (++c == period) c = 0;
+// --- normal_fill_lanes ------------------------------------------------------
+//
+// The vector levels share one shape. Lanes go in groups of up to kGroup: a
+// group's engine states are copied into lane-major arrays, stepped together
+// for k = 0..n-1 (one engine per SIMD element), and copied back at the end.
+// At each k every lane draws b and runs the strip test, and the accepted
+// values go straight to row k of out. When a real lane rejects, the group's
+// state is spilled and each rejecting lane, in lane order, finishes its
+// draw with zig_fallback(b) on its own engine -- which may consume further
+// raw draws -- before the group resumes at k + 1. Each engine therefore
+// consumes exactly its solo normal_fill sequence at every level and width.
+// The vector levels reproduce the scalar strip test operation for
+// operation. b >> 11 converts to double exactly without AVX-512DQ: its high
+// 21 and low 32 bits each go into the mantissa of a double with a fixed
+// exponent (2^84 and 2^52), and (hi - (2^84 + 2^52)) + lo is exact because
+// every intermediate fits in 53 bits. The product au * kZigX[i] is then one
+// rounded multiply, and the compare is the same ordered less-than.
+
+struct Rng::LaneKernels {
+  static constexpr std::size_t kGroup = 16;
+  using State = std::uint64_t[4][kGroup];
+
+  /// Copies the group's engine states into st; padding lanes get state 0.
+  static void load(const Rng* rngs, const std::size_t* lane_of, std::size_t g,
+                   State st) {
+    for (std::size_t a = 0; a < kGroup; ++a) {
+      for (int w = 0; w < 4; ++w) {
+        st[w][a] = (a < g) ? rngs[lane_of[a]].state_[w] : 0;
+      }
+    }
   }
+
+  static void store(Rng* rngs, const std::size_t* lane_of, std::size_t g,
+                    const State st) {
+    for (std::size_t a = 0; a < g; ++a) {
+      for (int w = 0; w < 4; ++w) rngs[lane_of[a]].state_[w] = st[w][a];
+    }
+  }
+
+  /// Finishes the rejected draws b[a] of the lanes set in `rejected`, in
+  /// lane order, each on its own engine, writing the values to row[a] and
+  /// the advanced states back to st.
+  static void replay(Rng* rngs, const std::size_t* lane_of, State st,
+                     const std::uint64_t* b, std::uint32_t rejected,
+                     double* row) {
+    for (; rejected != 0; rejected &= rejected - 1) {
+      const int a = std::countr_zero(rejected);
+      Rng& rng = rngs[lane_of[a]];
+      for (int w = 0; w < 4; ++w) rng.state_[w] = st[w][a];
+      row[a] = rng.zig_fallback(b[a]);
+      for (int w = 0; w < 4; ++w) st[w][a] = rng.state_[w];
+    }
+  }
+
+  // The portable level needs no state copies: it interleaves the engines'
+  // own solo draws, lane by lane, which keeps several independent xoshiro
+  // chains in flight.
+  static void portable(Rng* rngs, const std::size_t* lane_of, std::size_t g,
+                       std::size_t n, double* out, std::size_t stride) {
+    for (std::size_t k = 0; k < n; ++k) {
+      double* row = out + k * stride;
+      for (std::size_t a = 0; a < g; ++a) row[a] = rngs[lane_of[a]].zig_draw();
+    }
+  }
+
+#if MRAM_RNG_X86_LANES
+  // The vector levels keep a group's four state words in registers as
+  // s[word][vector]; the loops over words and vectors are fully unrolled so
+  // the arrays never touch memory. Helpers are target-attributed member
+  // functions rather than lambdas, because a lambda does not inherit its
+  // caller's target.
+
+  template <int V>
+  __attribute__((target("avx2"))) static void to_regs(const State st,
+                                                      __m256i (&s)[4][V]) {
+    #pragma GCC unroll 4
+    for (int w = 0; w < 4; ++w) {
+      #pragma GCC unroll 4
+      for (int j = 0; j < V; ++j) {
+        s[w][j] = _mm256_load_si256(
+            reinterpret_cast<const __m256i*>(&st[w][4 * j]));
+      }
+    }
+  }
+
+  template <int V>
+  __attribute__((target("avx2"))) static void to_state(
+      const __m256i (&s)[4][V], State st) {
+    #pragma GCC unroll 4
+    for (int w = 0; w < 4; ++w) {
+      #pragma GCC unroll 4
+      for (int j = 0; j < V; ++j) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(&st[w][4 * j]),
+                           s[w][j]);
+      }
+    }
+  }
+
+  __attribute__((target("avx2"))) static __m256i rotl4(__m256i v, int k) {
+    return _mm256_or_si256(_mm256_slli_epi64(v, k),
+                           _mm256_srli_epi64(v, 64 - k));
+  }
+
+  // V ymm vectors of 4 lanes each; V = ceil(g / 4), so only the last
+  // vector can be partial. About twice as fast as the portable level at 12
+  // and 16 lanes (BM_NormalFillLanes in bench_perf_solvers).
+  template <int V>
+  __attribute__((target("avx2"))) static void avx2(
+      Rng* rngs, const std::size_t* lane_of, std::size_t g, std::size_t n,
+      double* out, std::size_t stride) {
+    alignas(32) State st;
+    alignas(32) std::uint64_t b_spill[kGroup];
+    load(rngs, lane_of, g, st);
+    __m256i s[4][V];
+    to_regs<V>(st, s);
+    const std::uint32_t real = (1u << g) - 1;
+    const __m256i tail_real = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(g - 4 * (V - 1))),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    const __m256i strip = _mm256_set1_epi64x(0x7F);
+    const __m256i sign = _mm256_set1_epi64x(0x80);
+    const __m256i low32 = _mm256_set1_epi64x(0xFFFFFFFFLL);
+    const __m256i exp52 = _mm256_set1_epi64x(0x4330000000000000LL);
+    const __m256i exp84 = _mm256_set1_epi64x(0x4530000000000000LL);
+    const __m256d magic = _mm256_set1_pd(0x1.00000001p84);  // 2^84 + 2^52
+    const __m256d unit = _mm256_set1_pd(0x1.0p-53);
+    for (std::size_t k = 0; k < n; ++k) {
+      double* row = out + k * stride;
+      __m256i b[V];
+      std::uint32_t accepted = 0;
+      #pragma GCC unroll 4
+      for (int j = 0; j < V; ++j) {
+        __m256i& s0 = s[0][j];
+        __m256i& s1 = s[1][j];
+        __m256i& s2 = s[2][j];
+        __m256i& s3 = s[3][j];
+        b[j] = _mm256_add_epi64(rotl4(_mm256_add_epi64(s0, s3), 23), s0);
+        const __m256i t = _mm256_slli_epi64(s1, 17);
+        s2 = _mm256_xor_si256(s2, s0);
+        s3 = _mm256_xor_si256(s3, s1);
+        s1 = _mm256_xor_si256(s1, s2);
+        s0 = _mm256_xor_si256(s0, s3);
+        s2 = _mm256_xor_si256(s2, t);
+        s3 = rotl4(s3, 45);
+
+        const __m256i idx = _mm256_and_si256(b[j], strip);
+        const __m256i m = _mm256_srli_epi64(b[j], 11);
+        const __m256d hi = _mm256_sub_pd(
+            _mm256_castsi256_pd(
+                _mm256_or_si256(_mm256_srli_epi64(m, 32), exp84)),
+            magic);
+        const __m256d lo = _mm256_castsi256_pd(
+            _mm256_or_si256(_mm256_and_si256(m, low32), exp52));
+        const __m256d au = _mm256_mul_pd(_mm256_add_pd(hi, lo), unit);
+        const __m256d x =
+            _mm256_mul_pd(au, _mm256_i64gather_pd(kZigX, idx, 8));
+        const __m256d ok = _mm256_cmp_pd(
+            x, _mm256_i64gather_pd(kZigX + 1, idx, 8), _CMP_LT_OQ);
+        const __m256d z = _mm256_castsi256_pd(_mm256_or_si256(
+            _mm256_castpd_si256(x),
+            _mm256_slli_epi64(_mm256_and_si256(b[j], sign), 56)));
+        if (j + 1 < V) {
+          _mm256_storeu_pd(row + 4 * j, z);
+        } else {
+          _mm256_maskstore_pd(row + 4 * j, tail_real, z);
+        }
+        accepted |= static_cast<std::uint32_t>(_mm256_movemask_pd(ok))
+                    << (4 * j);
+      }
+      const std::uint32_t rejected = real & ~accepted;
+      if (rejected != 0) {
+        to_state<V>(s, st);
+        #pragma GCC unroll 4
+        for (int j = 0; j < V; ++j) {
+          _mm256_store_si256(reinterpret_cast<__m256i*>(&b_spill[4 * j]),
+                             b[j]);
+        }
+        replay(rngs, lane_of, st, b_spill, rejected, row);
+        to_regs<V>(st, s);
+      }
+    }
+    to_state<V>(s, st);
+    store(rngs, lane_of, g, st);
+  }
+
+  template <int V>
+  __attribute__((target("avx512f"))) static void to_regs(const State st,
+                                                         __m512i (&s)[4][V]) {
+    #pragma GCC unroll 4
+    for (int w = 0; w < 4; ++w) {
+      #pragma GCC unroll 4
+      for (int j = 0; j < V; ++j) s[w][j] = _mm512_load_si512(&st[w][8 * j]);
+    }
+  }
+
+  template <int V>
+  __attribute__((target("avx512f"))) static void to_state(
+      const __m512i (&s)[4][V], State st) {
+    #pragma GCC unroll 4
+    for (int w = 0; w < 4; ++w) {
+      #pragma GCC unroll 4
+      for (int j = 0; j < V; ++j) _mm512_store_si512(&st[w][8 * j], s[w][j]);
+    }
+  }
+
+  // V zmm vectors of 8 lanes each; V = ceil(g / 8).
+  template <int V>
+  __attribute__((target("avx512f"))) static void avx512(
+      Rng* rngs, const std::size_t* lane_of, std::size_t g, std::size_t n,
+      double* out, std::size_t stride) {
+    alignas(64) State st;
+    alignas(64) std::uint64_t b_spill[kGroup];
+    load(rngs, lane_of, g, st);
+    __m512i s[4][V];
+    to_regs<V>(st, s);
+    const std::uint32_t real = (1u << g) - 1;
+    const auto tail_real =
+        static_cast<__mmask8>((1u << (g - 8 * (V - 1))) - 1);
+    const __m512i strip = _mm512_set1_epi64(0x7F);
+    const __m512i sign = _mm512_set1_epi64(0x80);
+    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFFLL);
+    const __m512i exp52 = _mm512_set1_epi64(0x4330000000000000LL);
+    const __m512i exp84 = _mm512_set1_epi64(0x4530000000000000LL);
+    const __m512d magic = _mm512_set1_pd(0x1.00000001p84);  // 2^84 + 2^52
+    const __m512d unit = _mm512_set1_pd(0x1.0p-53);
+    for (std::size_t k = 0; k < n; ++k) {
+      double* row = out + k * stride;
+      __m512i b[V];
+      std::uint32_t accepted = 0;
+      #pragma GCC unroll 4
+      for (int j = 0; j < V; ++j) {
+        __m512i& s0 = s[0][j];
+        __m512i& s1 = s[1][j];
+        __m512i& s2 = s[2][j];
+        __m512i& s3 = s[3][j];
+        b[j] = _mm512_add_epi64(
+            _mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
+        const __m512i t = _mm512_slli_epi64(s1, 17);
+        s2 = _mm512_xor_si512(s2, s0);
+        s3 = _mm512_xor_si512(s3, s1);
+        s1 = _mm512_xor_si512(s1, s2);
+        s0 = _mm512_xor_si512(s0, s3);
+        s2 = _mm512_xor_si512(s2, t);
+        s3 = _mm512_rol_epi64(s3, 45);
+
+        const __m512i idx = _mm512_and_si512(b[j], strip);
+        const __m512i m = _mm512_srli_epi64(b[j], 11);
+        const __m512d hi = _mm512_sub_pd(
+            _mm512_castsi512_pd(
+                _mm512_or_si512(_mm512_srli_epi64(m, 32), exp84)),
+            magic);
+        const __m512d lo = _mm512_castsi512_pd(
+            _mm512_or_si512(_mm512_and_si512(m, low32), exp52));
+        const __m512d au = _mm512_mul_pd(_mm512_add_pd(hi, lo), unit);
+        const __m512d x =
+            _mm512_mul_pd(au, _mm512_i64gather_pd(idx, kZigX, 8));
+        const __mmask8 ok = _mm512_cmp_pd_mask(
+            x, _mm512_i64gather_pd(idx, kZigX + 1, 8), _CMP_LT_OQ);
+        const __m512d z = _mm512_castsi512_pd(_mm512_or_si512(
+            _mm512_castpd_si512(x),
+            _mm512_slli_epi64(_mm512_and_si512(b[j], sign), 56)));
+        if (j + 1 < V) {
+          _mm512_storeu_pd(row + 8 * j, z);
+        } else {
+          _mm512_mask_storeu_pd(row + 8 * j, tail_real, z);
+        }
+        accepted |= static_cast<std::uint32_t>(ok) << (8 * j);
+      }
+      const std::uint32_t rejected = real & ~accepted;
+      if (rejected != 0) {
+        to_state<V>(s, st);
+        #pragma GCC unroll 4
+        for (int j = 0; j < V; ++j) _mm512_store_si512(&b_spill[8 * j], b[j]);
+        replay(rngs, lane_of, st, b_spill, rejected, row);
+        to_regs<V>(st, s);
+      }
+    }
+    to_state<V>(s, st);
+    store(rngs, lane_of, g, st);
+  }
+#endif
+
+  /// One group of g <= kGroup lanes at `level`.
+  static void group(LaneFill level, Rng* rngs, const std::size_t* lane_of,
+                    std::size_t g, std::size_t n, double* out,
+                    std::size_t stride) {
+#if MRAM_RNG_X86_LANES
+    if (level == LaneFill::kAvx512) {
+      if (g > 8) return avx512<2>(rngs, lane_of, g, n, out, stride);
+      return avx512<1>(rngs, lane_of, g, n, out, stride);
+    }
+    if (level == LaneFill::kAvx2) {
+      switch ((g + 3) / 4) {
+        case 1: return avx2<1>(rngs, lane_of, g, n, out, stride);
+        case 2: return avx2<2>(rngs, lane_of, g, n, out, stride);
+        case 3: return avx2<3>(rngs, lane_of, g, n, out, stride);
+        default: return avx2<4>(rngs, lane_of, g, n, out, stride);
+      }
+    }
+#endif
+    (void)level;
+    portable(rngs, lane_of, g, n, out, stride);
+  }
+
+  static void fill(LaneFill level, Rng* rngs, const std::size_t* lane_of,
+                   std::size_t lanes, std::size_t n, double* out,
+                   std::size_t stride) {
+    for (std::size_t g0 = 0; g0 < lanes; g0 += kGroup) {
+      group(level, rngs, lane_of + g0, std::min(kGroup, lanes - g0), n,
+            out + g0, stride);
+    }
+  }
+};
+
+bool Rng::lane_fill_supported(LaneFill level) {
+#if MRAM_RNG_X86_LANES
+  if (level == LaneFill::kAvx512) return __builtin_cpu_supports("avx512f");
+  if (level == LaneFill::kAvx2) return __builtin_cpu_supports("avx2");
+#endif
+  return level == LaneFill::kPortable;
+}
+
+namespace {
+
+Rng::LaneFill widest_lane_fill() {
+#if MRAM_RNG_X86_LANES
+  __builtin_cpu_init();  // this runs as a static initializer
+#endif
+  for (auto level : {Rng::LaneFill::kAvx512, Rng::LaneFill::kAvx2}) {
+    if (Rng::lane_fill_supported(level)) return level;
+  }
+  return Rng::LaneFill::kPortable;
+}
+
+// Picked once at load time. A static initializer elsewhere that fills
+// before this one runs sees the zero-initialized kPortable, which yields
+// the same values.
+Rng::LaneFill g_lane_fill = widest_lane_fill();
+
+}  // namespace
+
+Rng::LaneFill Rng::lane_fill_level() { return g_lane_fill; }
+
+void Rng::normal_fill_lanes(Rng* rngs, const std::size_t* lane_of,
+                            std::size_t lanes, std::size_t n, double* out,
+                            std::size_t stride) {
+  LaneKernels::fill(g_lane_fill, rngs, lane_of, lanes, n, out, stride);
+}
+
+void Rng::normal_fill_lanes(LaneFill level, Rng* rngs,
+                            const std::size_t* lane_of, std::size_t lanes,
+                            std::size_t n, double* out, std::size_t stride) {
+  MRAM_EXPECTS(lane_fill_supported(level),
+               "normal_fill_lanes: level not supported on this CPU");
+  LaneKernels::fill(level, rngs, lane_of, lanes, n, out, stride);
 }
 
 std::uint64_t Rng::below(std::uint64_t n) {

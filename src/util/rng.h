@@ -58,14 +58,42 @@ class Rng {
   /// as the legacy normal() (see there for why that one cannot change).
   void normal_fill(double* out, std::size_t n);
 
-  /// Fills two engines' outputs in lockstep: out_a gets exactly
-  /// a.normal_fill(out_a, n) and out_b exactly b.normal_fill(out_b, n),
-  /// value for value. A single engine's fill rate is bounded by its serial
-  /// xoshiro state chain; interleaving two independent chains nearly
-  /// doubles the throughput, which is why the batched LLG kernel refills
-  /// its thermal-noise lanes in pairs.
-  static void normal_fill_pair(Rng& a, Rng& b, double* out_a, double* out_b,
-                               std::size_t n);
+  /// Instruction-set level of normal_fill_lanes. Every level produces the
+  /// same values; only the speed differs.
+  enum class LaneFill { kPortable, kAvx2, kAvx512 };
+
+  /// The level normal_fill_lanes runs at: the widest one this build and CPU
+  /// support (AVX-512F, then AVX2, then the portable loop), picked once at
+  /// load time.
+  static LaneFill lane_fill_level();
+
+  /// Whether this build and CPU can run `level` (kPortable always can).
+  static bool lane_fill_supported(LaneFill level);
+
+  /// Lane-parallel normal_fill over many engines: out[k * stride + a] gets
+  /// exactly the k-th value rngs[lane_of[a]].normal_fill(., n) would
+  /// produce, for a < lanes and k < n, and every engine ends in exactly its
+  /// solo-fill state. Nothing else in out is written. A single engine's
+  /// fill rate is bounded by its serial xoshiro state chain; the AVX2 and
+  /// AVX-512F levels step up to 16 engines at once, one per SIMD element,
+  /// and run the ziggurat's strip test across them (the portable level
+  /// interleaves the engines' solo draws). A lane whose draw fails the
+  /// strip test (~2.5% of draws) finishes it on its own engine through the
+  /// scalar wedge/tail code, in lane order, before the next draw index --
+  /// so each engine consumes its raw stream in solo order by construction.
+  /// The batched LLG kernel fills its [step][xyz][slot] thermal-field block
+  /// with one call per noise block. Preconditions: the lane_of[a] are
+  /// distinct and stride >= lanes when n > 1.
+  static void normal_fill_lanes(Rng* rngs, const std::size_t* lane_of,
+                                std::size_t lanes, std::size_t n, double* out,
+                                std::size_t stride);
+
+  /// normal_fill_lanes at an explicit level, so tests can check each level
+  /// the host supports. Precondition: lane_fill_supported(level).
+  static void normal_fill_lanes(LaneFill level, Rng* rngs,
+                                const std::size_t* lane_of, std::size_t lanes,
+                                std::size_t n, double* out,
+                                std::size_t stride);
 
   /// Exponentially tilted normal_fill: out[k] = z_k + tilt[k % period] where
   /// the z_k are *exactly* the deviates normal_fill would have produced --
@@ -77,13 +105,6 @@ class Rng {
   /// sampling path. Precondition: period > 0.
   void normal_fill_tilted(double* out, std::size_t n, const double* tilt,
                           std::size_t period);
-
-  /// Tilted counterpart of normal_fill_pair: both outputs get the same
-  /// periodic mean shift applied after the lockstep draws. Each engine's
-  /// draw sequence is exactly its solo normal_fill sequence.
-  static void normal_fill_pair_tilted(Rng& a, Rng& b, double* out_a,
-                                      double* out_b, std::size_t n,
-                                      const double* tilt, std::size_t period);
 
   /// Uniform integer in [0, n). Precondition: n > 0.
   std::uint64_t below(std::uint64_t n);
@@ -111,6 +132,9 @@ class Rng {
   /// Completes one ziggurat draw whose first strip test rejected (wedge,
   /// tail and retry paths; out of line, ~2.5% of draws).
   double zig_fallback(std::uint64_t b);
+
+  /// The per-level normal_fill_lanes loops (rng.cpp).
+  struct LaneKernels;
 
   std::uint64_t state_[4];
   bool has_spare_ = false;

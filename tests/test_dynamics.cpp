@@ -280,6 +280,20 @@ TEST(BatchLlg, BitIdenticalAtSixteenLanes) {
   expect_batch_matches_scalar(p, 17, 3e-9, 2e-13, 77);
 }
 
+TEST(BatchLlg, BitIdenticalAtLaneFillShapes) {
+  // The thermal noise of a block comes from one lane-parallel fill in
+  // groups of up to 16 lanes. 12 lanes is the block width
+  // read_disturb_vs_pulse runs at trial scale 3 (chunks of 12 trials): one
+  // group, with a partial second zmm at the AVX-512 level. 33 and 64 lanes
+  // span several groups, and compaction moves lanes across their borders.
+  const auto p = thermal_driven_params();
+  for (std::size_t lanes :
+       {std::size_t{12}, std::size_t{33}, std::size_t{64}}) {
+    SCOPED_TRACE(lanes);
+    expect_batch_matches_scalar(p, lanes, 3e-9, 2e-13, 5000 + lanes);
+  }
+}
+
 TEST(BatchLlg, PreferredLanesIsASupportedWidth) {
   const std::size_t lanes = BatchMacrospinSim::preferred_lanes();
   EXPECT_TRUE(lanes == BatchMacrospinSim::kDefaultLanes ||

@@ -179,7 +179,11 @@ TEST(TiltedLlg, ZeroTiltLeavesWeightZeroAndPathUnchanged) {
   EXPECT_EQ(tilted.log_weight, 0.0);  // exactly, by construction
 }
 
-TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTilt) {
+/// Runs one tilted read-disturb trial per starting height through the
+/// batched and scalar kernels on identical per-lane streams, and requires
+/// bitwise-equal results, a paid tilt on every lane, and both outcomes.
+void expect_tilted_batch_matches_scalar(const std::vector<double>& heights,
+                                        std::uint64_t seed) {
   const auto llg = disturb_llg();
   const dyn::MacrospinSim scalar(llg);
   dyn::BatchMacrospinSim batch(llg);
@@ -187,32 +191,29 @@ TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTilt) {
   // pushes the thermal field the same way, toward the mz = 0 crossing.
   const num::Vec3 tilt{0.0, 0.0, 3.0};
 
-  // Odd lane count (remainder masking included); starting heights straddle
-  // the barrier so the window produces both crossers and survivors.
-  constexpr std::size_t kLanes = 5;
-  const double heights[kLanes] = {-1.0, -0.15, -0.9, -0.1, -0.2};
-  std::vector<num::Vec3> m0(kLanes);
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  const std::size_t lanes = heights.size();
+  std::vector<num::Vec3> m0(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
     m0[l] = num::normalized({0.03 + 0.01 * static_cast<double>(l), -0.02,
                              heights[l]});
   }
 
-  std::vector<dyn::SwitchResult> expected(kLanes);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    util::Rng rng = util::Rng::stream(77, l);
+  std::vector<dyn::SwitchResult> expected(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    util::Rng rng = util::Rng::stream(seed, l);
     expected[l] = scalar.run_until_switch(m0[l], 8e-10, 2e-12, rng, 0.0, tilt);
   }
 
   std::vector<util::Rng> rngs;
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    rngs.push_back(util::Rng::stream(77, l));
+  for (std::size_t l = 0; l < lanes; ++l) {
+    rngs.push_back(util::Rng::stream(seed, l));
   }
-  std::vector<dyn::SwitchResult> got(kLanes);
-  batch.run_until_switch(kLanes, m0.data(), rngs.data(), 8e-10, 2e-12,
+  std::vector<dyn::SwitchResult> got(lanes);
+  batch.run_until_switch(lanes, m0.data(), rngs.data(), 8e-10, 2e-12,
                          got.data(), 0.0, tilt);
 
   bool any_switched = false, any_survived = false;
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     EXPECT_EQ(got[l].switched, expected[l].switched) << "lane " << l;
     EXPECT_EQ(got[l].time, expected[l].time) << "lane " << l;
     EXPECT_EQ(got[l].log_weight, expected[l].log_weight) << "lane " << l;
@@ -226,6 +227,21 @@ TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTilt) {
   // The window is chosen so the test exercises both outcomes.
   EXPECT_TRUE(any_switched);
   EXPECT_TRUE(any_survived);
+}
+
+TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTilt) {
+  // Odd lane count (remainder masking included); starting heights straddle
+  // the barrier so the window produces both crossers and survivors.
+  expect_tilted_batch_matches_scalar({-1.0, -0.15, -0.9, -0.1, -0.2}, 77);
+}
+
+TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTiltAt17Lanes) {
+  // 17 lanes: the tilted fields come from a full 16-lane fill group plus a
+  // 1-lane group, and compaction moves them across the group boundary.
+  const double pattern[5] = {-1.0, -0.15, -0.9, -0.1, -0.2};
+  std::vector<double> heights(17);
+  for (std::size_t l = 0; l < heights.size(); ++l) heights[l] = pattern[l % 5];
+  expect_tilted_batch_matches_scalar(heights, 77);
 }
 
 TEST(TiltedLlg, PerLaneDurationsMatchScalarContinuations) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -216,19 +217,104 @@ TEST(Rng, NormalFillIsNotTheLegacyNormalStream) {
   EXPECT_LT(same, 8);
 }
 
-TEST(Rng, NormalFillPairMatchesTwoSoloFills) {
-  // The lockstep pair fill must reproduce each engine's solo normal_fill
-  // stream bit for bit, including engines whose draws hit the fallback
-  // paths at different times, and leave both engines in the solo state.
-  Rng a(11), b(22), a_ref(11), b_ref(22);
-  std::vector<double> pa(777), pb(777), ra(777), rb(777);
-  Rng::normal_fill_pair(a, b, pa.data(), pb.data(), 777);
-  a_ref.normal_fill(ra.data(), 777);
-  b_ref.normal_fill(rb.data(), 777);
-  EXPECT_EQ(pa, ra);
-  EXPECT_EQ(pb, rb);
-  EXPECT_EQ(a(), a_ref());
-  EXPECT_EQ(b(), b_ref());
+TEST(Rng, NormalFillLanesMatchesSoloFills) {
+  // At every dispatch level the host supports, the lane fill must reproduce
+  // each engine's solo normal_fill stream bit for bit and leave every
+  // engine in its solo state: partial SIMD vectors, multi-group widths, a
+  // permuted lane map over a larger engine pool and a strided output
+  // included. Row slots past the lane count must stay untouched.
+  constexpr std::size_t kN = 385;  // not a multiple of 3
+  constexpr std::size_t kPool = 70;
+  constexpr std::uint64_t kSeed = 2024;
+  constexpr double kZigR = 3.442619855899;  // the ziggurat's tail cut
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  std::vector<std::vector<double>> ref(kPool, std::vector<double>(kN));
+  std::vector<std::uint64_t> ref_next(kPool);
+  for (std::size_t e = 0; e < kPool; ++e) {
+    Rng solo = Rng::stream(kSeed, e);
+    solo.normal_fill(ref[e].data(), kN);
+    ref_next[e] = solo();
+  }
+
+  // The reference draws must exercise both fallback paths, or a broken
+  // replay could pass unnoticed: a value beyond r came from the tail, and a
+  // value within r whose draw consumed more than one raw output went
+  // through the wedge.
+  std::size_t tail = 0, wedge = 0;
+  for (std::size_t e = 0; e < kPool; ++e) {
+    Rng solo = Rng::stream(kSeed, e);
+    for (std::size_t k = 0; k < kN; ++k) {
+      Rng one_draw = solo;
+      one_draw();
+      double z;
+      solo.normal_fill(&z, 1);
+      ASSERT_EQ(bits(z), bits(ref[e][k]));
+      if (std::abs(z) > kZigR) {
+        ++tail;
+      } else if (Rng(one_draw)() != Rng(solo)()) {
+        ++wedge;
+      }
+    }
+  }
+  EXPECT_GT(tail, 0u);
+  EXPECT_GT(wedge, 0u);
+
+  const double kUntouched = -777.0;
+  for (auto level : {Rng::LaneFill::kPortable, Rng::LaneFill::kAvx2,
+                     Rng::LaneFill::kAvx512}) {
+    if (!Rng::lane_fill_supported(level)) continue;
+    for (std::size_t lanes : {1u, 2u, 3u, 5u, 8u, 12u, 15u, 16u, 17u, 33u,
+                              64u}) {
+      SCOPED_TRACE(::testing::Message() << "level "
+                                        << static_cast<int>(level)
+                                        << ", lanes " << lanes);
+      std::vector<Rng> rngs;
+      for (std::size_t e = 0; e < kPool; ++e) {
+        rngs.push_back(Rng::stream(kSeed, e));
+      }
+      std::vector<std::size_t> lane_of(lanes);
+      for (std::size_t a = 0; a < lanes; ++a) lane_of[a] = (3 * a + 5) % kPool;
+      const std::size_t stride = lanes + 3;
+      std::vector<double> out(kN * stride, kUntouched);
+      Rng::normal_fill_lanes(level, rngs.data(), lane_of.data(), lanes, kN,
+                             out.data(), stride);
+
+      std::size_t wrong = 0, touched = 0;
+      std::vector<bool> used(kPool, false);
+      for (std::size_t a = 0; a < lanes; ++a) {
+        used[lane_of[a]] = true;
+        for (std::size_t k = 0; k < kN; ++k) {
+          wrong += bits(out[k * stride + a]) != bits(ref[lane_of[a]][k]);
+        }
+      }
+      for (std::size_t k = 0; k < kN; ++k) {
+        for (std::size_t a = lanes; a < stride; ++a) {
+          touched += out[k * stride + a] != kUntouched;
+        }
+      }
+      EXPECT_EQ(wrong, 0u);
+      EXPECT_EQ(touched, 0u);
+      for (std::size_t e = 0; e < kPool; ++e) {
+        const std::uint64_t expected =
+            used[e] ? ref_next[e] : Rng::stream(kSeed, e)();
+        EXPECT_EQ(rngs[e](), expected) << "engine " << e;
+      }
+    }
+  }
+
+  // The load-time level is one of the supported ones, and the dispatching
+  // overload agrees with the reference too.
+  EXPECT_TRUE(Rng::lane_fill_supported(Rng::lane_fill_level()));
+  std::vector<Rng> rngs;
+  for (std::size_t e = 0; e < kPool; ++e) rngs.push_back(Rng::stream(kSeed, e));
+  const std::size_t lane_of[2] = {9, 4};
+  std::vector<double> out(2 * kN);
+  Rng::normal_fill_lanes(rngs.data(), lane_of, 2, kN, out.data(), 2);
+  for (std::size_t k = 0; k < kN; ++k) {
+    EXPECT_EQ(bits(out[2 * k]), bits(ref[9][k])) << k;
+    EXPECT_EQ(bits(out[2 * k + 1]), bits(ref[4][k])) << k;
+  }
 }
 
 TEST(Rng, NormalFillZeroCountIsANoOp) {
