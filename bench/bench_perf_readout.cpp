@@ -1,10 +1,9 @@
 // google-benchmark microbenchmarks of the read-path subsystem: the bitline
 // ladder reduction (the dense solve Monte Carlo loops hoist), the per-read
-// sampling pipeline, and the RER / read-disturb trial loops scalar vs
-// batched. The items/s rate of the trial-loop benches is trials/s, so the
-// batched-vs-scalar ratio at the same trial count is the throughput speedup
-// of the batch_lanes path. BENCH_readout.json commits these numbers (see
-// README "Performance"; CI regenerates the JSON as a per-PR artifact).
+// sampling pipeline, and the RER / read-disturb trial loops. The items/s
+// rate of the trial-loop benches is trials/s. BENCH_readout.json commits
+// these numbers (see README "Performance"; CI regenerates the JSON as a
+// per-PR artifact).
 
 #include <benchmark/benchmark.h>
 
@@ -57,22 +56,21 @@ void BM_SampleRead(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleRead);
 
-// --- RER trial loop: scalar reference vs batched ----------------------------
+// --- RER trial loop ---------------------------------------------------------
 
 constexpr std::size_t kRerBenchTrials = 512;
 
-rdo::RerConfig bench_rer_config(std::size_t lanes) {
+rdo::RerConfig bench_rer_config() {
   rdo::RerConfig cfg;
   cfg.path = bench_path(0.04);
   cfg.trials = kRerBenchTrials;
   cfg.hz_stray = dev::MtjDevice(cfg.device).intra_stray_field();
   cfg.runner.threads = 1;  // measure the trial body, not the pool scaling
-  cfg.batch_lanes = lanes;
   return cfg;
 }
 
 void BM_RerTrials(benchmark::State& state) {
-  const auto cfg = bench_rer_config(static_cast<std::size_t>(state.range(0)));
+  const auto cfg = bench_rer_config();
   eng::MonteCarloRunner runner(cfg.runner);
   for (auto _ : state) {
     util::Rng rng(7);
@@ -81,21 +79,19 @@ void BM_RerTrials(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kRerBenchTrials));
 }
-BENCHMARK(BM_RerTrials)->Arg(0)->Arg(8);
+BENCHMARK(BM_RerTrials);
 
-// --- stochastic-LLG read-disturb trial loop: scalar vs batched --------------
+// --- stochastic-LLG read-disturb trial loop ---------------------------------
 //
 // The heavy path: every trial integrates the read-current torque over the
-// strobe. Short window + fixed trial count keeps the bench seconds-scale;
-// the scalar/batched ratio is the kernel speedup (same contract as
-// BM_LlgSwitchTrials in bench_perf_solvers).
+// strobe. Short window + fixed trial count keeps the bench seconds-scale.
 
 // Enough trials that the runner's chunk subdivision (~64 chunks per run)
 // still leaves full lane-blocks inside each chunk -- at 1024 trials a chunk
-// holds 16 trials, i.e. two 8-wide blocks.
+// holds 16 trials, one preferred_lanes() block on an AVX-512 host.
 constexpr std::size_t kDisturbBenchTrials = 1024;
 
-rdo::ReadDisturbConfig bench_disturb_config(std::size_t lanes) {
+rdo::ReadDisturbConfig bench_disturb_config() {
   rdo::ReadDisturbConfig cfg;
   cfg.device.delta0 = 14.0;
   cfg.path = bench_path(0.12);
@@ -104,13 +100,11 @@ rdo::ReadDisturbConfig bench_disturb_config(std::size_t lanes) {
   cfg.trials = kDisturbBenchTrials;
   cfg.hz_stray = dev::MtjDevice(cfg.device).intra_stray_field();
   cfg.runner.threads = 1;
-  cfg.batch_lanes = lanes;
   return cfg;
 }
 
 void BM_ReadDisturbTrials(benchmark::State& state) {
-  const auto cfg =
-      bench_disturb_config(static_cast<std::size_t>(state.range(0)));
+  const auto cfg = bench_disturb_config();
   eng::MonteCarloRunner runner(cfg.runner);
   for (auto _ : state) {
     util::Rng rng(7);
@@ -119,7 +113,7 @@ void BM_ReadDisturbTrials(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kDisturbBenchTrials));
 }
-BENCHMARK(BM_ReadDisturbTrials)->Arg(0)->Arg(1)->Arg(8)->Arg(16);
+BENCHMARK(BM_ReadDisturbTrials);
 
 }  // namespace
 

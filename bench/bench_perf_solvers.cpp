@@ -13,7 +13,6 @@
 #include "engine/monte_carlo.h"
 #include "magnetics/current_loop.h"
 #include "mram/mram_array.h"
-#include "numerics/ode.h"
 #include "numerics/solvers.h"
 
 namespace {
@@ -84,26 +83,13 @@ void BM_ArrayFieldMap(benchmark::State& state) {
 }
 BENCHMARK(BM_ArrayFieldMap)->Arg(1)->Arg(2);
 
-// --- solver dispatch: std::function shim vs. templated policy --------------
+// --- macrospin LLG integration ----------------------------------------------
 
 dyn::LlgParams bench_llg_params() {
   dyn::LlgParams p;
   p.current = 120e-6;
   return p;
 }
-
-void BM_LlgRk4StepTypeErased(benchmark::State& state) {
-  const dyn::MacrospinSim sim(bench_llg_params());
-  const num::Vec3Rhs f = [&](double t, const num::Vec3& m) {
-    return sim.rhs_functor()(t, m);
-  };
-  num::Vec3 m{0.02, 0.0, -0.9998};
-  for (auto _ : state) {
-    m = num::normalized(num::rk4_step(f, 0.0, m, 1e-13));
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_LlgRk4StepTypeErased);
 
 void BM_LlgRk4StepStaticDispatch(benchmark::State& state) {
   const dyn::MacrospinSim sim(bench_llg_params());

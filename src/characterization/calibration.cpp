@@ -117,31 +117,4 @@ double fit_free_layer_ms_t(const dev::StackGeometry& geometry, double ecd,
   return 1e-3 * target_step / step_per_unit;
 }
 
-double fit_sun_prefactor(const dev::MtjParams& params, double vp,
-                         double target_tw) {
-  MRAM_EXPECTS(target_tw > 0.0, "target tw must be positive");
-  dev::MtjParams p = params;
-  p.sun_prefactor = 1.0;
-  const dev::MtjDevice probe(p);
-  const double hz = probe.intra_stray_field();
-  const double tw_unit =
-      probe.switching_time(dev::SwitchDirection::kApToP, vp, hz);
-  MRAM_EXPECTS(std::isfinite(tw_unit),
-               "device is sub-critical at the calibration voltage");
-  // tw = tw_unit / kappa  =>  kappa = tw_unit / target.
-  return tw_unit / target_tw;
-}
-
-std::vector<CalibrationResidual> calibration_residuals(
-    const dev::StackGeometry& geometry,
-    const std::vector<IntraFieldAnchor>& anchors) {
-  std::vector<CalibrationResidual> rows;
-  rows.reserve(anchors.size());
-  for (const auto& a : anchors) {
-    rows.push_back({a.ecd, util::a_per_m_to_oe(a.hz_intra),
-                    util::a_per_m_to_oe(intra_field_for_ecd(geometry, a.ecd))});
-  }
-  return rows;
-}
-
 }  // namespace mram::chr

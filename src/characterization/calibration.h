@@ -6,17 +6,17 @@
 
 // Calibration of the magnetostatic model against the paper's published data
 // (the paper's own flow: measure -> calibrate intra-cell model -> extrapolate
-// to arrays). Three fits:
+// to arrays). Two fits:
 //
 //   1. fit_fixed_layer_ms_t : (Ms*t)_RL and (Ms*t)_HL from the Hz_s_intra
 //      vs. eCD anchors digitized from Fig. 2b / Fig. 3d.
 //   2. fit_free_layer_ms_t  : (Ms*t)_FL from the Fig. 4a direct-neighbor
 //      step (+15 Oe per P->AP flip at eCD = 55 nm, pitch = 90 nm).
-//   3. fit_sun_prefactor    : kappa from the Fig. 5 switching-time level
-//      (tw(AP->P) ~ 20 ns at Vp = 0.72 V with intra-cell stray field only).
 //
 // The fitted values are baked into the defaults of StackGeometry/MtjParams;
-// tests/characterization asserts that re-running the fits reproduces them.
+// tests/characterization asserts that re-running the fits reproduces them,
+// and that the shipped Sun-model prefactor gives the Fig. 5 switching-time
+// level (tw(AP->P) ~ 20 ns at Vp = 0.72 V with intra-cell stray field only).
 
 namespace mram::chr {
 
@@ -54,25 +54,6 @@ FixedLayerFit fit_fixed_layer_ms_t(
 /// eCD = 55 nm, pitch = 90 nm). Linear in Ms*t, so solved in closed form.
 double fit_free_layer_ms_t(const dev::StackGeometry& geometry,
                            double ecd, double pitch, double target_step);
-
-/// Sun-model prefactor kappa such that the calibrated eCD = 35 nm device
-/// has tw(AP->P) = `target_tw` seconds at `vp` volts under its intra-cell
-/// stray field. Linear in 1/kappa, solved in closed form.
-double fit_sun_prefactor(const dev::MtjParams& params, double vp,
-                         double target_tw);
-
-/// Residual report row: model vs. anchor.
-struct CalibrationResidual {
-  double ecd;         ///< [m]
-  double target_oe;   ///< anchor [Oe]
-  double model_oe;    ///< fitted model [Oe]
-};
-
-/// Evaluates the calibrated geometry against the anchors (EXPERIMENTS.md
-/// table).
-std::vector<CalibrationResidual> calibration_residuals(
-    const dev::StackGeometry& geometry,
-    const std::vector<IntraFieldAnchor>& anchors = fig2b_anchors());
 
 /// Hz_s_intra at the FL center for `geometry` resized to `ecd` [A/m].
 double intra_field_for_ecd(const dev::StackGeometry& geometry, double ecd);

@@ -68,17 +68,6 @@ struct SwitchPartial {
   }
 };
 
-SwitchingStats stats_from(const SwitchPartial& partial, std::size_t trials) {
-  SwitchingStats stats;
-  stats.trials = trials;
-  stats.switched = partial.switched;
-  if (partial.switched > 0) {
-    stats.mean_time = partial.times.mean();
-    stats.stddev_time = partial.times.stddev();
-  }
-  return stats;
-}
-
 }  // namespace
 
 Vec3 thermal_initial_tilt(util::Rng& rng, double delta, double mz0) {
@@ -106,9 +95,9 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
   // Each trial integrates thousands of stochastic LLG steps -- the heaviest
   // trial body in the repo. The batched path advances a whole lane-block
   // per worker in lockstep; folding lane results in lane order keeps the
-  // accumulation order identical to the scalar reference, so the two paths
-  // are bit-identical for the same (seed, trials) at any thread count --
-  // and at any lane width, which lets preferred_lanes() pick the widest
+  // accumulation order of one trial at a time, so the result is
+  // bit-identical for the same (seed, trials) at any thread count -- and at
+  // any lane width, which lets preferred_lanes() pick the widest
   // kernel this CPU has a clone for. The stack buffers are sized for the
   // engine maximum, not the chosen width.
   const std::size_t lane_width = BatchMacrospinSim::preferred_lanes();
@@ -139,39 +128,14 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
           }
         }
       });
-  return stats_from(partial, trials);
-}
-
-SwitchingStats llg_switching_stats_scalar(const dev::MtjDevice& device,
-                                          SwitchDirection dir, double vp,
-                                          double hz_stray, std::size_t trials,
-                                          util::Rng& rng, double duration,
-                                          double dt, double temperature,
-                                          eng::MonteCarloRunner& runner) {
-  MRAM_EXPECTS(trials > 0, "need at least one trial");
-  const auto llg = llg_from_device(device, dir, vp, hz_stray, temperature);
-  const MacrospinSim sim(llg);
-  const double delta =
-      device.delta(initial_state(dir), hz_stray, temperature);
-  const double mz0 = (initial_state(dir) == MtjState::kParallel) ? 1.0 : -1.0;
-
-  obs::gauge_set(obs::Gauge::kLlgFlopsPerStep,
-                 llg.current != 0.0
-                     ? static_cast<double>(detail::kHeunStepFlopsTorque)
-                     : static_cast<double>(detail::kHeunStepFlops));
-  const std::uint64_t seed = rng();
-  const auto partial = runner.run<SwitchPartial>(
-      trials, seed,
-      [&](util::Rng& trial_rng, std::size_t, SwitchPartial& acc) {
-        obs::tag_kernel(obs::KernelTag::kLlgScalar);
-        const Vec3 m0 = thermal_initial_tilt(trial_rng, delta, mz0);
-        const auto result = sim.run_until_switch(m0, duration, dt, trial_rng);
-        if (result.switched) {
-          ++acc.switched;
-          acc.times.add(result.time);
-        }
-      });
-  return stats_from(partial, trials);
+  SwitchingStats stats;
+  stats.trials = trials;
+  stats.switched = partial.switched;
+  if (partial.switched > 0) {
+    stats.mean_time = partial.times.mean();
+    stats.stddev_time = partial.times.stddev();
+  }
+  return stats;
 }
 
 }  // namespace mram::dyn

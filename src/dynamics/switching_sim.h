@@ -45,10 +45,11 @@ struct SwitchingStats {
 /// Monte Carlo switching-time statistics from repeated stochastic LLG runs
 /// starting near the initial state of `dir` (thermal initial tilt). Runs on
 /// the engine runner's batched path: each worker advances a lane-block of
-/// dyn::BatchMacrospinSim::kDefaultLanes trials in lockstep, bit-identical
-/// to the scalar reference below for the same (seed, trials) at any thread
-/// count. The overload taking a MonteCarloRunner reuses its thread pool
-/// across calls (sweeps should hoist one runner).
+/// dyn::BatchMacrospinSim::preferred_lanes() trials in lockstep, each lane
+/// bit-identical to one MacrospinSim::run_until_switch trial for the same
+/// (seed, trials) at any thread count. The overload taking a
+/// MonteCarloRunner reuses its thread pool across calls (sweeps should
+/// hoist one runner).
 SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
                                    dev::SwitchDirection dir, double vp,
                                    double hz_stray, std::size_t trials,
@@ -63,15 +64,5 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
                                    util::Rng& rng, double duration,
                                    double dt, double temperature,
                                    eng::MonteCarloRunner& runner);
-
-/// Scalar reference implementation: one MacrospinSim::run_until_switch per
-/// trial on the unbatched runner path. Kept as the ground truth the batched
-/// kernel is tested against; prefer llg_switching_stats() for throughput.
-SwitchingStats llg_switching_stats_scalar(const dev::MtjDevice& device,
-                                          dev::SwitchDirection dir, double vp,
-                                          double hz_stray, std::size_t trials,
-                                          util::Rng& rng, double duration,
-                                          double dt, double temperature,
-                                          eng::MonteCarloRunner& runner);
 
 }  // namespace mram::dyn

@@ -105,7 +105,7 @@ class MonteCarloRunner {
 
   /// Upper bound on run_batched's lane_width: lane blocks live in a
   /// fixed-size stack buffer of per-trial streams. 64 matches the widest
-  /// consumer (the read-disturb batch path caps itself at 64 lanes).
+  /// consumers (subset simulation and the read-error noise_margin blocks).
   static constexpr std::size_t kMaxLaneWidth = 64;
 
   template <class Partial, class MakeContext, class TrialFn>

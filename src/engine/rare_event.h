@@ -147,60 +147,24 @@ RareEventEstimate brute_force_estimate(std::size_t successes,
 RareEventEstimate importance_estimate(const util::WeightedStats& ws);
 
 /// Importance sampling with deterministic relative-error stopping: runs
-/// rounds of `batch` trials through the runner (round r seeds from
-/// derive_seed(seed, r)), merging round accumulators in round order, until
-/// the estimator relative error reaches cfg.target_rel_error or
-/// cfg.max_rounds rounds ran. The stopping decision consumes only merged
-/// (thread-count-independent) state, so the round count -- and therefore
-/// the result -- is bit-identical across --threads.
-/// TrialFn: (util::Rng&, std::size_t trial_index, util::WeightedStats&).
-template <class TrialFn>
-RareEventEstimate importance_rounds(MonteCarloRunner& runner,
-                                    std::size_t batch, std::uint64_t seed,
+/// rounds of `batch` trials (round r seeds from derive_seed(seed, r)),
+/// merging round accumulators in round order, until the estimator relative
+/// error reaches cfg.target_rel_error or cfg.max_rounds rounds ran. The
+/// stopping decision consumes only merged (thread-count-independent) state,
+/// so the round count -- and therefore the result -- is bit-identical
+/// across --threads.
+/// RoundFn: (std::uint64_t round_seed) -> util::WeightedStats, one runner
+/// call of `batch` trials (run or run_batched, as the workload needs).
+template <class RoundFn>
+RareEventEstimate importance_rounds(std::size_t batch, std::uint64_t seed,
                                     const RareEventConfig& cfg,
-                                    TrialFn&& trial) {
+                                    RoundFn&& round) {
   cfg.validate();
   MRAM_EXPECTS(batch > 0, "importance sampling needs a positive batch size");
   util::WeightedStats total;
   std::size_t rounds = 0;
   for (std::size_t r = 0; r < cfg.max_rounds; ++r) {
-    auto ws = runner.run<util::WeightedStats>(batch, derive_seed(seed, r),
-                                              trial);
-    total.merge(ws);
-    ++rounds;
-    obs::counter_add(obs::Counter::kRareIsRounds);
-    obs::series_append("rare.is.ess", static_cast<double>(rounds),
-                       total.effective_samples());
-    obs::series_append("rare.is.rel_error", static_cast<double>(rounds),
-                       total.rel_error());
-    if (total.rel_error() <= cfg.target_rel_error) break;
-  }
-  auto est = importance_estimate(total);
-  est.simulated_trials = static_cast<double>(rounds * batch);
-  est.effective_trials = brute_equivalent_trials(
-      est.probability, est.rel_error, est.simulated_trials);
-  return est;
-}
-
-/// Batched-shape variant of importance_rounds for workloads whose trials
-/// run through a SoA kernel. BatchFn: (Ctx&, util::Rng* rngs,
-/// std::size_t first_trial, std::size_t lanes, util::WeightedStats&).
-template <class MakeContext, class BatchFn>
-RareEventEstimate importance_rounds_batched(MonteCarloRunner& runner,
-                                            std::size_t batch,
-                                            std::size_t lane_width,
-                                            std::uint64_t seed,
-                                            const RareEventConfig& cfg,
-                                            MakeContext&& make_context,
-                                            BatchFn&& fn) {
-  cfg.validate();
-  MRAM_EXPECTS(batch > 0, "importance sampling needs a positive batch size");
-  util::WeightedStats total;
-  std::size_t rounds = 0;
-  for (std::size_t r = 0; r < cfg.max_rounds; ++r) {
-    auto ws = runner.run_batched<util::WeightedStats>(
-        batch, derive_seed(seed, r), lane_width, make_context, fn);
-    total.merge(ws);
+    total.merge(round(derive_seed(seed, r)));
     ++rounds;
     obs::counter_add(obs::Counter::kRareIsRounds);
     obs::series_append("rare.is.ess", static_cast<double>(rounds),

@@ -97,9 +97,10 @@ RetentionEnsembleResult measure_retention_faults(
                                          config.array.cols, rng);
   const std::uint64_t seed = rng();
 
-  // Trial-invariant per-cell flip probabilities, hoisted once: the rare
-  // drivers sample from transformed versions of this table, and every path
-  // reports the closed-form array fault probability it implies.
+  // Trial-invariant per-cell flip probabilities, hoisted once: brute force
+  // draws against this table, the rare-event methods sample from
+  // transformed versions of it, and every path reports the closed-form
+  // array fault probability it implies.
   std::vector<double> p_flip;
   {
     MramArray probe(prototype);
@@ -147,21 +148,25 @@ RetentionEnsembleResult measure_retention_faults(
         base0 += l0[i];
       }
       est = eng::importance_rounds(
-          runner, config.trials, seed, config.rare,
-          [&](util::Rng& trial_rng, std::size_t, util::WeightedStats& ws) {
-            double logw = base0;
-            bool any = false;
-            for (std::size_t i = 0; i < cells; ++i) {
-              if (q[i] > 0.0 && trial_rng.uniform() < q[i]) {
-                logw += dl[i];
-                any = true;
-              }
-            }
-            if (any) {
-              ws.add(1.0, std::exp(logw));
-            } else {
-              ws.add(0.0, 0.0);
-            }
+          config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
+            return runner.run<util::WeightedStats>(
+                config.trials, round_seed,
+                [&](util::Rng& trial_rng, std::size_t,
+                    util::WeightedStats& ws) {
+                  double logw = base0;
+                  bool any = false;
+                  for (std::size_t i = 0; i < cells; ++i) {
+                    if (q[i] > 0.0 && trial_rng.uniform() < q[i]) {
+                      logw += dl[i];
+                      any = true;
+                    }
+                  }
+                  if (any) {
+                    ws.add(1.0, std::exp(logw));
+                  } else {
+                    ws.add(0.0, 0.0);
+                  }
+                });
           });
     } else {
       // Subset simulation on the per-cell latent Gaussians: cell i flips
@@ -196,48 +201,20 @@ RetentionEnsembleResult measure_retention_faults(
     return result;
   }
 
-  const auto record = [](std::size_t flips, Partial& acc) {
-    acc.faulty += (flips > 0);
-    acc.flips += flips;
-    acc.per_hold.add(static_cast<double>(flips));
-  };
-
-  // Every trial holds the same pattern, so the per-cell flip probabilities
-  // are trial-invariant: the batched path evaluates the exp-heavy table
-  // once per chunk and each lane only pays the bernoulli draws (the same
-  // draws in the same order as retention_hold -- results are bit-identical
-  // to the scalar reference, batch_lanes == 0).
-  struct Ctx {
-    MramArray array;
-    std::vector<double> p_flip;
-  };
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? runner.run_batched<Partial>(
-                config.trials, seed, config.batch_lanes,
-                [&] {
-                  Ctx ctx{MramArray(prototype), {}};
-                  ctx.array.load(pattern);
-                  ctx.p_flip =
-                      ctx.array.retention_flip_probabilities(config.hold);
-                  return ctx;
-                },
-                [&](Ctx& ctx, util::Rng* rngs, std::size_t,
-                    std::size_t lanes, Partial& acc) {
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    ctx.array.load(pattern);
-                    record(ctx.array.apply_retention_flips(ctx.p_flip,
-                                                           rngs[l]),
-                           acc);
-                  }
-                })
-          : runner.run<Partial>(
-                config.trials, seed, [&] { return MramArray(prototype); },
-                [&](MramArray& array, util::Rng& trial_rng, std::size_t,
-                    Partial& acc) {
-                  array.load(pattern);
-                  record(array.retention_hold(config.hold, trial_rng), acc);
-                });
+  // Every trial holds the same pattern, so each one only pays the bernoulli
+  // draws against the hoisted flip table -- the same draws in the same
+  // order as MramArray::retention_hold, so the statistics equal a full hold
+  // per trial bit for bit.
+  const auto partial = runner.run<Partial>(
+      config.trials, seed, [&] { return MramArray(prototype); },
+      [&](MramArray& array, util::Rng& trial_rng, std::size_t, Partial& acc) {
+        array.load(pattern);
+        const std::size_t flips =
+            array.apply_retention_flips(p_flip, trial_rng);
+        acc.faulty += (flips > 0);
+        acc.flips += flips;
+        acc.per_hold.add(static_cast<double>(flips));
+      });
 
   RetentionEnsembleResult result;
   result.trials = config.trials;

@@ -45,11 +45,6 @@ struct RetentionEnsembleConfig {
   double hold = 1.0;          ///< dwell per trial [s]
   std::size_t trials = 1000;
   eng::RunnerConfig runner;
-  std::size_t batch_lanes = 8;  ///< trials per lane-block on the batched
-                                ///< runner path (each chunk also hoists the
-                                ///< per-cell flip-probability table out of
-                                ///< its trial loop); 0 selects the scalar
-                                ///< reference path (bit-identical results)
   /// Rare-event driver selection (default: brute force, the legacy loop).
   /// Importance sampling inflates the per-cell flip probabilities and
   /// carries exact product-Bernoulli likelihood ratios; splitting runs

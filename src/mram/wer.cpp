@@ -33,8 +33,6 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
   config.array.validate();
   config.pulse.validate();
 
-  // Expensive shared setup (kernel cache, fixed-field map) happens once; the
-  // chunks copy the prototype instead of rebuilding it.
   const MramArray prototype(config.array);
   const std::size_t vr = prototype.rows() / 2;
   const std::size_t vc = prototype.cols() / 2;
@@ -49,12 +47,13 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
   background.set(vr, vc, initial_bit);
   const std::uint64_t seed = rng();
 
-  // The same expressions MramArray::write evaluates per trial, once: stray
-  // field of the loaded background at the victim, then the analytic success
-  // probability. No rng draw here, so the caller's stream stays in lockstep
-  // with the scalar reference path. Shared by the batched brute-force path
-  // and both rare-event drivers.
-  const auto hoisted_success_probability = [&] {
+  // Every trial reloads the same background and fires the same pulse at the
+  // same victim, so the expressions MramArray::write evaluates per trial --
+  // the stray field of the loaded background at the victim, then the
+  // analytic success probability -- are one evaluation per call. No rng
+  // draw here, so the caller's stream is the one a per-trial write loop
+  // would see.
+  const double p = [&] {
     MramArray probe(prototype);
     probe.load(background);
     MRAM_ENSURES(probe.read(vr, vc) != target_bit,
@@ -64,7 +63,7 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
     return probe.device().write_success_probability(
         dir, config.pulse.voltage, config.pulse.width,
         probe.stray_field_at(vr, vc), config.array.temperature);
-  };
+  }();
 
   if (config.rare.method != eng::RareEventMethod::kBruteForce) {
     // A write error is a single analytic Bernoulli with success probability
@@ -73,7 +72,6 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
     // (mean shift beta, the most likely failure point) and unbiases with
     // the likelihood ratio; splitting runs subset simulation on the margin
     // deficit z - beta. Either reaches WERs far below 1/trials.
-    const double p = hoisted_success_probability();
     const double beta = util::probit(p);
     eng::RareEventEstimate est;
     if (!std::isfinite(beta)) {
@@ -85,16 +83,19 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
     } else if (config.rare.method == eng::RareEventMethod::kImportanceSampling) {
       const double theta = (config.rare.tilt != 0.0) ? config.rare.tilt : beta;
       est = eng::importance_rounds(
-          runner, config.trials, seed, config.rare,
-          [theta, beta](util::Rng& trial_rng, std::size_t,
-                        util::WeightedStats& ws) {
-            double y;
-            trial_rng.normal_fill_tilted(&y, 1, &theta, 1);
-            if (y > beta) {
-              ws.add(1.0, std::exp(0.5 * theta * theta - theta * y));
-            } else {
-              ws.add(0.0, 0.0);
-            }
+          config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
+            return runner.run<util::WeightedStats>(
+                config.trials, round_seed,
+                [theta, beta](util::Rng& trial_rng, std::size_t,
+                              util::WeightedStats& ws) {
+                  double y;
+                  trial_rng.normal_fill_tilted(&y, 1, &theta, 1);
+                  if (y > beta) {
+                    ws.add(1.0, std::exp(0.5 * theta * theta - theta * y));
+                  } else {
+                    ws.add(0.0, 0.0);
+                  }
+                });
           });
     } else {
       est = eng::subset_simulation(
@@ -114,41 +115,15 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
     return result;
   }
 
-  // The batched path hoists the trial-invariant physics: every trial
-  // reloads the same background and fires the same pulse at the same
-  // victim, so the stray field and the analytic success probability are
-  // one evaluation per call, not one per trial. Each lane then pays
-  // exactly one bernoulli draw -- the same single uniform the scalar
-  // reference consumes per trial -- and folding lanes in order keeps the
-  // accumulation order, so every statistic is bit-identical to the scalar
-  // reference path (batch_lanes == 0, which still exercises the full
-  // load/write pipeline per trial).
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? [&] {
-              const double p = hoisted_success_probability();
-              return runner.run_batched<WerPartial>(
-                  config.trials, seed, config.batch_lanes,
-                  [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                      WerPartial& acc) {
-                    for (std::size_t l = 0; l < lanes; ++l) {
-                      acc.psucc.add(p);
-                      if (!rngs[l].bernoulli(p)) ++acc.errors;
-                    }
-                  });
-            }()
-          : runner.run<WerPartial>(
-                config.trials, seed, [&] { return MramArray(prototype); },
-                [&](MramArray& array, util::Rng& trial_rng, std::size_t,
-                    WerPartial& acc) {
-                  array.load(background);
-                  const auto wr = array.write(vr, vc, target_bit,
-                                              config.pulse, trial_rng);
-                  MRAM_ENSURES(wr.attempted,
-                               "victim must start in the initial state");
-                  acc.psucc.add(wr.success_probability);
-                  if (!wr.success) ++acc.errors;
-                });
+  // Each trial pays exactly the one bernoulli draw MramArray::write
+  // consumes, so the statistics equal a full load/write per trial bit for
+  // bit.
+  const auto partial = runner.run<WerPartial>(
+      config.trials, seed,
+      [p](util::Rng& trial_rng, std::size_t, WerPartial& acc) {
+        acc.psucc.add(p);
+        if (!trial_rng.bernoulli(p)) ++acc.errors;
+      });
 
   WerResult result;
   result.trials = config.trials;
@@ -159,20 +134,6 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
   result.mean_success_probability = partial.psucc.mean();
   result.rare = eng::brute_force_estimate(result.errors, result.trials);
   return result;
-}
-
-std::vector<WerPoint> wer_vs_pulse_width(const WerConfig& config,
-                                         const std::vector<double>& widths,
-                                         util::Rng& rng) {
-  std::vector<WerPoint> out;
-  out.reserve(widths.size());
-  eng::MonteCarloRunner runner(config.runner);  // one pool for the sweep
-  for (double w : widths) {
-    WerConfig c = config;
-    c.pulse.width = w;
-    out.push_back({w, measure_wer(c, rng, runner)});
-  }
-  return out;
 }
 
 }  // namespace mram::mem

@@ -24,9 +24,6 @@ struct WerConfig {
   dev::SwitchDirection direction = dev::SwitchDirection::kApToP;
   std::size_t trials = 1000;
   eng::RunnerConfig runner;  ///< thread pool + chunking for the trial loop
-  std::size_t batch_lanes = 8;  ///< trials per lane-block on the batched
-                                ///< runner path; 0 selects the scalar
-                                ///< reference path (bit-identical results)
   /// Rare-event driver selection. Brute force (default) runs the legacy
   /// trial loop unchanged; importance sampling tilts the latent write-noise
   /// variable toward failure, splitting runs subset simulation on the
@@ -54,14 +51,5 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng);
 /// whole sweep pays thread creation once.
 WerResult measure_wer(const WerConfig& config, util::Rng& rng,
                       eng::MonteCarloRunner& runner);
-
-/// WER vs. pulse width sweep (shared config, widths in seconds).
-struct WerPoint {
-  double width;
-  WerResult result;
-};
-std::vector<WerPoint> wer_vs_pulse_width(const WerConfig& config,
-                                         const std::vector<double>& widths,
-                                         util::Rng& rng);
 
 }  // namespace mram::mem

@@ -117,14 +117,4 @@ SchemeComparison measure_wvw(const WvwEnsembleConfig& config, util::Rng& rng,
   return cmp;
 }
 
-SchemeComparison compare_write_schemes(const ArrayConfig& array_config,
-                                       const WvwConfig& config,
-                                       std::size_t trials, util::Rng& rng) {
-  WvwEnsembleConfig cfg;
-  cfg.array = array_config;
-  cfg.wvw = config;
-  cfg.trials = trials;
-  return measure_wvw(cfg, rng);
-}
-
 }  // namespace mram::mem

@@ -64,10 +64,4 @@ SchemeComparison measure_wvw(const WvwEnsembleConfig& config, util::Rng& rng);
 SchemeComparison measure_wvw(const WvwEnsembleConfig& config, util::Rng& rng,
                              eng::MonteCarloRunner& runner);
 
-/// Convenience wrapper over measure_wvw with a default runner, `trials` per
-/// scheme. (Historical serial entry point; now runner-parallel.)
-SchemeComparison compare_write_schemes(const ArrayConfig& array_config,
-                                       const WvwConfig& config,
-                                       std::size_t trials, util::Rng& rng);
-
 }  // namespace mram::mem

@@ -2,132 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/error.h"
 
 namespace mram::num {
-
-namespace {
-
-void clamp_to_bounds(std::vector<double>& x, const std::vector<double>& lower,
-                     const std::vector<double>& upper) {
-  if (!lower.empty()) {
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::max(x[i], lower[i]);
-  }
-  if (!upper.empty()) {
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::min(x[i], upper[i]);
-  }
-}
-
-}  // namespace
-
-OptimizeResult nelder_mead(const ScalarObjective& f,
-                           const std::vector<double>& x0,
-                           const NelderMeadOptions& opts,
-                           const std::vector<double>& lower,
-                           const std::vector<double>& upper) {
-  MRAM_EXPECTS(!x0.empty(), "nelder_mead requires at least one parameter");
-  MRAM_EXPECTS(lower.empty() || lower.size() == x0.size(),
-               "lower bounds size mismatch");
-  MRAM_EXPECTS(upper.empty() || upper.size() == x0.size(),
-               "upper bounds size mismatch");
-
-  const std::size_t n = x0.size();
-  // Build the initial simplex: x0 plus n vertices displaced along each axis.
-  std::vector<std::vector<double>> simplex(n + 1, x0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double step = opts.initial_step * std::abs(x0[i]);
-    if (step == 0.0) step = opts.initial_step;
-    simplex[i + 1][i] += step;
-    clamp_to_bounds(simplex[i + 1], lower, upper);
-  }
-
-  std::vector<double> values(n + 1);
-  for (std::size_t i = 0; i <= n; ++i) values[i] = f(simplex[i]);
-
-  OptimizeResult result;
-  std::vector<std::size_t> order(n + 1);
-
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return values[a] < values[b]; });
-
-    const std::size_t best = order.front();
-    const std::size_t worst = order.back();
-    const std::size_t second_worst = order[n - 1];
-
-    // Convergence: simplex value spread.
-    const double spread = std::abs(values[worst] - values[best]);
-    const double scale = std::abs(values[best]) + std::abs(values[worst]) + 1e-30;
-    if (spread / scale < opts.tolerance || spread < opts.tolerance) {
-      result.converged = true;
-      break;
-    }
-
-    // Centroid of all but worst.
-    std::vector<double> centroid(n, 0.0);
-    for (std::size_t i = 0; i <= n; ++i) {
-      if (i == worst) continue;
-      for (std::size_t d = 0; d < n; ++d) centroid[d] += simplex[i][d];
-    }
-    for (double& c : centroid) c /= static_cast<double>(n);
-
-    auto make_point = [&](double coeff) {
-      std::vector<double> p(n);
-      for (std::size_t d = 0; d < n; ++d) {
-        p[d] = centroid[d] + coeff * (simplex[worst][d] - centroid[d]);
-      }
-      clamp_to_bounds(p, lower, upper);
-      return p;
-    };
-
-    // Reflection.
-    auto reflected = make_point(-1.0);
-    const double fr = f(reflected);
-    if (fr < values[best]) {
-      // Expansion.
-      auto expanded = make_point(-2.0);
-      const double fe = f(expanded);
-      if (fe < fr) {
-        simplex[worst] = std::move(expanded);
-        values[worst] = fe;
-      } else {
-        simplex[worst] = std::move(reflected);
-        values[worst] = fr;
-      }
-    } else if (fr < values[second_worst]) {
-      simplex[worst] = std::move(reflected);
-      values[worst] = fr;
-    } else {
-      // Contraction.
-      auto contracted = make_point(0.5);
-      const double fc = f(contracted);
-      if (fc < values[worst]) {
-        simplex[worst] = std::move(contracted);
-        values[worst] = fc;
-      } else {
-        // Shrink toward the best vertex.
-        for (std::size_t i = 0; i <= n; ++i) {
-          if (i == best) continue;
-          for (std::size_t d = 0; d < n; ++d) {
-            simplex[i][d] = simplex[best][d] + 0.5 * (simplex[i][d] - simplex[best][d]);
-          }
-          clamp_to_bounds(simplex[i], lower, upper);
-          values[i] = f(simplex[i]);
-        }
-      }
-    }
-  }
-
-  const auto best_it = std::min_element(values.begin(), values.end());
-  result.cost = *best_it;
-  result.parameters = simplex[static_cast<std::size_t>(best_it - values.begin())];
-  return result;
-}
 
 std::vector<double> solve_spd(std::vector<double> a, std::vector<double> b) {
   const std::size_t n = b.size();

@@ -3,24 +3,14 @@
 #include <functional>
 #include <vector>
 
-// Derivative-free and least-squares optimizers used by the characterization
-// module (Hk/Delta0 extraction, Ms*t calibration against digitized figure
-// anchors).
+// Least-squares optimizer used by the characterization module (Hk/Delta0
+// extraction, Ms*t calibration against digitized figure anchors).
 
 namespace mram::num {
-
-/// Objective for Nelder--Mead: maps a parameter vector to a scalar cost.
-using ScalarObjective = std::function<double(const std::vector<double>&)>;
 
 /// Residual function for least squares: maps parameters to a residual vector.
 using ResidualFn =
     std::function<std::vector<double>(const std::vector<double>&)>;
-
-struct NelderMeadOptions {
-  int max_iterations = 2000;
-  double tolerance = 1e-10;     ///< simplex spread stopping criterion
-  double initial_step = 0.1;    ///< relative step to build the start simplex
-};
 
 struct OptimizeResult {
   std::vector<double> parameters;
@@ -28,14 +18,6 @@ struct OptimizeResult {
   int iterations = 0;
   bool converged = false;
 };
-
-/// Nelder--Mead downhill simplex minimization of `f` starting at `x0`.
-/// Optional per-parameter lower/upper bounds are enforced by clamping.
-OptimizeResult nelder_mead(const ScalarObjective& f,
-                           const std::vector<double>& x0,
-                           const NelderMeadOptions& opts = {},
-                           const std::vector<double>& lower = {},
-                           const std::vector<double>& upper = {});
 
 struct LevenbergMarquardtOptions {
   int max_iterations = 200;

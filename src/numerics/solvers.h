@@ -9,11 +9,9 @@
 #include "util/error.h"
 
 // Static-dispatch ODE solver policies for the Vec3 state used by the
-// macrospin dynamics. Unlike the std::function-based entry points in
-// numerics/ode.h (kept as thin shims for existing callers), these steppers
-// are templated on the right-hand-side callable, so a functor RHS inlines
-// completely: the Monte Carlo hot loops pay zero type-erasure overhead and
-// make zero allocations per step.
+// macrospin dynamics. The steppers are templated on the right-hand-side
+// callable, so a functor RHS inlines completely: the Monte Carlo hot loops
+// pay zero type-erasure overhead and make zero allocations per step.
 //
 // A solver policy provides
 //   static constexpr int kOrder;            // global convergence order

@@ -86,7 +86,6 @@ const char* kernel_tag_name(KernelTag t) {
     case KernelTag::kLlgW8: return "llg_w8";
     case KernelTag::kLlgW16: return "llg_w16";
     case KernelTag::kLlgGeneric: return "llg_generic";
-    case KernelTag::kLlgScalar: return "llg_scalar";
     case KernelTag::kReadout: return "readout";
     case KernelTag::kRare: return "rare";
     case KernelTag::kMixed: return "mixed";

@@ -151,7 +151,6 @@ enum class KernelTag : std::uint8_t {
   kLlgW8,       ///< batched LLG through the fixed 8-lane body
   kLlgW16,      ///< batched LLG through the fixed 16-lane (AVX-512) body
   kLlgGeneric,  ///< batched LLG through the variable-width body
-  kLlgScalar,   ///< scalar reference LLG path
   kReadout,     ///< read-path sampling (sense + disturb)
   kRare,        ///< rare-event MCMC resampling
   kMixed,       ///< chunk touched more than one kernel

@@ -230,9 +230,9 @@ std::map<std::string, double> derived_metrics(const Snapshot& s) {
   // LLG work while the tag split is per-chunk -- but exact enough to read
   // SIMD occupancy off.
   const double flops = counter("llg.flops");
-  const double llg_cycles =
-      counter("perf.llg_w8.cycles") + counter("perf.llg_w16.cycles") +
-      counter("perf.llg_generic.cycles") + counter("perf.llg_scalar.cycles");
+  const double llg_cycles = counter("perf.llg_w8.cycles") +
+                            counter("perf.llg_w16.cycles") +
+                            counter("perf.llg_generic.cycles");
   if (flops > 0.0 && llg_cycles > 0.0) {
     d["llg.est_flops_per_cycle"] = flops / llg_cycles;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dynamics/llg_batch.h"
 #include "dynamics/switching_sim.h"
 #include "util/error.h"
 
@@ -41,13 +42,6 @@ struct RerPartial {
     margin.merge(o.margin);
   }
 };
-
-void fold_read(const ReadOutcome& outcome, RerPartial& acc) {
-  acc.decision_errors += outcome.decision_error;
-  acc.blocked += outcome.blocked;
-  acc.disturbs += outcome.disturbed;
-  acc.margin.add(outcome.margin);
-}
 
 }  // namespace
 
@@ -99,25 +93,29 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
           0.5 * (tilt[1] * tilt[1] + tilt[2] * tilt[2]);
       // One lane-parallel noise_margin call per lane block; lanes fold in
       // trial order, exactly like one trial at a time.
-      est = eng::importance_rounds_batched(
-          runner, config.trials, kLanes, seed, config.rare,
-          [] { return std::vector<double>(4 * kLanes); },
-          [&](std::vector<double>& buf, util::Rng* rngs, std::size_t,
-              std::size_t lanes, util::WeightedStats& ws) {
-            double* zs = buf.data();
-            double* margins = zs + 3 * kLanes;
-            for (std::size_t l = 0; l < lanes; ++l) {
-              rngs[l].normal_fill_tilted(zs + 3 * l, 3, tilt, 3);
-            }
-            model.noise_margin(op, config.stored, lanes, zs, margins);
-            for (std::size_t l = 0; l < lanes; ++l) {
-              const double* z = zs + 3 * l;
-              if (margins[l] < band) {
-                ws.add(1.0, std::exp(bias - tilt[1] * z[1] - tilt[2] * z[2]));
-              } else {
-                ws.add(0.0, 0.0);
-              }
-            }
+      est = eng::importance_rounds(
+          config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
+            return runner.run_batched<util::WeightedStats>(
+                config.trials, round_seed, kLanes,
+                [&] { return std::vector<double>(4 * kLanes); },
+                [&](std::vector<double>& buf, util::Rng* rngs, std::size_t,
+                    std::size_t lanes, util::WeightedStats& ws) {
+                  double* zs = buf.data();
+                  double* margins = zs + 3 * kLanes;
+                  for (std::size_t l = 0; l < lanes; ++l) {
+                    rngs[l].normal_fill_tilted(zs + 3 * l, 3, tilt, 3);
+                  }
+                  model.noise_margin(op, config.stored, lanes, zs, margins);
+                  for (std::size_t l = 0; l < lanes; ++l) {
+                    const double* z = zs + 3 * l;
+                    if (margins[l] < band) {
+                      ws.add(1.0, std::exp(bias - tilt[1] * z[1] -
+                                           tilt[2] * z[2]));
+                    } else {
+                      ws.add(0.0, 0.0);
+                    }
+                  }
+                });
           });
     } else {
       est = eng::subset_simulation(
@@ -139,36 +137,22 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
     return result;
   }
 
-  // The batched path hoists the trial-invariant electrical solve: every
-  // trial reads the same cell on the same column, so the ladder reduction
-  // and the reference current are one evaluation per run. Each lane then
-  // consumes exactly the per-read draw sequence of ReadErrorModel::
-  // sample_read -- the same draws the scalar reference path consumes -- and
-  // folding lanes in trial order keeps the accumulation order, so every
-  // statistic is bit-identical to batch_lanes == 0 (which still re-derives
-  // the operating point per trial, exercising the full pipeline).
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? runner.run_batched<RerPartial>(
-                config.trials, seed, config.batch_lanes,
-                [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                    RerPartial& acc) {
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    fold_read(model.sample_read(op, config.stored,
-                                                config.hz_stray,
-                                                config.temperature, rngs[l]),
-                              acc);
-                  }
-                })
-          : runner.run<RerPartial>(
-                config.trials, seed,
-                [&](util::Rng& trial_rng, std::size_t, RerPartial& acc) {
-                  const auto trial_op = model.operating_point(row, column);
-                  fold_read(model.sample_read(trial_op, config.stored,
-                                              config.hz_stray,
-                                              config.temperature, trial_rng),
-                            acc);
-                });
+  // Every trial reads the same cell on the same column, so the ladder
+  // reduction and the reference current are the one operating point above.
+  // Each trial then consumes exactly the per-read draw sequence of
+  // ReadErrorModel::sample_read, so the statistics equal re-deriving the
+  // operating point per trial bit for bit.
+  const auto partial = runner.run<RerPartial>(
+      config.trials, seed,
+      [&](util::Rng& trial_rng, std::size_t, RerPartial& acc) {
+        const ReadOutcome read = model.sample_read(
+            op, config.stored, config.hz_stray, config.temperature,
+            trial_rng);
+        acc.decision_errors += read.decision_error;
+        acc.blocked += read.blocked;
+        acc.disturbs += read.disturbed;
+        acc.margin.add(read.margin);
+      });
 
   RerResult result;
   result.trials = config.trials;
@@ -191,7 +175,7 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
 
 namespace {
 
-constexpr std::size_t kMaxLanes = 64;
+constexpr std::size_t kMaxLanes = eng::MonteCarloRunner::kMaxLaneWidth;
 
 struct DisturbPartial {
   std::size_t disturbed = 0;
@@ -224,8 +208,9 @@ struct StagePartial {
 /// conditional crossing fractions. Deterministic across --threads: stage k
 /// trial i draws only from Rng::stream(derive_seed(seed, k), i) -- the
 /// parent pick first, then the integrator -- and all cross-trial logic runs
-/// serially on the chunk-order-merged results; the batched shape consumes
-/// the identical per-trial draws through the per-lane-durations kernel.
+/// serially on the chunk-order-merged results. Lane blocks run on the
+/// per-lane-durations kernel, each lane consuming exactly the draws a
+/// scalar MacrospinSim trial would.
 eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
                                          eng::MonteCarloRunner& runner,
                                          const dyn::LlgParams& llg,
@@ -280,83 +265,56 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
     const std::uint64_t stage_seed = eng::derive_seed(seed, k);
     const std::size_t pool = pool_m.size();
 
-    // Per-trial draw order, both shapes: stage 0 pays the thermal tilt's
-    // two uniforms; later stages pay one below(pool) for the parent pick;
-    // then the stream goes to the integrator. A parent that crossed with
-    // no window left fails immediately without touching the integrator.
-    StagePartial gen;
-    if (config.batch_lanes > 0) {
-      gen = runner.run_batched<StagePartial>(
-          N, stage_seed, config.batch_lanes,
-          [&] { return dyn::BatchMacrospinSim(llg); },
-          [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
-              std::size_t lanes, StagePartial& acc) {
-            num::Vec3 m0[kMaxLanes];
-            double left[kMaxLanes];
-            double base_t[kMaxLanes];
-            std::size_t idx[kMaxLanes];
-            util::Rng comp[kMaxLanes];
-            dyn::SwitchResult res[kMaxLanes];
-            std::size_t na = 0;
-            for (std::size_t l = 0; l < lanes; ++l) {
-              double t0 = 0.0;
-              num::Vec3 start;
-              if (k == 0) {
-                start = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-              } else {
-                const std::size_t j = rngs[l].below(pool);
-                start = pool_m[j];
-                t0 = pool_t[j];
-              }
-              if (duration - t0 <= 0.0) {
-                res[l].time = t0;
-                continue;
-              }
-              m0[na] = start;
-              left[na] = duration - t0;
-              base_t[na] = t0;
-              comp[na] = rngs[l];
-              idx[na] = l;
-              ++na;
-            }
-            if (na > 0) {
-              dyn::SwitchResult sub[kMaxLanes];
-              batch.run_until_switch(na, m0, comp, left, config.dt, sub,
-                                     thr);
-              for (std::size_t a = 0; a < na; ++a) {
-                sub[a].time += base_t[a];
-                res[idx[a]] = sub[a];
-              }
-            }
-            for (std::size_t l = 0; l < lanes; ++l) {
-              acc.results.push_back(res[l]);
-            }
-          });
-    } else {
-      gen = runner.run<StagePartial>(
-          N, stage_seed, [&] { return dyn::MacrospinSim(llg); },
-          [&](dyn::MacrospinSim& sim, util::Rng& trial_rng, std::size_t,
-              StagePartial& acc) {
+    // Per-trial draw order: stage 0 pays the thermal tilt's two uniforms;
+    // later stages pay one below(pool) for the parent pick; then the stream
+    // goes to the integrator. A parent that crossed with no window left
+    // fails immediately without touching the integrator.
+    const StagePartial gen = runner.run_batched<StagePartial>(
+        N, stage_seed, dyn::BatchMacrospinSim::preferred_lanes(),
+        [&] { return dyn::BatchMacrospinSim(llg); },
+        [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
+            std::size_t lanes, StagePartial& acc) {
+          num::Vec3 m0[kMaxLanes];
+          double left[kMaxLanes];
+          double base_t[kMaxLanes];
+          std::size_t idx[kMaxLanes];
+          util::Rng comp[kMaxLanes];
+          dyn::SwitchResult res[kMaxLanes];
+          std::size_t na = 0;
+          for (std::size_t l = 0; l < lanes; ++l) {
             double t0 = 0.0;
             num::Vec3 start;
             if (k == 0) {
-              start = dyn::thermal_initial_tilt(trial_rng, delta, mz0);
+              start = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
             } else {
-              const std::size_t j = trial_rng.below(pool);
+              const std::size_t j = rngs[l].below(pool);
               start = pool_m[j];
               t0 = pool_t[j];
             }
-            dyn::SwitchResult r{};
-            if (duration - t0 > 0.0) {
-              r = sim.run_until_switch(start, duration - t0, config.dt,
-                                       trial_rng, thr);
-              r.time += t0;
-            } else {
-              r.time = t0;
+            if (duration - t0 <= 0.0) {
+              res[l].time = t0;
+              continue;
             }
-            acc.results.push_back(r);
-          });
-    }
+            m0[na] = start;
+            left[na] = duration - t0;
+            base_t[na] = t0;
+            comp[na] = rngs[l];
+            idx[na] = l;
+            ++na;
+          }
+          if (na > 0) {
+            dyn::SwitchResult sub[kMaxLanes];
+            batch.run_until_switch(na, m0, comp, left, config.dt, sub,
+                                   thr);
+            for (std::size_t a = 0; a < na; ++a) {
+              sub[a].time += base_t[a];
+              res[idx[a]] = sub[a];
+            }
+          }
+          for (std::size_t l = 0; l < lanes; ++l) {
+            acc.results.push_back(res[l]);
+          }
+        });
     simulated += dN;
 
     std::vector<num::Vec3> next_m;
@@ -437,8 +395,6 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
   const double mz0 = dev::state_direction(config.stored);
 
   const std::uint64_t seed = rng();
-  MRAM_EXPECTS(config.batch_lanes <= kMaxLanes,
-               "read-disturb lane width capped at 64");
 
   if (config.rare.method != eng::RareEventMethod::kBruteForce) {
     eng::RareEventEstimate est;
@@ -450,45 +406,31 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
       // a weak proxy deep in the diffusive regime -- use splitting there.
       const double theta = (config.rare.tilt != 0.0) ? config.rare.tilt : 1.0;
       const num::Vec3 tilt{0.0, 0.0, -theta * mz0};
-      const auto fold = [](const dyn::SwitchResult& r,
-                           util::WeightedStats& ws) {
-        if (r.switched) {
-          ws.add(1.0, std::exp(r.log_weight));
-        } else {
-          ws.add(0.0, 0.0);
-        }
-      };
-      est =
-          (config.batch_lanes > 0)
-              ? eng::importance_rounds_batched(
-                    runner, config.trials, config.batch_lanes, seed,
-                    config.rare, [&] { return dyn::BatchMacrospinSim(llg); },
-                    [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
-                        std::size_t, std::size_t lanes,
-                        util::WeightedStats& ws) {
-                      num::Vec3 m0[kMaxLanes];
-                      dyn::SwitchResult result[kMaxLanes];
-                      for (std::size_t l = 0; l < lanes; ++l) {
-                        m0[l] =
-                            dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-                      }
-                      batch.run_until_switch(lanes, m0, rngs, duration,
-                                             config.dt, result, 0.0, tilt);
-                      for (std::size_t l = 0; l < lanes; ++l) {
-                        fold(result[l], ws);
-                      }
-                    })
-              : eng::importance_rounds(
-                    runner, config.trials, seed, config.rare,
-                    [&](util::Rng& trial_rng, std::size_t,
-                        util::WeightedStats& ws) {
-                      const dyn::MacrospinSim sim(llg);
-                      const num::Vec3 m0 =
-                          dyn::thermal_initial_tilt(trial_rng, delta, mz0);
-                      fold(sim.run_until_switch(m0, duration, config.dt,
-                                                trial_rng, 0.0, tilt),
-                           ws);
-                    });
+      est = eng::importance_rounds(
+          config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
+            return runner.run_batched<util::WeightedStats>(
+                config.trials, round_seed,
+                dyn::BatchMacrospinSim::preferred_lanes(),
+                [&] { return dyn::BatchMacrospinSim(llg); },
+                [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
+                    std::size_t, std::size_t lanes,
+                    util::WeightedStats& ws) {
+                  num::Vec3 m0[kMaxLanes];
+                  dyn::SwitchResult result[kMaxLanes];
+                  for (std::size_t l = 0; l < lanes; ++l) {
+                    m0[l] = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
+                  }
+                  batch.run_until_switch(lanes, m0, rngs, duration,
+                                         config.dt, result, 0.0, tilt);
+                  for (std::size_t l = 0; l < lanes; ++l) {
+                    if (result[l].switched) {
+                      ws.add(1.0, std::exp(result[l].log_weight));
+                    } else {
+                      ws.add(0.0, 0.0);
+                    }
+                  }
+                });
+          });
     } else {
       est = disturb_splitting(config, runner, llg, delta, mz0, duration,
                               seed);
@@ -508,45 +450,28 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
     return result;
   }
 
-  // Identical trial bodies: thermal tilt (two uniforms) then the stochastic
-  // Heun integration. The batched kernel's per-lane arithmetic is the same
-  // inline stochastic_heun_step the scalar MacrospinSim executes, so the
-  // two paths are bitwise identical for the same (seed, trials).
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? runner.run_batched<DisturbPartial>(
-                config.trials, seed, config.batch_lanes,
-                [&] { return dyn::BatchMacrospinSim(llg); },
-                [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
-                    std::size_t, std::size_t lanes, DisturbPartial& acc) {
-                  num::Vec3 m0[kMaxLanes];
-                  dyn::SwitchResult result[kMaxLanes];
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    m0[l] = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-                  }
-                  batch.run_until_switch(lanes, m0, rngs, duration, config.dt,
-                                         result);
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    if (result[l].switched) {
-                      ++acc.disturbed;
-                      acc.times.add(result[l].time);
-                    }
-                  }
-                })
-          : runner.run<DisturbPartial>(
-                config.trials, seed,
-                [&] { return dyn::MacrospinSim(llg); },
-                [&](dyn::MacrospinSim& sim, util::Rng& trial_rng, std::size_t,
-                    DisturbPartial& acc) {
-                  const num::Vec3 m0 =
-                      dyn::thermal_initial_tilt(trial_rng, delta, mz0);
-                  const auto result =
-                      sim.run_until_switch(m0, duration, config.dt, trial_rng);
-                  if (result.switched) {
-                    ++acc.disturbed;
-                    acc.times.add(result.time);
-                  }
-                });
+  // Each trial draws the thermal tilt (two uniforms), then the stochastic
+  // Heun integration; the batched kernel's per-lane arithmetic is the
+  // inline stochastic_heun_step MacrospinSim executes, so every lane equals
+  // a scalar run_until_switch bit for bit.
+  const auto partial = runner.run_batched<DisturbPartial>(
+      config.trials, seed, dyn::BatchMacrospinSim::preferred_lanes(),
+      [&] { return dyn::BatchMacrospinSim(llg); },
+      [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
+          std::size_t lanes, DisturbPartial& acc) {
+        num::Vec3 m0[kMaxLanes];
+        dyn::SwitchResult result[kMaxLanes];
+        for (std::size_t l = 0; l < lanes; ++l) {
+          m0[l] = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
+        }
+        batch.run_until_switch(lanes, m0, rngs, duration, config.dt, result);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          if (result[l].switched) {
+            ++acc.disturbed;
+            acc.times.add(result[l].time);
+          }
+        }
+      });
 
   ReadDisturbResult result;
   result.trials = config.trials;
@@ -560,103 +485,6 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
   result.i_read = i_read;
   result.v_mtj = v_mtj;
   result.rare = eng::brute_force_estimate(result.disturbed, result.trials);
-  return result;
-}
-
-// --- read_yield ------------------------------------------------------------
-
-void ReadYieldSpec::validate() const {
-  if (min_margin_sigma <= 0.0) {
-    throw util::ConfigError("margin spec must be positive");
-  }
-  if (max_disturb <= 0.0 || max_disturb >= 1.0) {
-    throw util::ConfigError("disturb budget must be in (0, 1)");
-  }
-  if (temperature <= 0.0) {
-    throw util::ConfigError("temperature must be positive");
-  }
-}
-
-namespace {
-
-struct YieldPartial {
-  std::size_t pass_margin = 0;
-  std::size_t pass_disturb = 0;
-  std::size_t pass_both = 0;
-
-  void merge(const YieldPartial& o) {
-    pass_margin += o.pass_margin;
-    pass_disturb += o.pass_disturb;
-    pass_both += o.pass_both;
-  }
-};
-
-}  // namespace
-
-ReadYieldResult read_yield(const ReadYieldConfig& config, util::Rng& rng) {
-  eng::MonteCarloRunner runner(config.runner);
-  return read_yield(config, rng, runner);
-}
-
-ReadYieldResult read_yield(const ReadYieldConfig& config, util::Rng& rng,
-                           eng::MonteCarloRunner& runner) {
-  MRAM_EXPECTS(config.samples > 0, "need at least one sample");
-  config.path.validate();
-  config.spec.validate();
-  config.variation.validate();
-
-  const auto column = make_column_data(config.column_pattern,
-                                       config.path.bitline.rows, rng);
-  const std::size_t far_row = config.path.bitline.rows - 1;
-  const std::uint64_t seed = rng();
-
-  // One sampled device per trial: draw the varied parameters, rebuild its
-  // read path (its own resistances, intra field and margins) and check the
-  // specs at the far row. The batched path runs the identical body lane by
-  // lane in trial order, so batch_lanes only changes the scheduling shape,
-  // never a draw or a comparison -- bit-identical to the scalar path.
-  auto sample_one = [&](util::Rng& trial_rng, YieldPartial& acc) {
-    const auto varied = config.variation.sample(config.nominal, trial_rng);
-    const ReadErrorModel model(varied, config.path);
-    const auto op = model.operating_point(far_row, column);
-    const double hz = model.device().intra_stray_field();
-    const double t = config.spec.temperature;
-
-    const bool margin_ok =
-        op.margin >= config.spec.min_margin_sigma *
-                         model.sense_amp().total_sigma();
-    const double p_disturb = model.disturb_probability(
-        MtjState::kAntiParallel, op.i_ap, config.path.t_read, hz, t);
-    const bool disturb_ok = p_disturb <= config.spec.max_disturb;
-
-    acc.pass_margin += margin_ok;
-    acc.pass_disturb += disturb_ok;
-    acc.pass_both += margin_ok && disturb_ok;
-  };
-
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? runner.run_batched<YieldPartial>(
-                config.samples, seed, config.batch_lanes,
-                [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                    YieldPartial& acc) {
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    sample_one(rngs[l], acc);
-                  }
-                })
-          : runner.run<YieldPartial>(
-                config.samples, seed,
-                [&](util::Rng& trial_rng, std::size_t, YieldPartial& acc) {
-                  sample_one(trial_rng, acc);
-                });
-
-  ReadYieldResult result;
-  result.sampled = config.samples;
-  result.pass_margin = partial.pass_margin;
-  result.pass_disturb = partial.pass_disturb;
-  result.pass_both = partial.pass_both;
-  result.yield = static_cast<double>(result.pass_both) /
-                 static_cast<double>(result.sampled);
   return result;
 }
 

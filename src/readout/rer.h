@@ -1,31 +1,23 @@
 #pragma once
 
 #include "array/data_pattern.h"
-#include "dynamics/llg_batch.h"
 #include "engine/monte_carlo.h"
 #include "engine/rare_event.h"
 #include "readout/read_error.h"
-#include "sim/variation.h"
 #include "util/stats.h"
 
 // Monte Carlo read-path workloads, mirroring the write side's measure_wer
 // structure: every driver runs on eng::MonteCarloRunner with per-trial
-// counter-based streams (bit-identical across thread counts), exposes an
-// eng::RunnerConfig, and carries a `batch_lanes` knob whose 0 setting
-// selects the scalar reference path -- the batched path folds its lanes in
-// trial order and consumes the identical per-trial draw sequence, so both
-// paths agree bit for bit for the same (seed, trials).
+// counter-based streams (bit-identical across thread counts) and exposes an
+// eng::RunnerConfig.
 //
 //   measure_rer          -- read error rate of one cell: decision errors,
 //                           transient-blocked strobes and analytic-model
 //                           read disturbs, per sampled read.
 //   measure_read_disturb -- stochastic-LLG read disturb: integrates the
 //                           actual read-current torque on the batched
-//                           BatchMacrospinSim kernel (scalar MacrospinSim
-//                           reference at batch_lanes = 0).
-//   read_yield           -- fraction of process-varied devices meeting the
-//                           sense-margin and read-disturb specs at the
-//                           worst-case (far) row.
+//                           BatchMacrospinSim kernel, lane for lane equal
+//                           to the scalar MacrospinSim.
 
 namespace mram::rdo {
 
@@ -42,8 +34,6 @@ struct RerConfig {
   double temperature = 300.0; ///< [K]
   std::size_t trials = 1000;
   eng::RunnerConfig runner;
-  std::size_t batch_lanes = 8;  ///< trials per lane-block; 0 = scalar
-                                ///< reference path (bit-identical results)
   /// Rare-event driver selection. The accelerated paths estimate the read
   /// error probability (wrong decision OR metastable strobe, i.e. the
   /// noise margin landing below the metastable band) over the three
@@ -89,9 +79,6 @@ struct ReadDisturbConfig {
   double dt = 1e-12;      ///< LLG step [s]
   std::size_t trials = 256;
   eng::RunnerConfig runner;
-  std::size_t batch_lanes = dyn::BatchMacrospinSim::preferred_lanes();
-                          ///< widest lane-block this CPU has a SIMD clone
-                          ///< for; 0 = scalar MacrospinSim reference path
   /// Rare-event driver selection on the stochastic-LLG trajectories.
   /// Importance sampling applies a constant mean shift to the thermal
   /// field along the switching direction (exact pathwise likelihood
@@ -99,9 +86,8 @@ struct ReadDisturbConfig {
   /// disturbs -- a constant tilt is a weak drift proxy deep in the
   /// diffusive regime). Splitting stages the trajectories through
   /// descending |mz| levels, restarting survivors from their crossing
-  /// states -- the driver of choice for very deep disturb rates. Both
-  /// run scalar or batched (batch_lanes) and stay bit-identical across
-  /// --threads.
+  /// states -- the method of choice for very deep disturb rates. Both stay
+  /// bit-identical across --threads.
   eng::RareEventConfig rare;
 };
 
@@ -125,41 +111,6 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
 ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
                                        util::Rng& rng,
                                        eng::MonteCarloRunner& runner);
-
-/// Pass/fail criteria applied to each sampled device at the worst-case row.
-struct ReadYieldSpec {
-  double min_margin_sigma = 6.0;  ///< sense margin / total comparator sigma
-  double max_disturb = 1e-9;      ///< analytic disturb probability per read
-  double temperature = 300.0;     ///< [K]
-
-  void validate() const;
-};
-
-struct ReadYieldResult {
-  std::size_t sampled = 0;
-  std::size_t pass_margin = 0;
-  std::size_t pass_disturb = 0;
-  std::size_t pass_both = 0;
-  double yield = 0.0;  ///< pass_both / sampled
-};
-
-struct ReadYieldConfig {
-  dev::MtjParams nominal = dev::MtjParams::reference_device(35e-9);
-  sim::VariationModel variation;
-  ReadPathConfig path;
-  ReadYieldSpec spec;
-  arr::PatternKind column_pattern = arr::PatternKind::kAllZero;
-  std::size_t samples = 600;
-  eng::RunnerConfig runner;
-  std::size_t batch_lanes = 8;  ///< 0 = scalar reference path
-};
-
-/// Monte Carlo read yield: draws devices from the process-variation
-/// distribution, rebuilds each one's read path (its own resistances, intra
-/// field and margins) and checks the specs at the far row.
-ReadYieldResult read_yield(const ReadYieldConfig& config, util::Rng& rng);
-ReadYieldResult read_yield(const ReadYieldConfig& config, util::Rng& rng,
-                           eng::MonteCarloRunner& runner);
 
 /// Resolves kFarRow against the configured column length.
 std::size_t resolve_row(std::size_t row, const BitlineParams& bitline);

@@ -71,7 +71,17 @@ const ResultTable* ResultSet::find(const std::string& name) const {
 }
 
 std::size_t ScenarioContext::scaled_trials(std::size_t trials) const {
+  // A fixed ceiling keeps the cast below defined and turns a scale no run
+  // could finish (or allocate for) into an input error; 1e9 trials is far
+  // above any scenario that finishes in hours.
+  constexpr double kMaxTrials = 1e9;
   const double scaled = std::max(1.0, std::floor(trials * trial_scale));
+  if (!(scaled <= kMaxTrials)) {
+    throw util::ConfigError("--trial-scale " +
+                            util::format_scientific(trial_scale, 2) +
+                            " scales " + std::to_string(trials) +
+                            " trials past the limit of 1e9");
+  }
   return static_cast<std::size_t>(scaled);
 }
 

@@ -91,7 +91,8 @@ struct ScenarioContext {
 
   static constexpr std::uint64_t kDefaultSeed = 2020;
 
-  /// Trial count scaled by trial_scale, at least 1.
+  /// Trial count scaled by trial_scale, at least 1. Throws a ConfigError
+  /// naming --trial-scale when the scaled count exceeds 1e9.
   std::size_t scaled_trials(std::size_t trials) const;
 
   /// The Fig. 2b / 3d intra-field anchors: loaded from

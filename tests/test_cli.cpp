@@ -169,6 +169,19 @@ TEST(ScenariosCli, BadTrialScaleIsAnError) {
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("--trial-scale must be positive"), std::string::npos);
   EXPECT_EQ(scenarios({"run", "wer_deep", "--trial-scale", "0"}).code, 1);
+  // Finite but huge: the scaled trial count overflowed its size_t cast (or
+  // died allocating) instead of being rejected as an input error.
+  for (const char* huge : {"1e300", "1e20", "1e16"}) {
+    const auto h =
+        scenarios({"run", "wer_pulse_width", "--trial-scale", huge});
+    EXPECT_EQ(h.code, 1) << huge;
+    EXPECT_NE(h.err.find("--trial-scale"), std::string::npos) << huge;
+    EXPECT_EQ(h.err.find("precondition"), std::string::npos) << huge;
+  }
+  EXPECT_EQ(scenarios({"run", "wer_pulse_width", "--trial-scale", "20",
+                       "--quiet"})
+                .code,
+            0);
 }
 
 TEST(ScenariosCli, BadShardSpecIsAnError) {

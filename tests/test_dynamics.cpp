@@ -16,6 +16,7 @@
 #include "engine/monte_carlo.h"
 #include "util/constants.h"
 #include "util/error.h"
+#include "util/stats.h"
 #include "util/units.h"
 
 namespace mram::dyn {
@@ -370,20 +371,37 @@ TEST(BatchLlg, ReusedSimTracksEveryWindowChange) {
 }
 
 TEST(BatchLlg, SwitchingStatsBatchedMatchesScalarAcrossThreads) {
-  // The full ensemble: batched llg_switching_stats must reproduce the
-  // scalar reference bit for bit -- same error counts and identical
-  // RunningStats moments -- at 1 and 4 threads.
+  // The full ensemble: batched llg_switching_stats must reproduce one
+  // MacrospinSim trajectory per trial bit for bit -- same switch counts and
+  // identical RunningStats moments -- at 1 and 4 threads.
   const dev::MtjDevice device(MtjParams::reference_device(35e-9));
   const double vp = 1.1;
-  SwitchingStats ref;
+  const auto dir = SwitchDirection::kApToP;
+  struct Tally {
+    util::RunningStats times;
+    std::size_t switched = 0;
+    void merge(const Tally& o) {
+      times.merge(o.times);
+      switched += o.switched;
+    }
+  };
+  Tally ref;
   {
+    const MacrospinSim sim(llg_from_device(device, dir, vp, 0.0, 300.0));
+    const double delta = device.delta(dev::initial_state(dir), 0.0, 300.0);
     eng::RunnerConfig cfg;
     cfg.threads = 1;
     eng::MonteCarloRunner runner(cfg);
     util::Rng rng(404);
-    ref = llg_switching_stats_scalar(device, SwitchDirection::kApToP, vp,
-                                     0.0, 21, rng, 30e-9, 1e-12, 300.0,
-                                     runner);
+    ref = runner.run<Tally>(
+        21, rng(), [&](util::Rng& trial_rng, std::size_t, Tally& acc) {
+          const Vec3 m0 = thermal_initial_tilt(trial_rng, delta, -1.0);
+          const auto r = sim.run_until_switch(m0, 30e-9, 1e-12, trial_rng);
+          if (r.switched) {
+            ++acc.switched;
+            acc.times.add(r.time);
+          }
+        });
   }
   EXPECT_GT(ref.switched, 0u);
   for (unsigned threads : {1u, 4u}) {
@@ -391,13 +409,13 @@ TEST(BatchLlg, SwitchingStatsBatchedMatchesScalarAcrossThreads) {
     cfg.threads = threads;
     eng::MonteCarloRunner runner(cfg);
     util::Rng rng(404);
-    const auto batched =
-        llg_switching_stats(device, SwitchDirection::kApToP, vp, 0.0, 21,
-                            rng, 30e-9, 1e-12, 300.0, runner);
+    const auto batched = llg_switching_stats(device, dir, vp, 0.0, 21, rng,
+                                             30e-9, 1e-12, 300.0, runner);
     EXPECT_EQ(batched.switched, ref.switched) << threads << " threads";
-    EXPECT_EQ(batched.trials, ref.trials);
-    EXPECT_EQ(batched.mean_time, ref.mean_time) << threads << " threads";
-    EXPECT_EQ(batched.stddev_time, ref.stddev_time) << threads << " threads";
+    EXPECT_EQ(batched.trials, 21u);
+    EXPECT_EQ(batched.mean_time, ref.times.mean()) << threads << " threads";
+    EXPECT_EQ(batched.stddev_time, ref.times.stddev())
+        << threads << " threads";
   }
 }
 

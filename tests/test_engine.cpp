@@ -17,12 +17,14 @@
 #include <vector>
 
 #include "array/array_field.h"
+#include "array/data_pattern.h"
 #include "device/mtj_device.h"
 #include "dynamics/llg.h"
 #include "dynamics/switching_sim.h"
 #include "engine/monte_carlo.h"
 #include "engine/thread_pool.h"
 #include "magnetics/disk_source.h"
+#include "mram/mram_array.h"
 #include "mram/retention.h"
 #include "mram/wer.h"
 #include "numerics/solvers.h"
@@ -552,35 +554,75 @@ TEST(MonteCarloRunner, SeededWerBitIdenticalSerialVsFourThreads) {
   EXPECT_EQ(parallel.confidence.hi, serial.confidence.hi);
 }
 
+/// Failure count and success-probability moments of a WER or retention
+/// ensemble, folded in trial order.
+struct TrialTally {
+  std::size_t hits = 0;
+  std::size_t total = 0;
+  util::RunningStats values;
+
+  void merge(const TrialTally& o) {
+    hits += o.hits;
+    total += o.total;
+    values.merge(o.values);
+  }
+};
+
+/// Per-trial reference of measure_wer's brute-force path: the caller's rng
+/// seeds the background, then the master seed; every trial reloads the
+/// background and runs the full MramArray::write.
+TrialTally reference_wer(const mem::WerConfig& cfg, util::Rng& rng) {
+  const mem::MramArray prototype(cfg.array);
+  const std::size_t vr = prototype.rows() / 2;
+  const std::size_t vc = prototype.cols() / 2;
+  const int target_bit = dev::state_to_bit(dev::final_state(cfg.direction));
+  auto background = arr::make_pattern(cfg.background, prototype.rows(),
+                                      prototype.cols(), rng);
+  background.set(vr, vc,
+                 dev::state_to_bit(dev::initial_state(cfg.direction)));
+  const std::uint64_t seed = rng();
+  eng::RunnerConfig rc;
+  rc.threads = 1;
+  eng::MonteCarloRunner runner(rc);
+  return runner.run<TrialTally>(
+      cfg.trials, seed, [&] { return mem::MramArray(prototype); },
+      [&](mem::MramArray& array, util::Rng& trial_rng, std::size_t,
+          TrialTally& acc) {
+        array.load(background);
+        const auto wr =
+            array.write(vr, vc, target_bit, cfg.pulse, trial_rng);
+        EXPECT_TRUE(wr.attempted);
+        acc.values.add(wr.success_probability);
+        if (!wr.success) ++acc.hits;
+      });
+}
+
 TEST(MonteCarloRunner, BatchedWerBitIdenticalToScalarPath) {
-  // Acceptance check of the batched migration: the batched WER path (the
-  // default, batch_lanes = 8) must produce bit-identical error counts and
-  // statistics to the scalar reference (batch_lanes = 0), at 1 and 4
-  // threads, including the 700 % 8 != 0 remainder block.
-  auto scalar_cfg = engine_wer_config();
-  scalar_cfg.batch_lanes = 0;
-  scalar_cfg.runner.threads = 1;
-  util::Rng rng_scalar(2024);
-  const auto scalar = mem::measure_wer(scalar_cfg, rng_scalar);
+  // measure_wer hoists the stray field and the success probability out of
+  // its trial loop; the error count and the success-probability moments
+  // must still equal a full load/write per trial bit for bit, at 1 and 4
+  // threads.
+  util::Rng rng_ref(2024);
+  const auto ref = reference_wer(engine_wer_config(), rng_ref);
+  const std::uint64_t next_draw = rng_ref();
+  EXPECT_GT(ref.hits, 0u);
 
   for (unsigned threads : {1u, 4u}) {
     auto cfg = engine_wer_config();
-    cfg.batch_lanes = 8;
     cfg.runner.threads = threads;
     util::Rng rng(2024);
-    const auto batched = mem::measure_wer(cfg, rng);
-    EXPECT_EQ(batched.errors, scalar.errors) << threads << " threads";
-    EXPECT_EQ(batched.wer, scalar.wer);
-    EXPECT_EQ(batched.mean_success_probability,
-              scalar.mean_success_probability);
-    EXPECT_EQ(batched.confidence.lo, scalar.confidence.lo);
-    EXPECT_EQ(batched.confidence.hi, scalar.confidence.hi);
+    const auto wer = mem::measure_wer(cfg, rng);
+    EXPECT_EQ(wer.errors, ref.hits) << threads << " threads";
+    EXPECT_EQ(wer.mean_success_probability, ref.values.mean())
+        << threads << " threads";
+    EXPECT_EQ(rng(), next_draw) << "caller's stream out of step";
   }
 }
 
 TEST(RetentionEnsemble, BatchedBitIdenticalToScalarPath) {
-  // The batched retention path hoists the flip-probability table per chunk;
-  // draws and counts must still match the scalar reference exactly.
+  // measure_retention_faults draws every trial against one hoisted flip
+  // table; draws and counts must still match MramArray::retention_hold per
+  // trial exactly.
   mem::RetentionEnsembleConfig cfg;
   cfg.array.device = dev::MtjParams::reference_device(35e-9);
   cfg.array.device.delta0 = 8.0;
@@ -590,21 +632,35 @@ TEST(RetentionEnsemble, BatchedBitIdenticalToScalarPath) {
   cfg.hold = 1.0;
   cfg.trials = 150;
 
-  cfg.batch_lanes = 0;
-  cfg.runner.threads = 1;
-  util::Rng rng_scalar(5);
-  const auto scalar = mem::measure_retention_faults(cfg, rng_scalar);
-  EXPECT_GT(scalar.faulty_trials, 0u);
+  TrialTally ref;
+  {
+    util::Rng rng(5);
+    const mem::MramArray prototype(cfg.array);
+    const auto pattern = arr::make_pattern(cfg.pattern, cfg.array.rows,
+                                           cfg.array.cols, rng);
+    eng::RunnerConfig rc;
+    rc.threads = 1;
+    eng::MonteCarloRunner runner(rc);
+    ref = runner.run<TrialTally>(
+        cfg.trials, rng(), [&] { return mem::MramArray(prototype); },
+        [&](mem::MramArray& array, util::Rng& trial_rng, std::size_t,
+            TrialTally& acc) {
+          array.load(pattern);
+          const std::size_t flips = array.retention_hold(cfg.hold, trial_rng);
+          acc.hits += (flips > 0);
+          acc.total += flips;
+          acc.values.add(static_cast<double>(flips));
+        });
+  }
+  EXPECT_GT(ref.hits, 0u);
 
   for (unsigned threads : {1u, 4u}) {
-    cfg.batch_lanes = 8;
     cfg.runner.threads = threads;
     util::Rng rng(5);
-    const auto batched = mem::measure_retention_faults(cfg, rng);
-    EXPECT_EQ(batched.faulty_trials, scalar.faulty_trials)
-        << threads << " threads";
-    EXPECT_EQ(batched.total_flips, scalar.total_flips);
-    EXPECT_EQ(batched.mean_flips, scalar.mean_flips);
+    const auto r = mem::measure_retention_faults(cfg, rng);
+    EXPECT_EQ(r.faulty_trials, ref.hits) << threads << " threads";
+    EXPECT_EQ(r.total_flips, ref.total);
+    EXPECT_EQ(r.mean_flips, ref.values.mean());
   }
 }
 

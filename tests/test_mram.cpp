@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "array/intercell.h"
 #include "mram/march.h"
@@ -224,13 +225,16 @@ TEST(Wer, LongerPulseLowersErrorRate) {
   util::Rng rng(11);
 
   const double tw = MramArray(cfg.array).cell_switching_time(2, 2, 0, 0.9);
-  const auto sweep = wer_vs_pulse_width(
-      cfg, {0.8 * tw, 1.0 * tw, 1.5 * tw, 3.0 * tw}, rng);
-  ASSERT_EQ(sweep.size(), 4u);
-  EXPECT_GT(sweep.front().result.wer, 0.5);  // below tw: mostly failing
-  EXPECT_LT(sweep.back().result.wer, 0.05);  // 3x tw: mostly passing
-  for (std::size_t i = 1; i < sweep.size(); ++i) {
-    EXPECT_LE(sweep[i].result.wer, sweep[i - 1].result.wer + 0.05);
+  eng::MonteCarloRunner runner(cfg.runner);
+  std::vector<double> wer;
+  for (const double scale : {0.8, 1.0, 1.5, 3.0}) {
+    cfg.pulse.width = scale * tw;
+    wer.push_back(measure_wer(cfg, rng, runner).wer);
+  }
+  EXPECT_GT(wer.front(), 0.5);  // below tw: mostly failing
+  EXPECT_LT(wer.back(), 0.05);  // 3x tw: mostly passing
+  for (std::size_t i = 1; i < wer.size(); ++i) {
+    EXPECT_LE(wer[i], wer[i - 1] + 0.05);
   }
 }
 
@@ -407,8 +411,12 @@ TEST(Wvw, ComparisonFavorsWvw) {
   const double tw = MramArray(array_cfg).cell_switching_time(2, 2, 0, 0.9);
   cfg.pulse = {0.9, tw};
   cfg.max_attempts = 4;
+  WvwEnsembleConfig ensemble;
+  ensemble.array = array_cfg;
+  ensemble.wvw = cfg;
+  ensemble.trials = 400;
   util::Rng rng(24);
-  const auto cmp = compare_write_schemes(array_cfg, cfg, 400, rng);
+  const auto cmp = measure_wvw(ensemble, rng);
   EXPECT_GT(cmp.single_pulse_wer, 0.3);
   EXPECT_LT(cmp.wvw_wer, cmp.single_pulse_wer);
   EXPECT_GT(cmp.wvw_mean_attempts, 1.0);

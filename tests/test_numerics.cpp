@@ -1,5 +1,6 @@
-// Unit tests for src/numerics: Vec3, elliptic integrals, optimizers, ODE
-// steppers, interpolation/root finding.
+// Unit tests for src/numerics: Vec3, elliptic integrals, the least-squares
+// optimizer, interpolation/root finding. The ODE steppers are covered by
+// Solvers.* in test_engine.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include "numerics/cel.h"
 #include "numerics/elliptic.h"
 #include "numerics/interp.h"
-#include "numerics/ode.h"
 #include "numerics/optimize.h"
 #include "numerics/vec3.h"
 #include "util/constants.h"
@@ -131,39 +131,6 @@ TEST(Elliptic, CarlsonRfSymmetry) {
 
 // --- optimizers -------------------------------------------------------------
 
-TEST(NelderMead, MinimizesQuadratic) {
-  auto f = [](const std::vector<double>& x) {
-    return (x[0] - 3.0) * (x[0] - 3.0) + 2.0 * (x[1] + 1.0) * (x[1] + 1.0);
-  };
-  const auto r = nelder_mead(f, {0.0, 0.0});
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.parameters[0], 3.0, 1e-4);
-  EXPECT_NEAR(r.parameters[1], -1.0, 1e-4);
-  EXPECT_NEAR(r.cost, 0.0, 1e-8);
-}
-
-TEST(NelderMead, MinimizesRosenbrock) {
-  auto f = [](const std::vector<double>& x) {
-    const double a = 1.0 - x[0];
-    const double b = x[1] - x[0] * x[0];
-    return a * a + 100.0 * b * b;
-  };
-  NelderMeadOptions opts;
-  opts.max_iterations = 20000;
-  opts.tolerance = 1e-14;
-  const auto r = nelder_mead(f, {-1.2, 1.0}, opts);
-  EXPECT_NEAR(r.parameters[0], 1.0, 1e-3);
-  EXPECT_NEAR(r.parameters[1], 1.0, 1e-3);
-}
-
-TEST(NelderMead, RespectsBounds) {
-  auto f = [](const std::vector<double>& x) {
-    return (x[0] - 3.0) * (x[0] - 3.0);
-  };
-  const auto r = nelder_mead(f, {0.5}, {}, {0.0}, {1.0});
-  EXPECT_NEAR(r.parameters[0], 1.0, 1e-6);  // clamped at the upper bound
-}
-
 TEST(SolveSpd, SolvesKnownSystem) {
   // A = [[4,2],[2,3]], b = [2, 5] -> x = [-0.5, 2].
   const auto x = solve_spd({4, 2, 2, 3}, {2, 5});
@@ -210,65 +177,6 @@ TEST(LevenbergMarquardt, RequiresEnoughResiduals) {
   };
   EXPECT_THROW(levenberg_marquardt(residuals, {0.0, 0.0}),
                ContractViolation);
-}
-
-// --- ODE steppers -----------------------------------------------------------
-
-TEST(Ode, Rk4ExponentialDecay) {
-  // dm/dt = -m (componentwise): m(t) = m0 exp(-t).
-  auto f = [](double, const Vec3& m) { return -m; };
-  const Vec3 m1 = integrate_rk4(f, {1.0, 2.0, -1.0}, 0.0, 1.0, 1e-3);
-  const double e = std::exp(-1.0);
-  EXPECT_NEAR(m1.x, e, 1e-9);
-  EXPECT_NEAR(m1.y, 2.0 * e, 1e-9);
-  EXPECT_NEAR(m1.z, -e, 1e-9);
-}
-
-TEST(Ode, Rk4FourthOrderConvergence) {
-  auto f = [](double, const Vec3& m) { return -m; };
-  const Vec3 m0{1.0, 0.0, 0.0};
-  auto error_for = [&](double dt) {
-    const Vec3 m = integrate_rk4(f, m0, 0.0, 1.0, dt);
-    return std::abs(m.x - std::exp(-1.0));
-  };
-  const double e1 = error_for(0.1);
-  const double e2 = error_for(0.05);
-  // Halving dt should shrink the error by about 2^4 = 16.
-  EXPECT_GT(e1 / e2, 12.0);
-  EXPECT_LT(e1 / e2, 20.0);
-}
-
-TEST(Ode, HeunSecondOrder) {
-  auto f = [](double, const Vec3& m) { return -m; };
-  Vec3 m{1.0, 0.0, 0.0};
-  const double dt = 1e-3;
-  for (int i = 0; i < 1000; ++i) m = heun_step(f, i * dt, m, dt);
-  EXPECT_NEAR(m.x, std::exp(-1.0), 1e-6);
-}
-
-TEST(Ode, RotationPreservesNorm) {
-  // dm/dt = omega x m: pure rotation about z.
-  const Vec3 omega{0.0, 0.0, 2.0 * kPi};
-  auto f = [&](double, const Vec3& m) { return cross(omega, m); };
-  const Vec3 m1 = integrate_rk4(f, {1.0, 0.0, 0.0}, 0.0, 1.0, 1e-4);
-  // One full period returns the vector to its start.
-  EXPECT_NEAR(m1.x, 1.0, 1e-6);
-  EXPECT_NEAR(m1.y, 0.0, 1e-6);
-  EXPECT_NEAR(norm(m1), 1.0, 1e-9);
-}
-
-TEST(Ode, ObserverSeesAllSteps) {
-  auto f = [](double, const Vec3& m) { return -m; };
-  int calls = 0;
-  integrate_rk4(f, {1, 0, 0}, 0.0, 1.0, 0.1,
-                [&](double, const Vec3&) { ++calls; });
-  EXPECT_EQ(calls, 10);
-}
-
-TEST(Ode, InvalidArgumentsThrow) {
-  auto f = [](double, const Vec3& m) { return -m; };
-  EXPECT_THROW(integrate_rk4(f, {1, 0, 0}, 0.0, 1.0, 0.0), ContractViolation);
-  EXPECT_THROW(integrate_rk4(f, {1, 0, 0}, 1.0, 0.0, 0.1), ContractViolation);
 }
 
 // --- interpolation / roots --------------------------------------------------

@@ -1,9 +1,9 @@
 // Tests for src/readout: the bitline IR-drop ladder (Thevenin reduction
 // against closed-form limits), sense-amplifier statistics (sampled outcomes
 // vs the analytic probabilities), the composed read-error model, the Monte
-// Carlo drivers' batched-vs-scalar and cross-thread bit identity, the
-// analytic read-disturb model validated against the stochastic-LLG
-// ensemble, and the march read-path integration.
+// Carlo workloads' bit identity to per-trial references and across
+// threads, the analytic read-disturb model validated against the
+// stochastic-LLG ensemble, and the march read-path integration.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "dynamics/llg.h"
+#include "dynamics/switching_sim.h"
+#include "engine/monte_carlo.h"
 #include "mram/march.h"
 #include "mram/mram_array.h"
 #include "readout/bitline.h"
@@ -334,20 +337,58 @@ RerConfig rer_config() {
   return cfg;
 }
 
+/// Read outcomes of an RER ensemble, folded in trial order.
+struct RerTally {
+  std::size_t decision_errors = 0;
+  std::size_t blocked = 0;
+  std::size_t disturbs = 0;
+  util::RunningStats margin;
+
+  void merge(const RerTally& o) {
+    decision_errors += o.decision_errors;
+    blocked += o.blocked;
+    disturbs += o.disturbs;
+    margin.merge(o.margin);
+  }
+};
+
 TEST(MeasureRer, BatchedMatchesScalarBitwise) {
+  // measure_rer hoists the operating point out of its trial loop; counts
+  // and the margin moments must equal re-deriving the operating point and
+  // sampling one read per trial, bit for bit, at 1 and 4 threads. The
+  // reference seeds like measure_rer: column pattern first, then rng().
   auto cfg = rer_config();
-  cfg.batch_lanes = 8;
-  util::Rng rng_a(11);
-  const auto batched = measure_rer(cfg, rng_a);
-  cfg.batch_lanes = 0;
-  util::Rng rng_b(11);
-  const auto scalar = measure_rer(cfg, rng_b);
-  EXPECT_EQ(batched.decision_errors, scalar.decision_errors);
-  EXPECT_EQ(batched.blocked, scalar.blocked);
-  EXPECT_EQ(batched.disturbs, scalar.disturbs);
-  // Bitwise: the accumulation order is identical, not just the counts.
-  EXPECT_EQ(batched.mean_margin, scalar.mean_margin);
-  EXPECT_GT(batched.read_errors, 0u);
+  util::Rng rng_ref(11);
+  const ReadErrorModel model(cfg.device, cfg.path);
+  const auto column =
+      make_column_data(cfg.column_pattern, cfg.path.bitline.rows, rng_ref);
+  const std::size_t row = resolve_row(cfg.row, cfg.path.bitline);
+  eng::RunnerConfig rc;
+  rc.threads = 1;
+  eng::MonteCarloRunner runner(rc);
+  const auto ref = runner.run<RerTally>(
+      cfg.trials, rng_ref(),
+      [&](util::Rng& trial_rng, std::size_t, RerTally& acc) {
+        const auto op = model.operating_point(row, column);
+        const auto read = model.sample_read(op, cfg.stored, cfg.hz_stray,
+                                            cfg.temperature, trial_rng);
+        acc.decision_errors += read.decision_error;
+        acc.blocked += read.blocked;
+        acc.disturbs += read.disturbed;
+        acc.margin.add(read.margin);
+      });
+  EXPECT_GT(ref.decision_errors + ref.blocked, 0u);
+
+  for (unsigned threads : {1u, 4u}) {
+    cfg.runner.threads = threads;
+    util::Rng rng(11);
+    const auto r = measure_rer(cfg, rng);
+    EXPECT_EQ(r.decision_errors, ref.decision_errors) << threads;
+    EXPECT_EQ(r.blocked, ref.blocked) << threads;
+    EXPECT_EQ(r.disturbs, ref.disturbs) << threads;
+    // Bitwise: the accumulation order is identical, not just the counts.
+    EXPECT_EQ(r.mean_margin, ref.margin.mean()) << threads;
+  }
 }
 
 TEST(MeasureRer, BitIdenticalAcrossThreadCounts) {
@@ -387,24 +428,68 @@ ReadDisturbConfig disturb_config() {
   return cfg;
 }
 
-TEST(MeasureReadDisturb, BatchedMatchesScalarBitwise) {
-  // Odd trial count: remainder lane-blocks included. The batched kernel
-  // shares the scalar path's stochastic Heun step, so switch decisions AND
-  // switch times must agree bitwise, at any lane width.
-  auto cfg = disturb_config();
-  cfg.trials = 37;
-  cfg.batch_lanes = 0;
-  util::Rng rng_s(21);
-  const auto scalar = measure_read_disturb(cfg, rng_s);
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
-    cfg.batch_lanes = lanes;
-    util::Rng rng_b(21);
-    const auto batched = measure_read_disturb(cfg, rng_b);
-    EXPECT_EQ(batched.disturbed, scalar.disturbed) << lanes;
-    EXPECT_EQ(batched.mean_switch_time, scalar.mean_switch_time) << lanes;
-    EXPECT_EQ(batched.rate, scalar.rate) << lanes;
+/// Disturb count and switch times of a read-disturb ensemble.
+struct DisturbTally {
+  std::size_t disturbed = 0;
+  util::RunningStats times;
+
+  void merge(const DisturbTally& o) {
+    disturbed += o.disturbed;
+    times.merge(o.times);
   }
-  EXPECT_GT(scalar.disturbed, 0u);
+};
+
+/// Per-trial reference of measure_read_disturb's brute-force path: one
+/// scalar MacrospinSim trajectory per trial, seeded like
+/// measure_read_disturb (column pattern first, then rng()).
+DisturbTally reference_read_disturb(const ReadDisturbConfig& cfg,
+                                    util::Rng& rng) {
+  const ReadErrorModel model(cfg.device, cfg.path);
+  const auto column =
+      make_column_data(cfg.column_pattern, cfg.path.bitline.rows, rng);
+  const auto op =
+      model.operating_point(resolve_row(cfg.row, cfg.path.bitline), column);
+  const double i_read =
+      cfg.stored == MtjState::kParallel ? op.i_p : op.i_ap;
+  const auto llg = dyn::llg_from_device_current(model.device(), i_read,
+                                                cfg.hz_stray, cfg.temperature);
+  const double delta =
+      model.device().delta(cfg.stored, cfg.hz_stray, cfg.temperature);
+  const double mz0 = dev::state_direction(cfg.stored);
+  const double duration = cfg.duration > 0.0 ? cfg.duration : cfg.path.t_read;
+  eng::RunnerConfig rc;
+  rc.threads = 1;
+  eng::MonteCarloRunner runner(rc);
+  const dyn::MacrospinSim sim(llg);
+  return runner.run<DisturbTally>(
+      cfg.trials, rng(),
+      [&](util::Rng& trial_rng, std::size_t, DisturbTally& acc) {
+        const auto m0 = dyn::thermal_initial_tilt(trial_rng, delta, mz0);
+        const auto r = sim.run_until_switch(m0, duration, cfg.dt, trial_rng);
+        if (r.switched) {
+          ++acc.disturbed;
+          acc.times.add(r.time);
+        }
+      });
+}
+
+TEST(MeasureReadDisturb, BatchedMatchesScalarBitwise) {
+  // The batched kernel shares the scalar path's stochastic Heun step, so
+  // switch decisions AND switch times must agree bitwise. Odd trial counts
+  // leave remainder lane-blocks; 1100 trials put 18 in a chunk, i.e. more
+  // than one lane-block per chunk at every preferred width.
+  for (const std::size_t trials : {std::size_t{37}, std::size_t{1100}}) {
+    auto cfg = disturb_config();
+    cfg.trials = trials;
+    if (trials > 100) cfg.duration = 3e-9;  // keep the larger run brief
+    util::Rng rng_ref(21);
+    const auto ref = reference_read_disturb(cfg, rng_ref);
+    EXPECT_GT(ref.disturbed, 0u) << trials;
+    util::Rng rng(21);
+    const auto r = measure_read_disturb(cfg, rng);
+    EXPECT_EQ(r.disturbed, ref.disturbed) << trials;
+    EXPECT_EQ(r.mean_switch_time, ref.times.mean()) << trials;
+  }
 }
 
 TEST(MeasureReadDisturb, BitIdenticalAcrossThreadCounts) {
@@ -462,41 +547,6 @@ TEST(MeasureReadDisturb, AnalyticModelTracksTheLlgEnsemble) {
   }
 }
 
-// --- read_yield -------------------------------------------------------------
-
-TEST(ReadYield, DeterministicAndSpecMonotone) {
-  ReadYieldConfig cfg;
-  cfg.path = small_path(0.2, 32);
-  cfg.samples = 200;
-  cfg.spec.min_margin_sigma = 7.0;
-  util::Rng rng_a(31);
-  const auto a = read_yield(cfg, rng_a);
-  // Scalar reference and 4-thread runs reproduce it exactly.
-  cfg.batch_lanes = 0;
-  cfg.runner.threads = 4;
-  util::Rng rng_b(31);
-  const auto b = read_yield(cfg, rng_b);
-  EXPECT_EQ(a.pass_margin, b.pass_margin);
-  EXPECT_EQ(a.pass_disturb, b.pass_disturb);
-  EXPECT_EQ(a.pass_both, b.pass_both);
-  EXPECT_EQ(a.sampled, 200u);
-  // A tighter margin spec can only fail more devices.
-  cfg.spec.min_margin_sigma = 9.5;
-  util::Rng rng_c(31);
-  const auto tight = read_yield(cfg, rng_c);
-  EXPECT_LE(tight.pass_margin, a.pass_margin);
-  EXPECT_LT(tight.yield, 1.0);
-  EXPECT_GT(a.pass_disturb, 0u);
-}
-
-TEST(ReadYield, SpecValidation) {
-  ReadYieldSpec spec;
-  spec.min_margin_sigma = 0.0;
-  EXPECT_THROW(spec.validate(), util::ConfigError);
-  spec = ReadYieldSpec{};
-  spec.max_disturb = 1.0;
-  EXPECT_THROW(spec.validate(), util::ConfigError);
-}
 
 // --- march integration ------------------------------------------------------
 

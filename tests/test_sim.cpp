@@ -1,11 +1,9 @@
-// Tests for src/sim: process-variation sampling and ensemble
-// characterization.
+// Tests for src/sim: process-variation sampling and yield.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "sim/ensemble.h"
 #include "sim/variation.h"
 #include "sim/yield.h"
 #include "util/error.h"
@@ -78,38 +76,6 @@ TEST(Variation, ZeroSigmaReproducesNominal) {
   EXPECT_DOUBLE_EQ(s.hk, nominal.hk);
   EXPECT_DOUBLE_EQ(s.delta0, nominal.delta0);
 }
-
-TEST(Ensemble, Fig2bShape) {
-  // The ensemble reproduces the Fig. 2b structure: |Hs_intra| grows as the
-  // size shrinks, with nonzero device-to-device spread.
-  const auto nominal = MtjParams::reference_device(35e-9);
-  EnsembleConfig cfg;
-  cfg.devices_per_size = 12;
-  const std::vector<double> ecds{35e-9, 55e-9, 90e-9, 175e-9};
-  const auto rows = characterize_sizes(nominal, ecds, cfg);
-  ASSERT_EQ(rows.size(), 4u);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    EXPECT_LT(std::abs(rows[i].hs_intra.mean),
-              std::abs(rows[i - 1].hs_intra.mean));
-  }
-  for (const auto& r : rows) {
-    EXPECT_LT(r.hs_intra.mean, 0.0);
-    EXPECT_GT(r.hs_intra.stddev, 0.0);
-    // The electrically recovered eCD tracks the nominal size.
-    EXPECT_NEAR(r.ecd_measured.mean, r.ecd_nominal, r.ecd_nominal * 0.05);
-  }
-}
-
-TEST(Ensemble, DeterministicBySeed) {
-  const auto nominal = MtjParams::reference_device(35e-9);
-  EnsembleConfig cfg;
-  cfg.devices_per_size = 5;
-  const std::vector<double> ecds{55e-9};
-  const auto a = characterize_sizes(nominal, ecds, cfg);
-  const auto b = characterize_sizes(nominal, ecds, cfg);
-  EXPECT_DOUBLE_EQ(a[0].hs_intra.mean, b[0].hs_intra.mean);
-}
-
 
 // --- yield ---------------------------------------------------------------------
 
