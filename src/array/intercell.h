@@ -86,7 +86,7 @@ std::vector<ClassField> np8_class_fields(const InterCellSolver& solver);
 /// pattern, via explicit superposition of all 24 aggressor-layer sources.
 /// Slower than InterCellSolver::field_for (no caching); used to quantify the
 /// in-plane component the paper argues is marginal
-/// (bench_ablation_inplane).
+/// (the abl_inplane scenario).
 num::Vec3 intercell_field_vector(const dev::StackGeometry& stack,
                                  double pitch, Np8 np8,
                                  mag::FieldMethod method =

@@ -86,30 +86,6 @@ Vec3 MacrospinSim::run(const Vec3& m0, double duration, double dt,
   return m;
 }
 
-Vec3 MacrospinSim::run_adaptive(const Vec3& m0, double duration,
-                                const num::AdaptiveConfig& config,
-                                std::vector<TrajectoryPoint>* trajectory)
-    const {
-  MRAM_EXPECTS(duration >= 0.0, "invalid integration window");
-  MRAM_EXPECTS(std::abs(num::norm(m0) - 1.0) < 1e-6,
-               "m0 must be a unit vector");
-
-  const ProjectedRhs f{rhs_};
-  if (trajectory) trajectory->push_back({0.0, m0});
-  Vec3 m;
-  if (trajectory) {
-    m = num::integrate_rk45(f, m0, 0.0, duration, config,
-                            [&](double t, const Vec3& y) {
-                              trajectory->push_back({t, num::normalized(y)});
-                            });
-  } else {
-    m = num::integrate_rk45(f, m0, 0.0, duration, config);
-  }
-  m = num::normalized(m);
-  if (trajectory) trajectory->back().m = m;
-  return m;
-}
-
 double thermal_field_sigma(const LlgParams& params, double dt) {
   if (params.temperature <= 0.0) return 0.0;
   MRAM_EXPECTS(dt > 0.0, "dt must be positive");

@@ -17,7 +17,7 @@
 //                     + a_j ( m x (m x p) - alpha m x p ) ],
 //
 // gamma' = gamma mu0 / (1 + alpha^2), with the spin-torque field
-// a_j = hbar eta I / (2 e mu0 Ms V). bench_ablation_llg_vs_sun compares the
+// a_j = hbar eta I / (2 e mu0 Ms V). The abl_llg_vs_sun scenario compares the
 // two; the linearized critical torque a_j = alpha * Hk reproduces Eq. 2's
 // Ic0 (tested in tests/dynamics).
 
@@ -99,10 +99,6 @@ class MacrospinSim {
   /// Deterministic right-hand side dm/dt at magnetization m.
   num::Vec3 rhs(const num::Vec3& m) const { return rhs_(0.0, m); }
 
-  /// Deterministic RHS functor (precomputed constants), for driving the
-  /// templated solver policies directly.
-  const LlgRhs& rhs_functor() const { return rhs_; }
-
   /// Integrates deterministically (RK4) from m0 for `duration` seconds with
   /// step `dt`, renormalizing |m| every step. Returns the final state;
   /// optionally records the trajectory every `record_every` steps plus the
@@ -110,15 +106,6 @@ class MacrospinSim {
   num::Vec3 run(const num::Vec3& m0, double duration, double dt,
                 std::vector<TrajectoryPoint>* trajectory = nullptr,
                 std::size_t record_every = 1) const;
-
-  /// Integrates deterministically with the adaptive Dormand--Prince 5(4)
-  /// pair instead of fixed RK4 steps; records every accepted step when a
-  /// trajectory is supplied. Useful for long relaxation windows where the
-  /// dynamics stiffen and relax by orders of magnitude.
-  num::Vec3 run_adaptive(const num::Vec3& m0, double duration,
-                         const num::AdaptiveConfig& config = {},
-                         std::vector<TrajectoryPoint>* trajectory =
-                             nullptr) const;
 
   /// Stochastic integration (Heun) with the thermal field enabled when
   /// temperature > 0. Stops early once mz crosses `mz_stop`. A nonzero

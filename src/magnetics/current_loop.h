@@ -11,7 +11,7 @@
 //     straight segments and the Biot--Savart contributions are summed.
 //   * loop_field_exact       -- closed form via complete elliptic integrals
 //     (valid for any field point off the wire). This is the ground truth the
-//     discretization converges to (see bench_ablation_segments) and the fast
+//     discretization converges to (see the abl_segments scenario) and the fast
 //     path used by the array solvers.
 //
 // Note on units: the paper's Eq. (1) carries a mu0/(4*pi) prefactor, which

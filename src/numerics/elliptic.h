@@ -5,7 +5,7 @@
 // Used by magnetics::loop_field_exact: the off-axis field of a circular
 // current loop has a closed form in terms of K and E, which we use as the
 // ground truth the discretized Biot-Savart solver must converge to
-// (bench_ablation_segments) and as a fast path for axisymmetric evaluations.
+// (the abl_segments scenario) and as a fast path for axisymmetric evaluations.
 //
 // Implementation: Carlson symmetric forms R_F and R_D (Numerical Recipes
 // style duplication algorithm), accurate to ~1e-12 over m in [0, 1).

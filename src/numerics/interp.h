@@ -4,7 +4,7 @@
 #include <span>
 #include <vector>
 
-// Interpolation and root bracketing helpers used by benches (locating the
+// Interpolation and root bracketing helpers used by scenarios (locating the
 // pitch where Psi crosses 2%, crossover points in figure series) and by the
 // characterization fits.
 

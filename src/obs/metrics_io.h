@@ -9,7 +9,7 @@
 
 // Metrics snapshot persistence: the schema-versioned JSON document
 // `mram_scenarios run --metrics FILE` writes, `mram_merge --metrics-in`
-// reads back, and the CI throughput gate / future BENCH baselines consume.
+// reads back, and the CI observability smoke checks.
 //
 // Schema "mram.metrics/2" (a strict, additive superset of /1 -- readers of
 // /1 ignore the new keys, this build parses both):

@@ -4,12 +4,13 @@
 #include <cstdint>
 
 // The one timing primitive of the repository. Every wall-clock measurement
-// -- the run-summary table, chunk spans, shard dump latencies, the bench
-// shims -- goes through obs::Stopwatch so the clock choice is made exactly
-// once: std::chrono::steady_clock, which is monotonic (never jumps on NTP
-// adjustments) and measures wall time, not CPU time. Mixing system_clock
-// (jumpy) or std::clock (CPU time, scales with thread count) into a timing
-// column is the classic observability bug this header exists to prevent.
+// -- the run-summary table, chunk spans, shard dump latencies, the
+// perfbench runner -- goes through obs::Stopwatch so the clock choice is
+// made exactly once: std::chrono::steady_clock, which is monotonic (never
+// jumps on NTP adjustments) and measures wall time, not CPU time. Mixing
+// system_clock (jumpy) or std::clock (CPU time, scales with thread count)
+// into a timing column is the classic observability bug this header exists
+// to prevent.
 
 namespace mram::obs {
 

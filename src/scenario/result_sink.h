@@ -30,7 +30,7 @@ class ResultSink {
                      const ResultSet& results) = 0;
 };
 
-/// Aligned text tables with a header/footer block, the bench_* house style.
+/// Aligned text tables with a header/footer block.
 class TextSink : public ResultSink {
  public:
   explicit TextSink(std::ostream& os) : os_(&os) {}

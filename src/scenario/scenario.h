@@ -8,16 +8,15 @@
 
 // Declarative scenario layer. A scenario is a named, registered, seeded
 // workload that regenerates one paper figure (or an ablation / extension
-// study) as a set of machine-readable result tables. Scenarios replace the
-// hand-rolled sweep loops of the bench_* binaries: they run their parameter
-// grids through scn::SweepDriver, dispatch their stochastic trials through
-// eng::MonteCarloRunner (bit-identical across thread counts for a fixed
-// seed), and emit scn::ResultSet, which the sinks in result_sink.h render
-// as aligned text, CSV or JSON.
+// study) as a set of machine-readable result tables. Scenarios run their
+// parameter grids through scn::SweepDriver, dispatch their stochastic
+// trials through eng::MonteCarloRunner (bit-identical across thread counts
+// for a fixed seed), and emit scn::ResultSet, which the sinks in
+// result_sink.h render as aligned text, CSV or JSON.
 //
 // Lifecycle: scenarios_*.cpp define run functions and register them via
-// register_builtin_scenarios() (see registry.h); the mram_scenarios CLI and
-// the thin bench_* compatibility mains look them up by name.
+// register_builtin_scenarios() (see registry.h); the mram_scenarios and
+// mram_merge CLIs and the perfbench runner look them up by name.
 
 namespace mram::chr {
 struct IntraFieldAnchor;

@@ -3,7 +3,7 @@
 // Sun's model, Psi definition variants, Biot-Savart convergence, and the
 // temperature extension of the write metrics. Tables contain only
 // deterministic (or seeded-runner) values -- wall-clock timing columns live
-// in bench_perf_solvers, not here -- so the CSV artifacts are reproducible.
+// in perfbench/, not here -- so the CSV artifacts are reproducible.
 
 #include <cmath>
 #include <string>
@@ -306,8 +306,7 @@ ResultSet run_segments(ScenarioContext& ctx) {
       "O(1/N^2) convergence; the moment-matched polygon removes the\n"
       "inscribed-radius bias. The closed form costs about as much as a\n"
       "50-segment sum while being exact -- hence FieldMethod::kExact is the\n"
-      "library default and kBiotSavart reproduces the paper's method (see\n"
-      "bench_perf_solvers for the wall-clock comparison).");
+      "library default and kBiotSavart reproduces the paper's method.");
   return out;
 }
 

@@ -427,7 +427,7 @@ struct Rng::LaneKernels {
 
   // V ymm vectors of 4 lanes each; V = ceil(g / 4), so only the last
   // vector can be partial. About twice as fast as the portable level at 12
-  // and 16 lanes (BM_NormalFillLanes in bench_perf_solvers).
+  // and 16 lanes (forced through the explicit-level overload).
   template <int V>
   __attribute__((target("avx2"))) static void avx2(
       Rng* rngs, const std::size_t* lane_of, std::size_t g, std::size_t n,

@@ -10,7 +10,7 @@
 // std::mt19937 because (a) results must be bit-reproducible across standard
 // library implementations -- experiment tables in EXPERIMENTS.md are generated
 // from seeded runs -- and (b) it is significantly faster in the Monte Carlo
-// loops of the write-error-rate benches.
+// loops of the write-error-rate scenarios.
 
 namespace mram::util {
 

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-// Fixed-width table printer. Every bench binary regenerates one paper figure
+// Fixed-width table printer. Every scenario regenerates one paper figure
 // as a textual table (series name + rows), so the formatting lives in one
 // place. Also supports CSV emission for plotting.
 

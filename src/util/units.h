@@ -10,7 +10,7 @@
 //
 // The paper (and the MRAM literature) quotes fields in Oe, sizes in nm,
 // switching times in ns and currents in uA, so the conversion helpers below
-// are used at API boundaries, in benches and in tests that encode paper
+// are used at API boundaries, in scenarios and in tests that encode paper
 // numbers. They are constexpr so paper constants can be written directly in
 // their natural units.
 

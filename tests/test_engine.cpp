@@ -1,15 +1,14 @@
 // Tests for the unified Monte Carlo engine: static-dispatch solver policies
-// (observed convergence orders, adaptive error control), the cached coupling
-// kernel (agreement with the direct dipole sum), per-trial RNG streams, the
-// thread pool, and the determinism contract of MonteCarloRunner (bit-identical
-// results across thread counts and chunk sizes for a fixed seed).
+// (observed convergence orders), the cached coupling kernel (agreement with
+// the direct dipole sum), per-trial RNG streams, the thread pool, and the
+// determinism contract of MonteCarloRunner (bit-identical results across
+// thread counts and chunk sizes for a fixed seed).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -65,106 +64,7 @@ TEST(Solvers, HeunObservedSecondOrder) {
   EXPECT_NEAR(p, 2.0, 0.2);
 }
 
-TEST(Solvers, Rk45ObservedFifthOrder) {
-  auto f = [](double, const Vec3& m) { return -m; };
-  auto error_for = [&](double dt) {
-    Vec3 m{1.0, 0.0, 0.0};
-    double t = 0.0;
-    while (t < 1.0 - 0.5 * dt) {
-      m = num::Rk45Solver::step(f, t, m, dt).y;
-      t += dt;
-    }
-    return std::abs(m.x - std::exp(-1.0) * std::exp(1.0 - t));
-  };
-  const double p = observed_order(error_for(0.1), error_for(0.05));
-  EXPECT_NEAR(p, 5.0, 0.4);
-}
-
-TEST(Solvers, Rk45ErrorEstimateTracksTrueError) {
-  // For one step of dm/dt = -m the embedded estimate must be within an
-  // order of magnitude of the true local error.
-  auto f = [](double, const Vec3& m) { return -m; };
-  const double dt = 0.2;
-  const auto r = num::Rk45Solver::step(f, 0.0, Vec3{1.0, 0.0, 0.0}, dt);
-  const double true_error = std::abs(r.y.x - std::exp(-dt));
-  EXPECT_GT(r.error, 0.0);
-  EXPECT_LT(true_error, 10.0 * r.error + 1e-12);
-}
-
-TEST(Solvers, AdaptiveRk45MeetsTolerance) {
-  // Rotation about z: |m| is conserved and the solution is known exactly.
-  const Vec3 omega{0.0, 0.0, 4.0 * std::acos(-1.0)};
-  auto f = [&](double, const Vec3& m) { return cross(omega, m); };
-  num::AdaptiveConfig cfg;
-  cfg.abs_tol = 1e-10;
-  cfg.rel_tol = 1e-10;
-  const Vec3 m1 = num::integrate_rk45(f, {1.0, 0.0, 0.0}, 0.0, 1.0, cfg);
-  // Two full periods return to the start.
-  EXPECT_NEAR(m1.x, 1.0, 1e-6);
-  EXPECT_NEAR(m1.y, 0.0, 1e-6);
-  EXPECT_NEAR(norm(m1), 1.0, 1e-8);
-}
-
-TEST(Solvers, AdaptiveRk45TakesFewerStepsThanFixedRk4) {
-  // Stiffly decaying transient followed by a slow tail: the controller must
-  // grow the step once the transient is resolved.
-  auto f = [](double, const Vec3& m) {
-    return Vec3{-50.0 * m.x, -0.1 * m.y, 0.0};
-  };
-  num::AdaptiveConfig cfg;
-  cfg.abs_tol = 1e-8;
-  cfg.rel_tol = 1e-6;
-  double prev_t = 0.0;
-  double min_step = std::numeric_limits<double>::infinity();
-  double max_step = 0.0;
-  num::integrate_rk45(f, {1.0, 1.0, 0.0}, 0.0, 10.0, cfg,
-                      [&](double t, const Vec3&) {
-                        const double h = t - prev_t;
-                        prev_t = t;
-                        min_step = std::min(min_step, h);
-                        max_step = std::max(max_step, h);
-                      });
-  // The controller must resolve the fast transient with small steps and
-  // then grow the step by over an order of magnitude on the tail -- the
-  // payoff a fixed stability-limited RK4 step cannot deliver.
-  EXPECT_GT(max_step / min_step, 10.0);
-}
-
-TEST(Solvers, AdaptiveRk45FailsFastOnNonFiniteState) {
-  // A diverging RHS must raise NumericalError immediately, not spin through
-  // max_steps with a NaN error estimate that is never accepted.
-  auto f = [](double, const Vec3& m) {
-    return Vec3{m.x * 1e300, 0.0, 0.0};  // overflows to inf within a step
-  };
-  EXPECT_THROW(num::integrate_rk45(f, {1.0, 0.0, 0.0}, 0.0, 1.0),
-               util::NumericalError);
-}
-
-TEST(Solvers, AdaptiveRk45InvalidConfigThrows) {
-  auto f = [](double, const Vec3& m) { return -m; };
-  num::AdaptiveConfig cfg;
-  cfg.abs_tol = 0.0;
-  EXPECT_THROW(num::integrate_rk45(f, {1, 0, 0}, 0.0, 1.0, cfg),
-               util::ContractViolation);
-}
-
 // --- LLG on the policies ----------------------------------------------------
-
-TEST(LlgEngine, AdaptiveMatchesFixedStepRelaxation) {
-  dyn::LlgParams p;
-  p.h_applied = {0.0, 0.0, 2.0 * p.hk};  // strong field: relax toward +z
-  const dyn::MacrospinSim sim(p);
-  const Vec3 m0 = num::normalized({0.4, 0.0, -0.9});
-  const Vec3 fixed = sim.run(m0, 2e-9, 1e-13);
-  num::AdaptiveConfig cfg;
-  cfg.abs_tol = 1e-10;
-  cfg.rel_tol = 1e-10;
-  const Vec3 adaptive = sim.run_adaptive(m0, 2e-9, cfg);
-  EXPECT_TRUE(num::almost_equal(fixed, adaptive, 1e-6))
-      << "fixed=(" << fixed.x << "," << fixed.y << "," << fixed.z
-      << ") adaptive=(" << adaptive.x << "," << adaptive.y << ","
-      << adaptive.z << ")";
-}
 
 TEST(LlgEngine, TrajectoryIncludesFinalPoint) {
   // 10 steps recorded every 3: the seed implementation dropped the final
@@ -536,22 +436,25 @@ mem::WerConfig engine_wer_config() {
   return cfg;
 }
 
-TEST(MonteCarloRunner, SeededWerBitIdenticalSerialVsFourThreads) {
+TEST(MonteCarloRunner, SeededWerBitIdenticalAcrossThreadCounts) {
   auto cfg = engine_wer_config();
   cfg.runner.threads = 1;
   util::Rng rng_serial(2024);
   const auto serial = mem::measure_wer(cfg, rng_serial);
 
-  cfg.runner.threads = 4;
-  util::Rng rng_parallel(2024);
-  const auto parallel = mem::measure_wer(cfg, rng_parallel);
+  for (unsigned threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    cfg.runner.threads = threads;
+    util::Rng rng_parallel(2024);
+    const auto parallel = mem::measure_wer(cfg, rng_parallel);
 
-  EXPECT_EQ(parallel.errors, serial.errors);
-  EXPECT_EQ(parallel.wer, serial.wer);
-  EXPECT_EQ(parallel.mean_success_probability,
-            serial.mean_success_probability);
-  EXPECT_EQ(parallel.confidence.lo, serial.confidence.lo);
-  EXPECT_EQ(parallel.confidence.hi, serial.confidence.hi);
+    EXPECT_EQ(parallel.errors, serial.errors);
+    EXPECT_EQ(parallel.wer, serial.wer);
+    EXPECT_EQ(parallel.mean_success_probability,
+              serial.mean_success_probability);
+    EXPECT_EQ(parallel.confidence.lo, serial.confidence.lo);
+    EXPECT_EQ(parallel.confidence.hi, serial.confidence.hi);
+  }
 }
 
 /// Failure count and success-probability moments of a WER or retention

@@ -1,5 +1,5 @@
 // Integration tests: the paper's full analysis pipeline, crossing module
-// boundaries exactly the way the benches do -- characterize, calibrate,
+// boundaries exactly the way the scenarios do -- characterize, calibrate,
 // extrapolate to arrays, and evaluate the impact on Ic, tw and Delta.
 
 #include <gtest/gtest.h>

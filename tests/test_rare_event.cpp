@@ -850,6 +850,42 @@ TEST(RareEventOverlap, RerDriversAgreeWithBruteForce) {
                3.5);
 }
 
+// --- workload wirings: deep-regime acceptance -------------------------------
+
+TEST(RareEventDeep, DriversBeatBruteForceByAtLeast100x) {
+  // At ~1e-10 brute force would need ~1e12 trials. Each accelerated run must
+  // be worth at least 100 brute-force trials per trial it simulates, at its
+  // own reported relative error.
+  const auto expect_speedup = [](const eng::RareEventEstimate& est) {
+    EXPECT_GT(est.probability, 0.0);
+    EXPECT_GT(est.simulated_trials, 0.0);
+    EXPECT_GE(est.effective_trials, 100.0 * est.simulated_trials)
+        << est.effective_trials / est.simulated_trials << "x";
+  };
+  eng::MonteCarloRunner runner;
+
+  auto wer = overlap_wer_config();
+  const dev::MtjDevice device(wer.array.device);
+  wer.pulse.width = 4.7 * device.switching_time(dev::SwitchDirection::kApToP,
+                                                0.9,
+                                                device.intra_stray_field());
+  for (auto method : {eng::RareEventMethod::kImportanceSampling,
+                      eng::RareEventMethod::kSplitting}) {
+    SCOPED_TRACE(static_cast<int>(method));
+    wer.rare.method = method;
+    util::Rng rng(7);
+    expect_speedup(mem::measure_wer(wer, rng, runner).rare);
+  }
+
+  rdo::RerConfig rer;
+  rer.path.v_read = 0.16;  // ~7 sigma margin, RER ~1e-11
+  rer.trials = 2000;
+  rer.hz_stray = dev::MtjDevice(rer.device).intra_stray_field();
+  rer.rare.method = eng::RareEventMethod::kImportanceSampling;
+  util::Rng rng(7);
+  expect_speedup(rdo::measure_rer(rer, rng, runner).rare);
+}
+
 // --- workload wirings: determinism contract ---------------------------------
 
 template <class Config, class Result, class Measure>
