@@ -55,10 +55,6 @@ struct ScorePartial {
     zs.insert(zs.end(), other.zs.begin(), other.zs.end());
     scores.insert(scores.end(), other.scores.begin(), other.scores.end());
   }
-  template <class Ar>
-  void serialize(Ar& ar) {
-    ar(zs, scores);
-  }
 };
 
 /// Throws unless every score of a generation is a number: the level
@@ -84,7 +80,8 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
                                     const BatchScore& score) {
   cfg.validate();
   MRAM_EXPECTS(dim > 0, "subset simulation needs a positive dimension");
-  MRAM_EXPECTS(n_per_level >= 4, "subset simulation needs >= 4 per level");
+  MRAM_EXPECTS(n_per_level >= kSplittingMinTrials,
+               "subset simulation needs kSplittingMinTrials per level");
   const std::size_t N = n_per_level;
   const double dN = static_cast<double>(N);
   constexpr std::size_t kLanes = MonteCarloRunner::kMaxLaneWidth;

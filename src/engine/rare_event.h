@@ -190,6 +190,12 @@ RareEventEstimate importance_rounds(std::size_t batch, std::uint64_t seed,
 using BatchScore =
     std::function<void(std::size_t n, const double* zs, double* out)>;
 
+/// Smallest per-level (per-stage) trial count the splitting drivers accept:
+/// subset_simulation's n_per_level and rdo::disturb_splitting's trajectories
+/// per stage. Scenarios pass it as the floor of their scaled trial counts,
+/// so a too-small --trial-scale is an input error, not a contract failure.
+inline constexpr std::size_t kSplittingMinTrials = 4;
+
 /// Subset simulation (multilevel splitting in a standard-normal latent
 /// space) for the analytic workloads. The event is expressed through a
 /// deterministic score over `dim` iid standard normals; failure is

@@ -7,13 +7,14 @@
 #include <vector>
 
 // Minimal JSON document model + strict parser, for the observability layer
-// only: mram_merge folds per-shard metrics snapshots, and the tests parse
-// the emitted metrics/trace files back to validate them against their
-// schemas. Writing stays string-building (metrics_io.cpp, trace.cpp) like
-// the result sinks; this is the read half. Deliberately small: UTF-8 passes
-// through untouched (\uXXXX escapes are decoded for the BMP), numbers keep
-// an exact u64 fast path because metric counters (nanosecond totals, byte
-// counts) can exceed the 2^53 double-exact range.
+// only. The program writes JSON and never reads it back: the parser is the
+// tests' reference reader, which parses the emitted metrics/trace files to
+// validate them against their schemas (tests/test_obs.cpp). Writing stays
+// string-building (metrics_io.cpp, trace.cpp) like the result sinks; this
+// is the read half. Deliberately small: UTF-8 passes through untouched
+// (\uXXXX escapes are decoded for the BMP), numbers keep an exact u64 fast
+// path because metric counters (nanosecond totals, byte counts) can exceed
+// the 2^53 double-exact range.
 
 namespace mram::obs {
 

@@ -31,10 +31,6 @@ const char* counter_name(Counter c) {
     case Counter::kRareSplitLevels: return "rare.split.levels";
     case Counter::kRareMcmcProposals: return "rare.mcmc.proposals";
     case Counter::kRareMcmcAccepts: return "rare.mcmc.accepts";
-    case Counter::kShardDumpCalls: return "shard.dump_calls";
-    case Counter::kShardDumpBytes: return "shard.dump_bytes";
-    case Counter::kShardMergeCalls: return "shard.merge_calls";
-    case Counter::kShardMergeBytes: return "shard.merge_bytes";
     case Counter::kSweepPoints: return "sweep.points";
     case Counter::kTraceSpansDropped: return "trace.spans_dropped";
     case Counter::kCount: break;
@@ -60,8 +56,6 @@ const char* hist_name(Hist h) {
     case Hist::kEngineChunkNanos: return "engine.chunk_ns";
     case Hist::kEngineCallNanos: return "engine.call_ns";
     case Hist::kSweepPointNanos: return "sweep.point_ns";
-    case Hist::kShardDumpNanos: return "shard.dump_ns";
-    case Hist::kShardMergeNanos: return "shard.merge_ns";
     case Hist::kCount: break;
   }
   return "unknown";
@@ -188,11 +182,9 @@ Snapshot Registry::snapshot() const {
       snap.histograms[hist_name(static_cast<Hist>(i))] = hists_[i];
     }
   }
-  // Perf accumulations land in the counters map as plain u64s: shard-merge
-  // folds counters by addition, which is exactly the right semantics for
-  // event counts, enabled/running times and chunk tallies -- so the new
-  // sections need no new fold machinery. Per-tag keys first, then the
-  // cross-tag totals under the bare "perf." prefix.
+  // Perf accumulations land in the counters map as plain u64s (event
+  // counts, enabled/running times and chunk tallies). Per-tag keys first,
+  // then the cross-tag totals under the bare "perf." prefix.
   PerfAccum total;
   for (std::size_t t = 0; t < perf_.size(); ++t) {
     const PerfAccum& acc = perf_[t];

@@ -45,8 +45,7 @@ namespace mram::obs {
 
 /// Monotonic counters. Chunk-context counters (incremented inside runner
 /// trials via the thread-local block) and serial-context counters (driver
-/// loops, shard I/O) share this namespace; counter_add() routes correctly
-/// for both.
+/// loops) share this namespace; counter_add() routes correctly for both.
 enum class Counter : std::uint16_t {
   kEngineCalls,          ///< runner run()/run_batched() calls
   kEngineChunks,         ///< chunks executed
@@ -68,10 +67,6 @@ enum class Counter : std::uint16_t {
   kRareSplitLevels,      ///< subset-simulation levels resolved
   kRareMcmcProposals,    ///< pCN MCMC proposals made
   kRareMcmcAccepts,      ///< pCN MCMC proposals accepted
-  kShardDumpCalls,       ///< shard-mode partial dumps written
-  kShardDumpBytes,       ///< bytes written into shard dumps
-  kShardMergeCalls,      ///< merge-mode calls replayed from dumps
-  kShardMergeBytes,      ///< bytes read back from shard dumps
   kSweepPoints,          ///< sweep grid points evaluated
   kTraceSpansDropped,    ///< trace spans discarded by the per-thread cap
   kCount
@@ -97,8 +92,6 @@ enum class Hist : std::uint16_t {
   kEngineChunkNanos,   ///< per-chunk wall time
   kEngineCallNanos,    ///< per-runner-call wall time
   kSweepPointNanos,    ///< per-sweep-point wall time
-  kShardDumpNanos,     ///< per-call shard dump latency
-  kShardMergeNanos,    ///< per-call shard merge (load + fold) latency
   kCount
 };
 
@@ -162,8 +155,7 @@ enum class KernelTag : std::uint8_t {
 const char* kernel_tag_name(KernelTag t);
 
 /// Exact unsigned fold of chunk perf deltas, kept per KernelTag in the
-/// registry and emitted into the snapshot counters map (so shard-merge's
-/// counters-add semantics fold it with no new machinery).
+/// registry and emitted into the snapshot counters map.
 struct PerfAccum {
   std::array<std::uint64_t, PerfSample::kEvents> value{};
   std::uint64_t time_enabled = 0;
@@ -361,9 +353,9 @@ inline void gauge_set(Gauge g, double v) {
   if (Registry* r = registry()) r->set(g, v);
 }
 
-/// Histogram record from serial contexts (per runner call / sweep point /
-/// shard I/O). Per-chunk wall times arrive via MetricsBlock::chunk_nanos
-/// instead, so they fold in chunk order.
+/// Histogram record from serial contexts (per runner call / sweep point).
+/// Per-chunk wall times arrive via MetricsBlock::chunk_nanos instead, so
+/// they fold in chunk order.
 inline void hist_record(Hist h, std::uint64_t v) {
   if (Registry* r = registry()) r->record(h, v);
 }

@@ -28,9 +28,9 @@ std::string histogram_json(const Histogram& h) {
      << u64_str(h.total) << ", \"min\": " << u64_str(h.count ? h.min : 0)
      << ", \"max\": " << u64_str(h.max);
   if (h.count > 0) {
-    // Percentile estimates, recomputed here from the (possibly folded)
-    // bucket tallies; the parser ignores them, so they survive a /1 reader
-    // and are always consistent with the buckets they sit next to.
+    // Percentile estimates, recomputed here from the bucket tallies; the
+    // parser ignores them, so they survive a /1 reader and are always
+    // consistent with the buckets they sit next to.
     os << ", \"p50\": " << dbl_str(h.quantile(0.50))
        << ", \"p90\": " << dbl_str(h.quantile(0.90))
        << ", \"p99\": " << dbl_str(h.quantile(0.99));
@@ -239,32 +239,12 @@ std::map<std::string, double> derived_metrics(const Snapshot& s) {
   return d;
 }
 
-void fold_snapshot(Snapshot& into, const Snapshot& from) {
-  for (const auto& [name, v] : from.counters) into.counters[name] += v;
-  for (const auto& [name, v] : from.gauges) into.gauges[name] = v;
-  for (const auto& [name, h] : from.histograms) {
-    into.histograms[name].merge(h);
-  }
-  for (const auto& [name, pts] : from.series) {
-    auto& dst = into.series[name];
-    dst.insert(dst.end(), pts.begin(), pts.end());
-  }
-}
-
 ScenarioMetrics& MetricsDoc::scenario(const std::string& name) {
   for (auto& s : scenarios) {
     if (s.name == name) return s;
   }
   scenarios.push_back(ScenarioMetrics{name, {}});
   return scenarios.back();
-}
-
-void MetricsDoc::fold(const MetricsDoc& other) {
-  if (tool.empty()) tool = other.tool;
-  if (threads == 0) threads = other.threads;
-  for (const auto& s : other.scenarios) {
-    fold_snapshot(scenario(s.name).snapshot, s.snapshot);
-  }
 }
 
 std::string MetricsDoc::to_json() const {
@@ -290,10 +270,10 @@ MetricsDoc MetricsDoc::parse(const std::string& json_text) {
   }
   const std::string& schema =
       root.expect("schema", "metrics document").as_string("schema");
-  if (schema != kSchema && schema != kSchemaV1) {
+  if (schema != kSchema) {
     throw util::ConfigError("metrics document: unsupported schema '" +
                             schema + "' (this build reads '" + kSchema +
-                            "' and '" + kSchemaV1 + "')");
+                            "')");
   }
   MetricsDoc doc;
   if (const JsonValue* tool = root.get("tool")) {

@@ -8,11 +8,12 @@
 #include "obs/metrics.h"
 
 // Metrics snapshot persistence: the schema-versioned JSON document
-// `mram_scenarios run --metrics FILE` writes, `mram_merge --metrics-in`
-// reads back, and the CI observability smoke checks.
+// `mram_scenarios run --metrics FILE` writes and the CI observability smoke
+// checks. The program only emits it; parse()/load() are the reference
+// reader the tests (tests/test_obs.cpp) check the emitted files against.
 //
 // Schema "mram.metrics/2" (a strict, additive superset of /1 -- readers of
-// /1 ignore the new keys, this build parses both):
+// /1 ignore the new keys; parse() accepts /2 only):
 //   {
 //     "schema": "mram.metrics/2",
 //     "tool": "mram_scenarios",
@@ -33,17 +34,8 @@
 //
 // Everything integer-valued is emitted as a JSON integer literal (exact up
 // to 2^64 via the parser's u64 fast path); gauges and series are doubles.
-//
-// Fold semantics (shard merging): counters and histograms add -- they are
-// extensive quantities, so the fold of N shard snapshots equals what one
-// process would have counted; the perf.* counters are extensive too, which
-// is why they live in the counters map. Gauges are configuration echoes:
-// last folded document wins. Series are per-process trajectories with no
-// cross-shard meaning; they concatenate in fold order (shard order), which
-// is deterministic. Scenarios are matched by name; unmatched ones are
-// appended. The "derived" section and histogram percentiles are
-// *recomputed from the folded state at emission time*, never folded
-// themselves -- ratios of sums, not sums of ratios.
+// The "derived" section and histogram percentiles are recomputed from the
+// snapshot at emission time and never parsed back.
 
 namespace mram::obs {
 
@@ -54,8 +46,6 @@ struct ScenarioMetrics {
 
 struct MetricsDoc {
   static constexpr const char* kSchema = "mram.metrics/2";
-  /// Still accepted by parse(): /2 only adds keys /1 readers never look at.
-  static constexpr const char* kSchemaV1 = "mram.metrics/1";
 
   std::string tool;
   unsigned threads = 0;
@@ -64,9 +54,6 @@ struct MetricsDoc {
 
   /// Finds the entry for `name`, appending an empty one when absent.
   ScenarioMetrics& scenario(const std::string& name);
-
-  /// Folds `other` into this document (see fold semantics above).
-  void fold(const MetricsDoc& other);
 
   /// Renders the schema-versioned JSON document.
   std::string to_json() const;
@@ -79,12 +66,8 @@ struct MetricsDoc {
   static MetricsDoc load(const std::string& path);
 };
 
-/// Folds two snapshots (counters/histograms add, gauges last-wins, series
-/// concatenate). Exposed for the registry-free unit tests.
-void fold_snapshot(Snapshot& into, const Snapshot& from);
-
-/// The derived efficiency report: pure function of a (possibly folded)
-/// snapshot, emitted as the "derived" JSON section and never parsed back.
+/// The derived efficiency report: pure function of a snapshot, emitted as
+/// the "derived" JSON section and never parsed back.
 /// With hardware counters present it reports IPC, miss rates, backend-stall
 /// and multiplexing fractions, cycles/trial, and -- for the LLG kernels,
 /// using the documented per-step flop count -- estimated flops/cycle. The

@@ -13,7 +13,7 @@
 // Two jobs, one mutex:
 //
 //   1. `print()` is the single gate every status write (summary table, FAIL
-//      lines, shard notes) goes through, so diagnostics can never interleave
+//      lines, perf notes) goes through, so diagnostics can never interleave
 //      mid-line -- with each other or with the live progress line.
 //   2. When live mode is on (`--progress` without `--quiet`), a one-line
 //      trials/ETA display is redrawn in place (\r + erase-to-end) and
@@ -65,8 +65,7 @@ class Progress {
   bool live() const { return live_; }
 
   /// Bar state, exposed for tests of the ETA math: total trials announced
-  /// by the current call (shard-slice-aware -- the runner announces only
-  /// the slice this process executes) and trials ticked so far.
+  /// by the current call and trials ticked so far.
   std::uint64_t trials_total() const {
     return trials_total_.load(std::memory_order_relaxed);
   }

@@ -4,7 +4,7 @@
 #include <cstdint>
 
 // The one timing primitive of the repository. Every wall-clock measurement
-// -- the run-summary table, chunk spans, shard dump latencies, the
+// -- the run-summary table, chunk spans, sweep-point latencies, the
 // perfbench runner -- goes through obs::Stopwatch so the clock choice is
 // made exactly once: std::chrono::steady_clock, which is monotonic (never
 // jumps on NTP adjustments) and measures wall time, not CPU time. Mixing

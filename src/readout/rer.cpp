@@ -194,10 +194,6 @@ struct StagePartial {
   void merge(const StagePartial& o) {
     results.insert(results.end(), o.results.begin(), o.results.end());
   }
-  template <class Ar>
-  void serialize(Ar& ar) {
-    ar(results);
-  }
 };
 
 /// Multilevel splitting on the switching coordinate: trajectories are staged
@@ -219,7 +215,8 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
                                          std::uint64_t seed) {
   config.rare.validate();
   const std::size_t N = config.trials;
-  MRAM_EXPECTS(N >= 4, "splitting needs >= 4 trajectories per stage");
+  MRAM_EXPECTS(N >= eng::kSplittingMinTrials,
+               "splitting needs kSplittingMinTrials trajectories per stage");
   const double dN = static_cast<double>(N);
 
   // Stage schedule: descending |mz| thresholds ending at the mz = 0

@@ -30,8 +30,6 @@ int usage(std::ostream& os, int code) {
         "                 [--threads N] [--seed S]\n"
         "                 [--format table|csv|json] [--out DIR]\n"
         "                 [--data DIR] [--trial-scale X]\n"
-        "                 [--shard I/N --partials DIR]\n"
-        "                 [--checkpoint DIR [--resume]]\n"
         "                 [--metrics FILE] [--trace FILE] [--perf]\n"
         "                 [--progress] [--quiet]\n"
         "\n"
@@ -49,28 +47,6 @@ int usage(std::ostream& os, int code) {
         "                  software timers where perf_event is unavailable\n"
         "  --progress      live progress/ETA line on stderr\n"
         "  --quiet         suppress the stderr summary and progress\n";
-  return code;
-}
-
-int merge_usage(std::ostream& os, int code) {
-  os << "usage:\n"
-        "  mram_merge --partials DIR [--shards N] <name> [<name>...] |"
-        " --all\n"
-        "             [--threads N] [--seed S]\n"
-        "             [--format table|csv|json] [--out DIR]\n"
-        "             [--data DIR] [--trial-scale X]\n"
-        "             [--metrics FILE [--metrics-in FILE...]]\n"
-        "             [--trace FILE] [--progress] [--quiet]\n"
-        "\n"
-        "Folds the per-chunk shard dumps under DIR (written by\n"
-        "`mram_scenarios run --shard I/N --partials DIR` for every I) into\n"
-        "results bit-identical to a single-process run. --shards defaults\n"
-        "to the count detected from the dump file names.\n"
-        "\n"
-        "--metrics FILE writes this merge's metrics snapshot; each\n"
-        "--metrics-in FILE (repeatable) folds a shard run's --metrics\n"
-        "document into it, so the output totals what the whole fleet\n"
-        "executed (counters and histograms add, gauges last-wins).\n";
   return code;
 }
 
@@ -141,25 +117,18 @@ int cmd_describe(const std::vector<std::string>& names,
   return 0;
 }
 
-/// Option set shared by `mram_scenarios run` and mram_merge. The merge tool
-/// accepts the run options (it IS a run, minus the trial execution) plus
-/// --shards, and rejects the shard/checkpoint flags.
+/// Names, --figure and the `run` options of one command line.
 struct ParsedArgs {
   std::vector<std::string> names;
   std::string figure;
   std::string run_only_option;  ///< last run-only flag seen ("" if none)
-  bool shards_set = false;      ///< --shards appeared (merge tool only)
   RunCommandOptions opt;
 };
 
-/// Parses args[1..] of either tool. `merge_tool` selects which mode flags
-/// are legal: --shard/--partials/--checkpoint/--resume for mram_scenarios
-/// run, --partials/--shards for mram_merge.
-ParsedArgs parse_common(const std::vector<std::string>& args,
-                        bool merge_tool) {
+/// Parses args[1..] (everything after the subcommand).
+ParsedArgs parse_common(const std::vector<std::string>& args) {
   ParsedArgs p;
-  const std::size_t first = merge_tool ? 0 : 1;  // skip the subcommand
-  for (std::size_t i = first; i < args.size(); ++i) {
+  for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
     auto value = [&]() -> const std::string& {
       if (++i >= args.size()) {
@@ -189,29 +158,11 @@ ParsedArgs parse_common(const std::vector<std::string>& args,
       if (!(p.opt.trial_scale > 0.0)) {
         throw util::ConfigError("--trial-scale must be positive");
       }
-    } else if (a == "--partials") {
-      p.opt.partials_dir = value();
-    } else if (!merge_tool && a == "--shard") {
-      p.opt.shard = parse_shard(value());
-    } else if (!merge_tool && a == "--checkpoint") {
-      p.opt.checkpoint_dir = value();
-    } else if (!merge_tool && a == "--resume") {
-      p.opt.resume = true;
-    } else if (merge_tool && a == "--shards") {
-      p.opt.merge_shards = parse_u64("--shards", value());
-      if (p.opt.merge_shards == 0) {
-        throw util::ConfigError("--shards must be positive");
-      }
-      p.shards_set = true;
     } else if (a == "--metrics") {
       p.opt.metrics_file = value();
-    } else if (merge_tool && a == "--metrics-in") {
-      p.opt.metrics_in.push_back(value());
     } else if (a == "--trace") {
       p.opt.trace_file = value();
-    } else if (!merge_tool && a == "--perf") {
-      // Scenario tool only: the merge replays dumps without executing
-      // chunks, so there is nothing for the counter groups to measure.
+    } else if (a == "--perf") {
       p.opt.perf = true;
     } else if (a == "--progress") {
       p.opt.progress = true;
@@ -270,19 +221,6 @@ unsigned parse_threads(const std::string& s) {
   return static_cast<unsigned>(n);
 }
 
-eng::ShardSpec parse_shard(const std::string& s) {
-  const auto slash = s.find('/');
-  if (slash == std::string::npos) {
-    throw util::ConfigError("--shard expects I/N (e.g. 0/4), got '" + s +
-                            "'");
-  }
-  eng::ShardSpec spec;
-  spec.index = parse_u64("--shard", s.substr(0, slash));
-  spec.count = parse_u64("--shard", s.substr(slash + 1));
-  spec.validate();
-  return spec;
-}
-
 int scenarios_main(const std::vector<std::string>& args, std::ostream& out,
                    std::ostream& err) {
   try {
@@ -297,7 +235,7 @@ int scenarios_main(const std::vector<std::string>& args, std::ostream& out,
     // instead of silently ignoring them.
     ParsedArgs p;
     try {
-      p = parse_common(args, /*merge_tool=*/false);
+      p = parse_common(args);
     } catch (const UsageError& e) {
       err << e.what() << "\n";
       return usage(err, 2);
@@ -320,60 +258,12 @@ int scenarios_main(const std::vector<std::string>& args, std::ostream& out,
         throw util::ConfigError(
             "--all cannot be combined with scenario names or --figure");
       }
-      if (p.opt.shard.active() && p.opt.partials_dir.empty()) {
-        throw util::ConfigError("--shard requires --partials DIR for the "
-                                "per-chunk dumps");
-      }
-      if (!p.opt.shard.active() && !p.opt.partials_dir.empty()) {
-        throw util::ConfigError(
-            "--partials only makes sense with --shard (use mram_merge to "
-            "fold dumps)");
-      }
-      if (p.opt.shard.active() && !p.opt.checkpoint_dir.empty()) {
-        throw util::ConfigError(
-            "--shard and --checkpoint are mutually exclusive");
-      }
-      if (p.opt.resume && p.opt.checkpoint_dir.empty()) {
-        throw util::ConfigError("--resume requires --checkpoint DIR");
-      }
       const auto& registry = ScenarioRegistry::global();
       p.opt.names = select_names(registry, p.names, p.figure, false);
       return run_scenarios(registry, p.opt, out, err);
     }
     err << "unknown command '" << command << "'\n";
     return usage(err, 2);
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << "\n";
-    return 1;
-  }
-}
-
-int merge_main(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err) {
-  try {
-    if (args.empty()) return merge_usage(err, 2);
-    if (args[0] == "help" || args[0] == "--help" || args[0] == "-h") {
-      return merge_usage(out, 0);
-    }
-    ParsedArgs p;
-    try {
-      p = parse_common(args, /*merge_tool=*/true);
-    } catch (const UsageError& e) {
-      err << e.what() << "\n";
-      return merge_usage(err, 2);
-    }
-    if (p.opt.all && (!p.names.empty() || !p.figure.empty())) {
-      throw util::ConfigError(
-          "--all cannot be combined with scenario names or --figure");
-    }
-    if (p.opt.partials_dir.empty()) {
-      throw util::ConfigError("mram_merge requires --partials DIR (the "
-                              "directory the shards dumped into)");
-    }
-    p.opt.merge = true;
-    const auto& registry = ScenarioRegistry::global();
-    p.opt.names = select_names(registry, p.names, p.figure, false);
-    return run_scenarios(registry, p.opt, out, err);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     return 1;

@@ -5,14 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "engine/shard.h"
-
-// Entry points and argument parsing of the scenario command-line tools,
-// factored out of the binaries so tests can pin exit codes and stderr
-// against stream doubles without spawning processes:
-//
-//   mram_scenarios  -> scenarios_main   (list / describe / run)
-//   mram_merge      -> merge_main       (fold shard dumps into final tables)
+// Entry point and argument parsing of the mram_scenarios command-line tool
+// (list / describe / run), factored out of the binary so tests can pin exit
+// codes and stderr against stream doubles without spawning processes.
 //
 // The parse_* helpers share one validation style: reject trailing junk,
 // reject non-finite values, and name the flag in every error message.
@@ -32,19 +27,9 @@ double parse_double(const std::string& flag, const std::string& s);
 /// --threads: parse_u64 capped at 1024 (0 = all cores).
 unsigned parse_threads(const std::string& s);
 
-/// --shard I/N: two parse_u64s split on '/', requiring 0 <= I < N.
-eng::ShardSpec parse_shard(const std::string& s);
-
 /// The mram_scenarios tool: args are argv[1..]. Returns the process exit
 /// code (0 ok, 1 scenario/config failure, 2 usage error).
 int scenarios_main(const std::vector<std::string>& args, std::ostream& out,
                    std::ostream& err);
-
-/// The mram_merge tool: args are argv[1..]. Re-runs the named scenarios in
-/// merge mode, folding the shard dumps under --partials into results
-/// bit-identical to a single-process run. Same exit-code convention as
-/// scenarios_main.
-int merge_main(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err);
 
 }  // namespace mram::scn::cli

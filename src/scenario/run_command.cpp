@@ -21,36 +21,6 @@ namespace mram::scn {
 
 namespace {
 
-/// Per-scenario engine scale-out configuration: its own subdirectory of the
-/// mode's root keeps one sweep directory usable for many scenarios, and the
-/// call numbering restarts at 0 for each (set_shard_io resets the counter).
-eng::ShardIo shard_io_for(const RunCommandOptions& opt,
-                          const std::string& name) {
-  eng::ShardIo io;
-  if (opt.shard.active()) {
-    io.mode = eng::ShardMode::kShard;
-    io.shard = opt.shard;
-    io.dir = opt.partials_dir + "/" + name;
-    std::filesystem::create_directories(io.dir);
-  } else if (opt.merge) {
-    io.mode = eng::ShardMode::kMerge;
-    io.dir = opt.partials_dir + "/" + name;
-    io.merge_count = opt.merge_shards > 0
-                         ? opt.merge_shards
-                         : eng::shard_detail::detect_shard_count(io.dir);
-    if (io.merge_count == 0) {
-      throw util::ConfigError("no shard dumps found under " + io.dir +
-                              " (pass --shards N or re-run the shards)");
-    }
-  } else if (!opt.checkpoint_dir.empty()) {
-    io.mode = eng::ShardMode::kCheckpoint;
-    io.dir = opt.checkpoint_dir + "/" + name;
-    io.resume = opt.resume;
-    std::filesystem::create_directories(io.dir);
-  }
-  return io;
-}
-
 /// Human-readable nanoseconds for the summary percentile columns.
 std::string format_ns(double ns) {
   const char* unit = "ns";
@@ -80,20 +50,6 @@ int run_scenarios(const ScenarioRegistry& registry,
     return 2;
   }
   for (const auto& name : names) registry.at(name);  // fail fast on typos
-  const bool shard_mode = opt.shard.active();
-  if ((shard_mode ? 1 : 0) + (opt.merge ? 1 : 0) +
-          (opt.checkpoint_dir.empty() ? 0 : 1) >
-      1) {
-    throw util::ConfigError(
-        "shard, merge and checkpoint modes are mutually exclusive");
-  }
-  if ((shard_mode || opt.merge) && opt.partials_dir.empty()) {
-    throw util::ConfigError("shard/merge mode needs a partials directory");
-  }
-  if (!opt.metrics_in.empty() && opt.metrics_file.empty()) {
-    throw util::ConfigError(
-        "--metrics-in needs --metrics FILE for the folded output");
-  }
   if (opt.perf && opt.metrics_file.empty()) {
     throw util::ConfigError(
         "--perf needs --metrics FILE (the efficiency report is part of the "
@@ -126,7 +82,7 @@ int run_scenarios(const ScenarioRegistry& registry,
   std::optional<obs::ScopedRegistry> metrics_guard;
   if (want_metrics) metrics_guard.emplace(&metrics_registry);
   obs::MetricsDoc doc;
-  doc.tool = opt.merge ? "mram_merge" : "mram_scenarios";
+  doc.tool = "mram_scenarios";
   doc.threads = runner.threads();
   doc.seed = opt.seed;
 
@@ -183,41 +139,18 @@ int run_scenarios(const ScenarioRegistry& registry,
     std::vector<std::string> row;
     try {
       obs::TraceSpan scenario_span("scenario", [&] { return name; });
-      const eng::ShardIo io = shard_io_for(opt, name);
-      runner.set_shard_io(io);
       ScenarioContext ctx{.runner = runner};
       ctx.seed = opt.seed;
       ctx.data_dir = opt.data_dir;
       ctx.trial_scale = opt.trial_scale;
       const ResultSet results = scenario.run(ctx);
-      if (io.mode == eng::ShardMode::kMerge) {
-        // A shard that executed more runner calls than this replay consumed
-        // ran adaptive, shard-local control flow -- its extra dumps would
-        // silently drop from the merged totals. (Fewer calls than the
-        // replay fails earlier, on the missing dump file.)
-        const auto on_disk = eng::shard_detail::call_count_in_dir(io.dir);
-        if (on_disk > runner.shard_calls()) {
-          throw util::ConfigError(
-              "partials directory " + io.dir + " holds " +
-              std::to_string(on_disk) + " runner calls but the merge " +
-              "replayed " + std::to_string(runner.shard_calls()) +
-              " -- the shards' control flow diverged (data-dependent "
-              "trial counts cannot be sharded)");
-        }
-      }
       const double secs = watch.seconds();
       total_secs += secs;
       // The live line is cleared before anything else of this scenario is
       // printed (sink output included), so result streams stay clean.
       progress.end_scenario();
-      // Shard mode: the dumps are the product. The shard-local tables would
-      // be computed from this slice's trials alone, so writing them through
-      // the sink would look like (wrong) results; the merge emits the real
-      // ones.
-      if (io.mode != eng::ShardMode::kShard) {
-        const RunMeta meta{opt.seed, runner.threads(), opt.trial_scale};
-        sink->write(scenario.info, meta, results);
-      }
+      const RunMeta meta{opt.seed, runner.threads(), opt.trial_scale};
+      sink->write(scenario.info, meta, results);
       row = {name, "ok", std::to_string(results.tables.size()),
              results.effective_trials > 0.0
                  ? util::format_scientific(results.effective_trials)
@@ -226,17 +159,10 @@ int run_scenarios(const ScenarioRegistry& registry,
                  ? util::format_scientific(results.rel_error)
                  : "-",
              util::format_double(secs, 2)};
-      std::ostringstream status;
-      if (io.mode == eng::ShardMode::kShard) {
-        status << "ok   " << name << " (shard " << io.shard.index << "/"
-               << io.shard.count << ", " << runner.shard_calls()
-               << " calls dumped, " << util::format_double(secs, 2)
-               << " s)\n";
-      } else if (!opt.out_dir.empty()) {
+      if (!opt.out_dir.empty()) {
+        std::ostringstream status;
         status << "ok   " << name << " (" << results.tables.size()
                << " tables, " << util::format_double(secs, 2) << " s)\n";
-      }
-      if (!status.str().empty()) {
         if (json_on_out) {
           progress.print(status.str());
         } else {
@@ -282,12 +208,6 @@ int run_scenarios(const ScenarioRegistry& registry,
     progress.print(block.str());
   }
   if (want_metrics) {
-    // Shard-run metrics fold in CLI order after this run's own: counters
-    // and histograms add (extensive across shards), gauges last-wins,
-    // series concatenate.
-    for (const auto& path : opt.metrics_in) {
-      doc.fold(obs::MetricsDoc::load(path));
-    }
     // "-" streams the document to `out` (pipeable into json.tool) instead
     // of a file; the summary and diagnostics go to `err` either way, so
     // the JSON on stdout stays parseable.

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/shard.h"
 #include "scenario/registry.h"
 
 // The `run` command of the scenario CLI, factored out of the binary so the
@@ -26,28 +25,12 @@ struct RunCommandOptions {
   std::string data_dir = "data";   ///< anchor CSV directory
   double trial_scale = 1.0;        ///< multiplies stochastic trial counts
 
-  // Scale-out modes (mutually exclusive; all off by default). Each scenario
-  // gets its own subdirectory of the chosen root, so one directory serves a
-  // whole multi-scenario sweep.
-  eng::ShardSpec shard;         ///< active() => run only this slice and dump
-                                ///< per-chunk partials under partials_dir
-  bool merge = false;           ///< replay shard dumps instead of running
-  std::size_t merge_shards = 0; ///< dump count per call; 0 = detect from the
-                                ///< file names in the scenario's directory
-  std::string partials_dir;     ///< shard-dump root (shard and merge modes)
-  std::string checkpoint_dir;   ///< non-empty => snapshot completed chunk
-                                ///< ranges here (and resume from them)
-  bool resume = false;          ///< checkpoint mode: honor existing snapshots
-
   // Observability surfaces (src/obs/; all off by default, and none of them
   // can change results -- pinned by tests/test_obs.cpp's byte-identity
   // checks).
   std::string metrics_file;  ///< non-empty => write the per-scenario metrics
                              ///< JSON snapshot (schema mram.metrics/2) here;
                              ///< "-" streams it to `out` instead
-  std::vector<std::string> metrics_in;  ///< shard metrics JSONs folded into
-                                        ///< metrics_file (counters add,
-                                        ///< gauges last-wins); merge tool
   std::string trace_file;    ///< non-empty => write Chrome trace-event JSON
                              ///< (Perfetto-loadable) here; "-" = `out`
   bool perf = false;         ///< hardware-counter profiling (perf_event
@@ -65,17 +48,6 @@ struct RunCommandOptions {
 /// failures and the per-scenario wall-clock summary table go to `err`, so
 /// piped csv/json output is never corrupted. Returns the process exit code:
 /// 0 on success, 1 when any scenario failed, 2 on an empty selection.
-///
-/// Scale-out behavior: in shard mode the result sink is suppressed (the
-/// shard-local tables would be computed from a fraction of the trials; the
-/// per-chunk dumps are the product) and a one-line status per scenario goes
-/// to `out`. Merge mode executes no trials -- it folds the dumps of all
-/// shards in chunk order, making every emitted table byte-identical to a
-/// single-process run -- and fails a scenario whose dump directory holds
-/// more runner calls than the replay consumed (the signature of shards
-/// whose adaptive control flow diverged). Checkpoint mode runs normally
-/// while snapshotting, so a killed run repeated with resume=true emits
-/// byte-identical results.
 int run_scenarios(const ScenarioRegistry& registry,
                   const RunCommandOptions& opt, std::ostream& out,
                   std::ostream& err);

@@ -70,7 +70,8 @@ const ResultTable* ResultSet::find(const std::string& name) const {
   return nullptr;
 }
 
-std::size_t ScenarioContext::scaled_trials(std::size_t trials) const {
+std::size_t ScenarioContext::scaled_trials(std::size_t trials,
+                                           std::size_t min_trials) const {
   // A fixed ceiling keeps the cast below defined and turns a scale no run
   // could finish (or allocate for) into an input error; 1e9 trials is far
   // above any scenario that finishes in hours.
@@ -82,7 +83,16 @@ std::size_t ScenarioContext::scaled_trials(std::size_t trials) const {
                             " scales " + std::to_string(trials) +
                             " trials past the limit of 1e9");
   }
-  return static_cast<std::size_t>(scaled);
+  const auto n = static_cast<std::size_t>(scaled);
+  if (n < min_trials) {
+    throw util::ConfigError("--trial-scale " +
+                            util::format_scientific(trial_scale, 2) +
+                            " scales " + std::to_string(trials) +
+                            " trials to " + std::to_string(n) +
+                            ", below this scenario's minimum of " +
+                            std::to_string(min_trials));
+  }
+  return n;
 }
 
 std::vector<chr::IntraFieldAnchor> ScenarioContext::fig2b_anchor_set() const {

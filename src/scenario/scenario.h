@@ -15,8 +15,8 @@
 // result_sink.h render as aligned text, CSV or JSON.
 //
 // Lifecycle: scenarios_*.cpp define run functions and register them via
-// register_builtin_scenarios() (see registry.h); the mram_scenarios and
-// mram_merge CLIs and the perfbench runner look them up by name.
+// register_builtin_scenarios() (see registry.h); the mram_scenarios CLI
+// and the perfbench runner look them up by name.
 
 namespace mram::chr {
 struct IntraFieldAnchor;
@@ -91,8 +91,11 @@ struct ScenarioContext {
   static constexpr std::uint64_t kDefaultSeed = 2020;
 
   /// Trial count scaled by trial_scale, at least 1. Throws a ConfigError
-  /// naming --trial-scale when the scaled count exceeds 1e9.
-  std::size_t scaled_trials(std::size_t trials) const;
+  /// naming --trial-scale when the scaled count exceeds 1e9 or falls below
+  /// `min_trials` (the floor of the driver the count feeds, e.g.
+  /// eng::kSplittingMinTrials).
+  std::size_t scaled_trials(std::size_t trials,
+                            std::size_t min_trials = 1) const;
 
   /// The Fig. 2b / 3d intra-field anchors: loaded from
   /// `<data_dir>/fig2b_anchors.csv` when that file exists, else the

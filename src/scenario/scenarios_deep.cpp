@@ -67,7 +67,7 @@ ResultSet run_wer_deep(ScenarioContext& ctx) {
   cfg.array.rows = cfg.array.cols = 5;
   cfg.pulse.voltage = 0.9;
   cfg.direction = SwitchDirection::kApToP;
-  cfg.trials = ctx.scaled_trials(1500);
+  cfg.trials = ctx.scaled_trials(1500, eng::kSplittingMinTrials);
 
   const dev::MtjDevice device(cfg.array.device);
   const double tw = device.switching_time(
@@ -133,7 +133,7 @@ ResultSet run_retention_deep(ScenarioContext& ctx) {
   cfg.array.temperature = 380.0;
   cfg.pattern = arr::PatternKind::kAllZero;
   cfg.hold = 1.0;
-  cfg.trials = ctx.scaled_trials(1200);
+  cfg.trials = ctx.scaled_trials(1200, eng::kSplittingMinTrials);
 
   SummaryQuality quality;
   const Grid grid(
@@ -186,7 +186,7 @@ ResultSet run_rer_deep(ScenarioContext& ctx) {
   // 6-15 sigma above the metastable band, i.e. read error rates far below
   // brute-force reach -- exactly the regime a production RER spec quotes.
   rdo::RerConfig cfg;
-  cfg.trials = ctx.scaled_trials(1500);
+  cfg.trials = ctx.scaled_trials(1500, eng::kSplittingMinTrials);
   cfg.hz_stray = dev::MtjDevice(cfg.device).intra_stray_field();
 
   SummaryQuality quality;
@@ -278,7 +278,7 @@ ResultSet run_rare_event_overlap(ScenarioContext& ctx) {
     cfg.array.rows = cfg.array.cols = 5;
     cfg.pulse.voltage = 0.9;
     cfg.direction = SwitchDirection::kApToP;
-    cfg.trials = ctx.scaled_trials(4000);
+    cfg.trials = ctx.scaled_trials(4000, eng::kSplittingMinTrials);
     const dev::MtjDevice device(cfg.array.device);
     cfg.pulse.width = device.switching_time(SwitchDirection::kApToP, 0.9,
                                             device.intra_stray_field());
@@ -306,7 +306,7 @@ ResultSet run_rare_event_overlap(ScenarioContext& ctx) {
     cfg.array.temperature = 380.0;
     cfg.pattern = arr::PatternKind::kAllZero;
     cfg.hold = 1e-7;
-    cfg.trials = ctx.scaled_trials(4000);
+    cfg.trials = ctx.scaled_trials(4000, eng::kSplittingMinTrials);
     double analytic = 0.0;
     add_rows("retention", 0.0, [&](RareEventMethod m, util::Rng& rng) {
       auto c = cfg;
@@ -325,7 +325,7 @@ ResultSet run_rare_event_overlap(ScenarioContext& ctx) {
   {
     rdo::RerConfig cfg;
     cfg.path.v_read = 0.05;
-    cfg.trials = ctx.scaled_trials(4000);
+    cfg.trials = ctx.scaled_trials(4000, eng::kSplittingMinTrials);
     cfg.hz_stray = dev::MtjDevice(cfg.device).intra_stray_field();
     const rdo::ReadErrorModel model(cfg.device, cfg.path);
     util::Rng col_rng(1);  // checkerboard: deterministic, rng not consumed

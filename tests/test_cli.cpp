@@ -1,5 +1,5 @@
-// Exit-code and stderr contract of the scenario command-line tools, driven
-// through scenarios_main/merge_main with stream doubles (no subprocesses).
+// Exit-code and stderr contract of the scenario command-line tool, driven
+// through scenarios_main with stream doubles (no subprocesses).
 // The convention under test: 0 ok, 1 bad value / scenario failure
 // (ConfigError), 2 structural misuse (unknown command/option, run-only flag
 // on list/describe) with the usage text.
@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/cli.h"
@@ -30,12 +30,6 @@ struct CliResult {
 CliResult scenarios(std::vector<std::string> args) {
   std::ostringstream out, err;
   const int code = cli::scenarios_main(args, out, err);
-  return {code, out.str(), err.str()};
-}
-
-CliResult merge(std::vector<std::string> args) {
-  std::ostringstream out, err;
-  const int code = cli::merge_main(args, out, err);
   return {code, out.str(), err.str()};
 }
 
@@ -81,16 +75,6 @@ TEST(CliParse, ThreadsCapped) {
   EXPECT_THROW(cli::parse_threads("1025"), util::ConfigError);
 }
 
-TEST(CliParse, ShardSpecSyntaxAndBounds) {
-  const auto spec = cli::parse_shard("1/4");
-  EXPECT_EQ(spec.index, 1u);
-  EXPECT_EQ(spec.count, 4u);
-  EXPECT_TRUE(spec.active());
-  for (const char* bad : {"a/b", "1", "4/4", "5/4", "-1/4", "0/0", "1/4/2"}) {
-    EXPECT_THROW(cli::parse_shard(bad), util::ConfigError) << bad;
-  }
-}
-
 // --- mram_scenarios exit codes ----------------------------------------------
 
 TEST(ScenariosCli, NoArgsIsUsageError) {
@@ -119,6 +103,15 @@ TEST(ScenariosCli, UnknownOptionIsUsageError) {
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown option --frobnicate"), std::string::npos);
   EXPECT_NE(r.err.find("usage:"), std::string::npos);
+  // No sharding, merge or checkpoint flags: each is a usage error.
+  for (const char* flag : {"--shard", "--partials", "--checkpoint",
+                           "--resume", "--shards", "--metrics-in"}) {
+    const auto old = scenarios({"run", "wer_deep", flag, "x"});
+    EXPECT_EQ(old.code, 2) << flag;
+    EXPECT_NE(old.err.find(std::string("unknown option ") + flag),
+              std::string::npos)
+        << flag;
+  }
 }
 
 TEST(ScenariosCli, ListWithPositionalNameIsUsageError) {
@@ -178,39 +171,21 @@ TEST(ScenariosCli, BadTrialScaleIsAnError) {
     EXPECT_NE(h.err.find("--trial-scale"), std::string::npos) << huge;
     EXPECT_EQ(h.err.find("precondition"), std::string::npos) << huge;
   }
+  // Tiny: the splitting drivers need kSplittingMinTrials per level; a scale
+  // that drops a deep scenario below that floor is an input error too, not
+  // a failed precondition inside the driver.
+  for (const auto& [name, tiny] :
+       {std::pair{"wer_deep", "0.002"}, std::pair{"retention_deep", "0.003"}}) {
+    const auto t = scenarios({"run", name, "--trial-scale", tiny, "--quiet"});
+    EXPECT_EQ(t.code, 1) << name;
+    EXPECT_NE(t.err.find("--trial-scale"), std::string::npos) << t.err;
+    EXPECT_NE(t.err.find("minimum of 4"), std::string::npos) << t.err;
+    EXPECT_EQ(t.err.find("precondition"), std::string::npos) << t.err;
+  }
   EXPECT_EQ(scenarios({"run", "wer_pulse_width", "--trial-scale", "20",
                        "--quiet"})
                 .code,
             0);
-}
-
-TEST(ScenariosCli, BadShardSpecIsAnError) {
-  for (const char* bad : {"a/b", "4/4", "1"}) {
-    const auto r =
-        scenarios({"run", "wer_deep", "--shard", bad, "--partials", "/tmp/x"});
-    EXPECT_EQ(r.code, 1) << bad;
-    EXPECT_NE(r.err.find("shard"), std::string::npos) << bad;
-  }
-}
-
-TEST(ScenariosCli, ShardModeFlagCoupling) {
-  auto r = scenarios({"run", "wer_deep", "--shard", "0/2"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("--shard requires --partials"), std::string::npos);
-
-  r = scenarios({"run", "wer_deep", "--partials", "/tmp/x"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("--partials only makes sense with --shard"),
-            std::string::npos);
-
-  r = scenarios({"run", "wer_deep", "--shard", "0/2", "--partials", "/tmp/x",
-                 "--checkpoint", "/tmp/y"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("mutually exclusive"), std::string::npos);
-
-  r = scenarios({"run", "wer_deep", "--resume"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("--resume requires --checkpoint"), std::string::npos);
 }
 
 TEST(ScenariosCli, UnknownScenarioNameIsAnError) {
@@ -271,83 +246,6 @@ TEST(ScenariosCli, MetricsFlagNeedsAValue) {
   const auto r = scenarios({"run", "wer_deep", "--metrics"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("missing value after --metrics"), std::string::npos);
-}
-
-TEST(ScenariosCli, MetricsInBelongsToTheMergeTool) {
-  // Shard-metrics folding only makes sense when replaying shards.
-  const auto r =
-      scenarios({"run", "wer_deep", "--metrics-in", "/tmp/x.json"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("unknown option --metrics-in"), std::string::npos);
-}
-
-TEST(MergeCli, MetricsInRequiresAMetricsOutput) {
-  const auto r = merge({"wer_deep", "--partials", "/tmp/x", "--metrics-in",
-                        "/tmp/shard0.json"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("--metrics-in needs --metrics"), std::string::npos);
-}
-
-// --- mram_merge exit codes --------------------------------------------------
-
-TEST(MergeCli, NoArgsIsUsageError) {
-  const auto r = merge({});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("usage:"), std::string::npos);
-}
-
-TEST(MergeCli, HelpSucceeds) {
-  const auto r = merge({"--help"});
-  EXPECT_EQ(r.code, 0);
-  EXPECT_NE(r.out.find("mram_merge"), std::string::npos);
-}
-
-TEST(MergeCli, RequiresPartialsDir) {
-  const auto r = merge({"wer_deep"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("requires --partials"), std::string::npos);
-}
-
-TEST(MergeCli, ShardFlagBelongsToTheScenarioTool) {
-  // --shard/--checkpoint/--resume shape a *run*; the merge tool takes
-  // --shards N instead, so the run flags are unknown options here.
-  const auto r = merge({"wer_deep", "--partials", "/tmp/x", "--shard", "0/2"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("unknown option --shard"), std::string::npos);
-}
-
-TEST(MergeCli, ZeroShardsIsAnError) {
-  const auto r = merge({"wer_deep", "--partials", "/tmp/x", "--shards", "0"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("--shards must be positive"), std::string::npos);
-}
-
-TEST(MergeCli, EmptyPartialsDirFailsWithGuidance) {
-  // A merge pointed at a directory with no dumps must say so, not succeed
-  // with zero trials.
-  const auto r = merge({"wer_deep", "--partials",
-                        "/tmp/mram_cli_definitely_missing_dir"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("no shard dumps found"), std::string::npos);
-}
-
-TEST(MergeCli, BadShardCountInDumpNameNamesTheFile) {
-  // The -of-N suffix of a dump name is the only source of N without
-  // --shards: a count that overflows or is zero must fail with the file
-  // named, not with a bare std::stoull message or "no shard dumps found".
-  namespace fs = std::filesystem;
-  const fs::path root = fs::temp_directory_path() / "mram_cli_bad_count";
-  for (const std::string count : {"99999999999999999999", "0", "000"}) {
-    fs::remove_all(root);
-    fs::create_directories(root / "wer_deep");
-    const std::string name = "call-000000.shard-000-of-" + count;
-    std::ofstream(root / "wer_deep" / name) << "x";
-    const auto r = merge({"wer_deep", "--partials", root.string()});
-    EXPECT_EQ(r.code, 1) << count;
-    EXPECT_NE(r.err.find(name), std::string::npos) << r.err;
-    EXPECT_EQ(r.err.find("no shard dumps found"), std::string::npos) << r.err;
-  }
-  fs::remove_all(root);
 }
 
 }  // namespace

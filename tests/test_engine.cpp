@@ -8,8 +8,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <filesystem>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -589,253 +587,6 @@ TEST(RetentionEnsemble, HotArrayFaultsAndIsThreadCountInvariant) {
   const auto parallel = mem::measure_retention_faults(cfg, rng_b);
   EXPECT_EQ(parallel.faulty_trials, serial.faulty_trials);
   EXPECT_EQ(parallel.total_flips, serial.total_flips);
-}
-
-// --- scale-out: shard / merge / checkpoint ----------------------------------
-
-std::string make_temp_dir(const std::string& tag) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / ("mram_engine_" + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
-
-// The accumulators the engine ships must satisfy the dump protocol without
-// bespoke code: plain aggregates of counters and stats are trivially
-// copyable.
-static_assert(util::io::kSerializable<CountPartial>);
-static_assert(util::io::kSerializable<util::WeightedStats>);
-static_assert(util::io::kSerializable<std::vector<double>>);
-
-TEST(ShardSpec, ChunkRangesPartitionExactly) {
-  for (std::size_t count : {1u, 3u, 4u, 7u}) {
-    std::size_t expected_lo = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto [lo, hi] = eng::ShardSpec{i, count}.chunk_range(64);
-      EXPECT_EQ(lo, expected_lo) << i << "/" << count;
-      EXPECT_LE(lo, hi);
-      expected_lo = hi;
-    }
-    EXPECT_EQ(expected_lo, 64u) << count;
-  }
-  EXPECT_THROW(eng::ShardSpec{}.chunk_range(64), util::ConfigError);
-  EXPECT_THROW((eng::ShardSpec{4, 4}).chunk_range(64), util::ConfigError);
-}
-
-CountPartial run_counting_io(const eng::ShardIo& io, unsigned threads = 1) {
-  eng::RunnerConfig cfg;
-  cfg.threads = threads;
-  cfg.chunk_size = 64;
-  eng::MonteCarloRunner runner(cfg);
-  runner.set_shard_io(io);
-  return runner.run<CountPartial>(
-      999, 1234, [](util::Rng& rng, std::size_t, CountPartial& acc) {
-        const double u = rng.uniform();
-        acc.hits += (u < 0.25);
-        acc.values.add(u);
-      });
-}
-
-void expect_bit_identical(const CountPartial& got, const CountPartial& want) {
-  EXPECT_EQ(got.hits, want.hits);
-  EXPECT_EQ(got.values.count(), want.values.count());
-  EXPECT_EQ(got.values.mean(), want.values.mean());
-  EXPECT_EQ(got.values.variance(), want.values.variance());
-  EXPECT_EQ(got.values.min(), want.values.min());
-  EXPECT_EQ(got.values.max(), want.values.max());
-}
-
-TEST(ShardedRunner, FourWayMergeBitIdenticalToSingleProcess) {
-  // The acceptance property of the tentpole: N independent shard processes
-  // plus a merge reproduce the single-process left fold bit for bit --
-  // Chan-style stats merges are NOT associative, so this only holds because
-  // shards dump *per-chunk* partials and the merge replays the exact global
-  // chunk order.
-  const std::string dir = make_temp_dir("shard4");
-  const auto reference = run_counting_io({});  // kOff
-  for (std::size_t count : {1u, 4u}) {
-    for (std::size_t i = 0; i < count; ++i) {
-      eng::ShardIo io;
-      io.mode = eng::ShardMode::kShard;
-      io.shard = {i, count};
-      io.dir = dir;
-      run_counting_io(io, /*threads=*/i % 2 ? 4 : 1);
-    }
-    eng::ShardIo merge;
-    merge.mode = eng::ShardMode::kMerge;
-    merge.merge_count = count;
-    merge.dir = dir;
-    expect_bit_identical(run_counting_io(merge), reference);
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-  }
-}
-
-TEST(ShardedRunner, ShardDumpsValidateGeometryOnMerge) {
-  const std::string dir = make_temp_dir("shard_geom");
-  eng::ShardIo io;
-  io.mode = eng::ShardMode::kShard;
-  io.shard = {0, 2};
-  io.dir = dir;
-  run_counting_io(io);
-
-  // Missing second shard: the merge must fail on the absent dump, naming it.
-  eng::ShardIo merge;
-  merge.mode = eng::ShardMode::kMerge;
-  merge.merge_count = 2;
-  merge.dir = dir;
-  EXPECT_THROW(run_counting_io(merge), util::ConfigError);
-
-  // A merge whose replay geometry differs (another seed) must reject the
-  // dump instead of folding garbage.
-  io.shard = {1, 2};
-  run_counting_io(io);
-  eng::RunnerConfig cfg;
-  cfg.chunk_size = 64;
-  eng::MonteCarloRunner other_seed(cfg);
-  other_seed.set_shard_io(merge);
-  EXPECT_THROW(other_seed.run<CountPartial>(
-                   999, 4321,
-                   [](util::Rng&, std::size_t, CountPartial&) {}),
-               util::ConfigError);
-}
-
-TEST(ShardedRunner, NonSerializableAccumulatorIsRejected) {
-  struct Opaque {
-    std::vector<std::unique_ptr<int>> ptrs;  // no serialize(), not trivial
-    void merge(const Opaque&) {}
-  };
-  static_assert(!util::io::kSerializable<Opaque>);
-  eng::MonteCarloRunner runner;
-  eng::ShardIo io;
-  io.mode = eng::ShardMode::kShard;
-  io.shard = {0, 2};
-  io.dir = make_temp_dir("nonser");
-  runner.set_shard_io(io);
-  EXPECT_THROW(
-      runner.run<Opaque>(100, 1, [](util::Rng&, std::size_t, Opaque&) {}),
-      util::ConfigError);
-}
-
-TEST(CheckpointRunner, UninterruptedRunMatchesPlainRun) {
-  const std::string dir = make_temp_dir("ckpt_plain");
-  eng::ShardIo io;
-  io.mode = eng::ShardMode::kCheckpoint;
-  io.dir = dir;
-  io.checkpoint_chunk_stride = 3;
-  expect_bit_identical(run_counting_io(io), run_counting_io({}));
-  // The completed call left a .done snapshot and no .part behind.
-  EXPECT_TRUE(std::filesystem::exists(dir + "/call-000000.done"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/call-000000.part"));
-}
-
-TEST(CheckpointRunner, KilledRunResumesBitIdentically) {
-  const std::string dir = make_temp_dir("ckpt_resume");
-  const auto reference = run_counting_io({});
-
-  // First attempt dies mid-run: trials past 600 throw, which surfaces after
-  // the pool drains -- ranges completed before the failing one have
-  // committed .part snapshots.
-  eng::RunnerConfig cfg;
-  cfg.chunk_size = 64;  // 999 trials -> 63 chunks of effective size 16
-  eng::ShardIo io;
-  io.mode = eng::ShardMode::kCheckpoint;
-  io.dir = dir;
-  io.checkpoint_chunk_stride = 4;
-  {
-    eng::MonteCarloRunner runner(cfg);
-    runner.set_shard_io(io);
-    EXPECT_THROW(
-        runner.run<CountPartial>(
-            999, 1234,
-            [](util::Rng& rng, std::size_t i, CountPartial& acc) {
-              if (i >= 600) throw std::runtime_error("killed");
-              const double u = rng.uniform();
-              acc.hits += (u < 0.25);
-              acc.values.add(u);
-            }),
-        std::runtime_error);
-  }
-  ASSERT_TRUE(std::filesystem::exists(dir + "/call-000000.part"));
-
-  // The resumed run continues from the snapshot prefix: bit-identical total,
-  // and the already-checkpointed trials are not re-executed.
-  std::size_t executed = 0;
-  eng::MonteCarloRunner runner(cfg);
-  io.resume = true;
-  runner.set_shard_io(io);
-  const auto resumed = runner.run<CountPartial>(
-      999, 1234, [&](util::Rng& rng, std::size_t, CountPartial& acc) {
-        ++executed;
-        const double u = rng.uniform();
-        acc.hits += (u < 0.25);
-        acc.values.add(u);
-      });
-  expect_bit_identical(resumed, reference);
-  EXPECT_LT(executed, 999u);
-
-  // A second resume finds the .done snapshot and executes nothing at all.
-  eng::MonteCarloRunner again(cfg);
-  again.set_shard_io(io);
-  const auto loaded = again.run<CountPartial>(
-      999, 1234, [](util::Rng&, std::size_t, CountPartial&) {
-        ADD_FAILURE() << "done call must load, not re-run";
-      });
-  expect_bit_identical(loaded, reference);
-}
-
-TEST(CheckpointRunner, ResumeRejectsMismatchedSnapshot) {
-  // A snapshot produced under one seed must not silently resume a run with
-  // another: the header check fails loudly.
-  const std::string dir = make_temp_dir("ckpt_mismatch");
-  eng::ShardIo io;
-  io.mode = eng::ShardMode::kCheckpoint;
-  io.dir = dir;
-  run_counting_io(io);
-  io.resume = true;
-  eng::RunnerConfig cfg;
-  cfg.chunk_size = 64;
-  eng::MonteCarloRunner runner(cfg);
-  runner.set_shard_io(io);
-  EXPECT_THROW(runner.run<CountPartial>(
-                   999, 777, [](util::Rng&, std::size_t, CountPartial&) {}),
-               util::ConfigError);
-}
-
-TEST(ShardedRunner, BatchedPathShardsIdentically) {
-  // run_batched shares run()'s chunk geometry, so the same dump/merge cycle
-  // must hold on the batched path too (lane width independent).
-  const std::string dir = make_temp_dir("shard_batched");
-  const auto reference = run_counting(1, 64);
-  auto batched_io = [&](const eng::ShardIo& io) {
-    eng::RunnerConfig cfg;
-    cfg.chunk_size = 64;
-    eng::MonteCarloRunner runner(cfg);
-    runner.set_shard_io(io);
-    return runner.run_batched<CountPartial>(
-        999, 1234, 16,
-        [](util::Rng* rngs, std::size_t, std::size_t lanes,
-           CountPartial& acc) {
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const double u = rngs[l].uniform();
-            acc.hits += (u < 0.25);
-            acc.values.add(u);
-          }
-        });
-  };
-  for (std::size_t i = 0; i < 3; ++i) {
-    eng::ShardIo io;
-    io.mode = eng::ShardMode::kShard;
-    io.shard = {i, 3};
-    io.dir = dir;
-    batched_io(io);
-  }
-  eng::ShardIo merge;
-  merge.mode = eng::ShardMode::kMerge;
-  merge.merge_count = 3;
-  merge.dir = dir;
-  expect_bit_identical(batched_io(merge), reference);
 }
 
 // --- RunningStats::merge ----------------------------------------------------

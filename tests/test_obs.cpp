@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "engine/monte_carlo.h"
-#include "engine/shard.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/metrics_io.h"
@@ -52,8 +51,8 @@ std::string slurp(const fs::path& path) {
   return buf.str();
 }
 
-/// Same shape as test_shard.cpp's probes: mc_pair makes two runner calls
-/// (2000 + 1500 trials), mc_solo one (900). Cells carry 17 digits so a
+/// Two Monte Carlo probes: mc_pair makes two runner calls (2000 + 1500
+/// trials), mc_solo one (900). Cells carry 17 digits so a
 /// single ULP of instrumentation-induced drift breaks the byte compare.
 ScenarioRegistry mc_registry() {
   ScenarioRegistry registry;
@@ -383,7 +382,7 @@ TEST(ObsDerived, SoftwareFallbackRowsNeedNoHardwareCounters) {
   EXPECT_EQ(d.count("perf.ipc"), 0u);
   EXPECT_EQ(d.count("llg.est_flops_per_cycle"), 0u);
 
-  // And an empty engine (merge replays, failed scenarios) derives nothing.
+  // And an empty engine (a failed scenario) derives nothing.
   EXPECT_TRUE(obs::derived_metrics(obs::Snapshot{}).empty());
 }
 
@@ -489,18 +488,17 @@ TEST(ObsMetricsDoc, ParseRejectsWrongSchema) {
                util::ConfigError);
 }
 
-TEST(ObsMetricsDoc, WritesV2AndStillParsesV1) {
-  // /2 is a strict additive superset of /1: the writer stamps /2, and the
-  // shard dumps older builds wrote (stamped /1) still load for merging.
+TEST(ObsMetricsDoc, WritesV2AndRejectsV1) {
+  // The writer stamps /2, and the reader accepts /2 only: nothing the
+  // program reads was ever stamped /1.
   const obs::MetricsDoc doc = sample_doc();
   std::string json = doc.to_json();
   EXPECT_NE(json.find("\"mram.metrics/2\""), std::string::npos);
+  EXPECT_NO_THROW(obs::MetricsDoc::parse(json));
   const std::string::size_type at = json.find("mram.metrics/2");
   ASSERT_NE(at, std::string::npos);
   json.replace(at, std::string("mram.metrics/2").size(), "mram.metrics/1");
-  const obs::MetricsDoc v1 = obs::MetricsDoc::parse(json);
-  EXPECT_EQ(v1.tool, "mram_scenarios");
-  ASSERT_NE(find_scenario(v1, "sample"), nullptr);
+  EXPECT_THROW(obs::MetricsDoc::parse(json), util::ConfigError);
 }
 
 TEST(ObsMetricsDoc, HistogramJsonCarriesPercentilesAndDerivedSection) {
@@ -519,40 +517,6 @@ TEST(ObsMetricsDoc, HistogramJsonCarriesPercentilesAndDerivedSection) {
   const auto* s = find_scenario(back, "sample");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->snapshot.histograms.at("engine.chunk_ns").count, 4u);
-}
-
-TEST(ObsMetricsDoc, FoldAddsCountersLastWinsGaugesConcatsSeries) {
-  obs::Snapshot into, from;
-  into.counters["a"] = 1;
-  into.gauges["g"] = 1.0;
-  into.series["s"] = {{1.0, 1.0}};
-  obs::Histogram h1, h2;
-  h1.record(8);
-  h2.record(16);
-  into.histograms["h"] = h1;
-  from.counters["a"] = 2;
-  from.counters["b"] = 3;
-  from.gauges["g"] = 2.0;
-  from.series["s"] = {{2.0, 2.0}};
-  from.histograms["h"] = h2;
-  obs::fold_snapshot(into, from);
-  EXPECT_EQ(into.counters.at("a"), 3u);
-  EXPECT_EQ(into.counters.at("b"), 3u);
-  EXPECT_DOUBLE_EQ(into.gauges.at("g"), 2.0);
-  EXPECT_EQ(into.histograms.at("h").count, 2u);
-  EXPECT_EQ(into.histograms.at("h").total, 24u);
-  ASSERT_EQ(into.series.at("s").size(), 2u);
-  EXPECT_DOUBLE_EQ(into.series.at("s")[1].first, 2.0);
-
-  // Document-level fold matches scenarios by name, appends unmatched ones.
-  obs::MetricsDoc d1, d2;
-  d1.scenario("x").snapshot.counters["a"] = 1;
-  d2.scenario("x").snapshot.counters["a"] = 4;
-  d2.scenario("y").snapshot.counters["a"] = 9;
-  d1.fold(d2);
-  ASSERT_EQ(d1.scenarios.size(), 2u);
-  EXPECT_EQ(d1.scenario("x").snapshot.counters.at("a"), 5u);
-  EXPECT_EQ(d1.scenario("y").snapshot.counters.at("a"), 9u);
 }
 
 // --- trace recorder ---------------------------------------------------------
@@ -698,7 +662,7 @@ TEST(ObsProgress, RedrawThrottleCoalescesRapidTicksButCountsAllOfThem) {
   p.finish();
 }
 
-TEST(ObsProgress, ShardModeAnnouncesTheSliceNotTheFullCall) {
+TEST(ObsProgress, RunAnnouncesTheWholeCallAndEndsFull) {
   std::ostringstream err;
   obs::Progress progress(err, /*live=*/false);
   obs::ScopedProgress guard(&progress);
@@ -711,30 +675,10 @@ TEST(ObsProgress, ShardModeAnnouncesTheSliceNotTheFullCall) {
                         util::RunningStats& acc) { acc.add(rng.normal()); };
   constexpr std::uint64_t kTrials = 1000;
 
-  // Plain run: the bar covers the whole call and ends exactly full.
+  // The bar covers the whole call and ends exactly full.
   runner.run<util::RunningStats>(kTrials, 1, trial);
   EXPECT_EQ(progress.trials_total(), kTrials);
   EXPECT_EQ(progress.trials_done(), kTrials);
-
-  // Shard runs: each announces only its own chunk slice (the ETA is then
-  // this shard's, not a 4x overestimate), ends full, and the slices cover
-  // the call exactly.
-  const fs::path dir = make_temp_dir("progress_shard");
-  std::uint64_t announced = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    eng::ShardIo io;
-    io.mode = eng::ShardMode::kShard;
-    io.shard = eng::ShardSpec{s, 4};
-    io.dir = (dir / std::to_string(s)).string();
-    fs::create_directories(io.dir);
-    runner.set_shard_io(io);
-    runner.run<util::RunningStats>(kTrials, 1, trial);
-    EXPECT_LT(progress.trials_total(), kTrials) << "shard " << s;
-    EXPECT_EQ(progress.trials_done(), progress.trials_total())
-        << "shard " << s;
-    announced += progress.trials_total();
-  }
-  EXPECT_EQ(announced, kTrials);
   progress.end_scenario();
 }
 
@@ -918,65 +862,6 @@ TEST(ObsRun, QuietSuppressesTheSummaryButNotTheExitCode) {
     std::ostringstream out, err;
     EXPECT_THROW(run_scenarios(registry, opt, out, err), util::ConfigError);
   }
-}
-
-TEST(ObsRun, MetricsInWithoutMetricsFileIsAConfigError) {
-  const auto registry = mc_registry();
-  auto opt = base_options({"mc_solo"}, 1);
-  opt.metrics_in = {"shard.json"};
-  std::ostringstream out, err;
-  EXPECT_THROW(run_scenarios(registry, opt, out, err), util::ConfigError);
-}
-
-TEST(ObsRun, MergeFoldsShardMetricsIntoOneDocument) {
-  const auto registry = mc_registry();
-  const std::vector<std::string> names{"mc_pair", "mc_solo"};
-  const std::string reference = run_csv(registry, base_options(names, 1));
-  const fs::path dir = make_temp_dir("fold");
-
-  std::vector<std::string> shard_metrics;
-  for (std::size_t i = 0; i < 2; ++i) {
-    auto opt = base_options(names, 2);
-    opt.shard = eng::ShardSpec{i, 2};
-    opt.partials_dir = (dir / "partials").string();
-    opt.metrics_file =
-        (dir / ("metrics_shard" + std::to_string(i) + ".json")).string();
-    std::ostringstream out, err;
-    ASSERT_EQ(run_scenarios(registry, opt, out, err), 0) << err.str();
-    shard_metrics.push_back(opt.metrics_file);
-  }
-  // Each shard recorded only its own slice of the trials.
-  for (const auto& path : shard_metrics) {
-    const auto doc = obs::MetricsDoc::load(path);
-    const auto* pair = find_scenario(doc, "mc_pair");
-    ASSERT_NE(pair, nullptr);
-    EXPECT_LT(counter_of(*pair, "engine.trials"), 3500u);
-    EXPECT_GT(counter_of(*pair, "shard.dump_calls"), 0u);
-  }
-
-  auto merge_opt = base_options(names, 1);
-  merge_opt.merge = true;
-  merge_opt.partials_dir = (dir / "partials").string();
-  merge_opt.metrics_file = (dir / "metrics_merged.json").string();
-  merge_opt.metrics_in = shard_metrics;
-  std::ostringstream out, err;
-  ASSERT_EQ(run_scenarios(registry, merge_opt, out, err), 0) << err.str();
-  EXPECT_EQ(out.str(), reference);  // metrics folding never touches results
-
-  const auto merged = obs::MetricsDoc::load(merge_opt.metrics_file);
-  EXPECT_EQ(merged.tool, "mram_merge");
-  const auto* pair = find_scenario(merged, "mc_pair");
-  const auto* solo = find_scenario(merged, "mc_solo");
-  ASSERT_NE(pair, nullptr);
-  ASSERT_NE(solo, nullptr);
-  // The fold restores the full-process totals: the merge replay executes no
-  // trials itself, and the two shard slices add back up exactly.
-  EXPECT_EQ(counter_of(*pair, "engine.trials"), 3500u);
-  EXPECT_EQ(counter_of(*solo, "engine.trials"), 900u);
-  // The merge run contributes its own replay-side counters on top.
-  EXPECT_EQ(counter_of(*pair, "shard.merge_calls"), 2u);
-  EXPECT_EQ(counter_of(*solo, "shard.merge_calls"), 1u);
-  EXPECT_GT(counter_of(*pair, "shard.dump_calls"), 0u);  // from the shards
 }
 
 }  // namespace

@@ -5,11 +5,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
-#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -17,7 +14,6 @@
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/serialize.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -592,113 +588,6 @@ TEST(Csv, FileRoundTrip) {
   ASSERT_EQ(doc.rows.size(), 1u);
   EXPECT_DOUBLE_EQ(doc.rows[0][1], 2.0);
   EXPECT_THROW(read_numeric_csv("/nonexistent/nope.csv"), ConfigError);
-}
-
-// --- binary dump reader -----------------------------------------------------
-
-/// Allocator that adds up every byte requested of it, so a test can bound
-/// what a load tried to allocate.
-template <class T>
-struct CountingAllocator {
-  using value_type = T;
-  static inline std::uint64_t allocated_bytes = 0;
-
-  CountingAllocator() = default;
-  template <class U>
-  CountingAllocator(const CountingAllocator<U>&) {}
-
-  T* allocate(std::size_t n) {
-    allocated_bytes += n * sizeof(T);
-    return std::allocator<T>{}.allocate(n);
-  }
-  void deallocate(T* p, std::size_t n) { std::allocator<T>{}.deallocate(p, n); }
-  template <class U>
-  bool operator==(const CountingAllocator<U>&) const {
-    return true;
-  }
-};
-
-using CountedDoubles = std::vector<double, CountingAllocator<double>>;
-
-/// Read-only stream buffer that cannot seek, like a pipe: BinReader cannot
-/// learn how many bytes are left.
-struct UnseekableBuf : std::streambuf {
-  explicit UnseekableBuf(std::string& s) {
-    setg(s.data(), s.data(), s.data() + s.size());
-  }
-};
-
-/// A dump whose vector length prefix claims `n` doubles but which holds
-/// only `held` of them.
-std::string truncated_dump(std::uint64_t n, std::size_t held) {
-  std::ostringstream os;
-  os.write(reinterpret_cast<const char*>(&n), sizeof n);
-  const std::vector<double> payload(held, 1.5);
-  os.write(reinterpret_cast<const char*>(payload.data()),
-           static_cast<std::streamsize>(held * sizeof(double)));
-  return os.str();
-}
-
-TEST(BinReader, HugeLengthPrefixFailsWithoutAllocating) {
-  // The prefix decodes to 2^40 doubles (8 TiB); the file holds 100.
-  const std::string path = ::testing::TempDir() + "/mram_huge_prefix.bin";
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << truncated_dump(std::uint64_t{1} << 40, 100);
-  }
-  const auto file_bytes = std::filesystem::file_size(path);
-  std::ifstream is(path, std::ios::binary);
-  io::BinReader reader(is);
-  CountedDoubles v;
-  CountingAllocator<double>::allocated_bytes = 0;
-  EXPECT_THROW(reader(v), ConfigError);
-  EXPECT_LE(CountingAllocator<double>::allocated_bytes, file_bytes);
-  std::filesystem::remove(path);
-}
-
-TEST(BinReader, UnseekableStreamGrowsOnlyAsDataArrives) {
-  // Without a known length the vector grows in bounded steps as bytes are
-  // read: its size stays within one 64 KiB step of the data present, and
-  // geometric growth at most doubles that, summed over all reallocations
-  // at most twice again.
-  std::string dump = truncated_dump(std::uint64_t{1} << 40, 20000);
-  UnseekableBuf buf(dump);
-  std::istream is(&buf);
-  io::BinReader reader(is);
-  CountedDoubles v;
-  CountingAllocator<double>::allocated_bytes = 0;
-  EXPECT_THROW(reader(v), ConfigError);
-  EXPECT_LE(CountingAllocator<double>::allocated_bytes,
-            4 * (dump.size() + (std::uint64_t{1} << 16)));
-}
-
-TEST(BinReader, VectorsRoundTripAcrossReadSteps) {
-  // Longer than one read step, and nested, on seekable and unseekable
-  // streams alike.
-  std::vector<double> flat(20000);
-  for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = 0.5 * i - 7.0;
-  std::vector<std::vector<double>> nested = {{1.0, 2.0}, {}, {3.0}};
-  std::stringstream ss;
-  io::BinWriter writer(ss);
-  writer(flat, nested);
-  std::string bytes = ss.str();
-
-  std::vector<double> flat_in;
-  std::vector<std::vector<double>> nested_in = {{9.0}};
-  io::BinReader reader(ss);
-  reader(flat_in, nested_in);
-  EXPECT_TRUE(reader.at_end());
-  EXPECT_EQ(flat_in, flat);
-  EXPECT_EQ(nested_in, nested);
-
-  UnseekableBuf buf(bytes);
-  std::istream pipe(&buf);
-  io::BinReader pipe_reader(pipe);
-  flat_in.clear();
-  nested_in.clear();
-  pipe_reader(flat_in, nested_in);
-  EXPECT_EQ(flat_in, flat);
-  EXPECT_EQ(nested_in, nested);
 }
 
 }  // namespace

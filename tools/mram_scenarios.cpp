@@ -7,8 +7,8 @@
 //   mram_scenarios run <name> [<name>...] | --all
 //                  [--threads N] [--seed S] [--format table|csv|json]
 //                  [--out DIR] [--data DIR] [--trial-scale X]
-//                  [--shard I/N --partials DIR]
-//                  [--checkpoint DIR [--resume]]
+//                  [--metrics FILE] [--trace FILE] [--perf]
+//                  [--progress] [--quiet]
 //
 // `--figure TAG` filters by the figure tag, case-insensitive substring
 // (e.g. `list --figure readout`, `describe --figure Memory`), keeping the
@@ -17,13 +17,7 @@
 // tables are bit-identical at any --threads. With --out, results go to
 // files (csv: one per table; json/table: one per scenario) and a one-line
 // status per scenario goes to stdout. The exit code is non-zero when any
-// requested scenario fails.
-//
-// Scale-out: `--shard I/N --partials DIR` runs only shard I's slice of the
-// trials and dumps per-chunk partials under DIR (fold the N dumps with
-// `mram_merge` -- byte-identical to the single-process run); `--checkpoint
-// DIR` snapshots progress so a killed run repeated with `--resume` finishes
-// with byte-identical output. The implementation lives in
+// requested scenario fails. The implementation lives in
 // src/scenario/cli.cpp so tests can drive it without spawning processes.
 
 #include <iostream>
