@@ -32,8 +32,8 @@
 // chains (plus heavy zmm sqrt/div and license downclocking) -- the generic
 // and 8-lane kernels therefore stop at AVX2. At 16 lanes the block fills
 // two independent zmm chains and AVX-512 pays off, so the dedicated w16
-// kernel adds an avx512f clone and preferred_lanes() steers the drivers to
-// 16-lane blocks on CPUs that have it. Safe for the bit-identity contract
+// kernel adds an avx512f clone and preferred_lanes() gives run_until_switch
+// 16 slots on CPUs that have it. Safe for the bit-identity contract
 // because vectorization only reorders *independent lanes*, never the
 // within-lane operation sequence, and the build pins -ffp-contract=off so
 // no clone can fuse multiply-adds.
@@ -221,48 +221,58 @@ std::size_t BatchMacrospinSim::step_budget(double duration, double dt) {
   return budget_steps_;
 }
 
-void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
+void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
                                          util::Rng* rngs, double duration,
                                          double dt, SwitchResult* out,
                                          double mz_stop, const Vec3& tilt) {
-  MRAM_EXPECTS(lanes > 0, "need at least one lane");
-  durations_.assign(lanes, duration);
-  run_until_switch(lanes, m0, rngs, durations_.data(), dt, out, mz_stop,
-                   tilt);
+  MRAM_EXPECTS(n > 0, "need at least one trial");
+  durations_.assign(n, duration);
+  run_until_switch(n, m0, rngs, durations_.data(), dt, out, mz_stop, tilt);
 }
 
-void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
+void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
                                          util::Rng* rngs,
                                          const double* durations, double dt,
                                          SwitchResult* out, double mz_stop,
                                          const Vec3& tilt) {
   MRAM_EXPECTS(dt > 0.0, "invalid integration step");
-  MRAM_EXPECTS(lanes > 0, "need at least one lane");
-  obs::counter_add(obs::Counter::kLlgLanesEntered, lanes);
-
-  mx_.resize(lanes);
-  my_.resize(lanes);
-  mz_.resize(lanes);
-  sign_.resize(lanes);
-  crossed_.resize(lanes);
-  logw_.resize(lanes);
-  budget_.resize(lanes);
-  lane_of_.resize(lanes);
-
-  for (std::size_t l = 0; l < lanes; ++l) {
+  MRAM_EXPECTS(n > 0, "need at least one trial");
+  for (std::size_t l = 0; l < n; ++l) {
     MRAM_EXPECTS(std::abs(num::norm(m0[l]) - 1.0) < 1e-6,
                  "m0 must be a unit vector");
     MRAM_EXPECTS(durations[l] > 0.0, "invalid integration window");
-    mx_[l] = m0[l].x;
-    my_[l] = m0[l].y;
-    mz_[l] = m0[l].z;
-    sign_[l] = (m0[l].z >= mz_stop) ? 1.0 : -1.0;
-    crossed_[l] = 0.0;
-    logw_[l] = 0.0;
-    lane_of_[l] = l;
-    budget_[l] = step_budget(durations[l], dt);
-    out[l] = {false, durations[l], 0.0, m0[l]};
   }
+  obs::counter_add(obs::Counter::kLlgLanesEntered, n);
+
+  const std::size_t cap = std::min(n, preferred_lanes());  // slot count
+  mx_.resize(cap);
+  my_.resize(cap);
+  mz_.resize(cap);
+  sign_.resize(cap);
+  crossed_.resize(cap);
+  logw_.resize(cap);
+  left_.resize(cap);
+  t_.resize(cap);
+  lane_of_.resize(cap);
+  fresh_.resize(cap);
+  fresh_lane_.resize(cap);
+
+  // Starts the next queued trial in slot a, with its whole step budget
+  // left and its own clock at zero.
+  std::size_t next = 0;
+  const auto load = [&](std::size_t a) {
+    const std::size_t l = next++;
+    mx_[a] = m0[l].x;
+    my_[a] = m0[l].y;
+    mz_[a] = m0[l].z;
+    sign_[a] = (m0[l].z >= mz_stop) ? 1.0 : -1.0;
+    crossed_[a] = 0.0;
+    logw_[a] = 0.0;
+    left_[a] = step_budget(durations[l], dt);
+    t_[a] = 0.0;
+    lane_of_[a] = l;
+  };
+  for (std::size_t a = 0; a < cap; ++a) load(a);
 
   const double sigma = thermal_field_sigma(params_, dt);
   const bool has_torque = (rhs_.aj != 0.0);
@@ -273,16 +283,31 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
   const auto wcoeffs = detail::TiltWeightCoeffs::from(tilt, ha, sigma);
   const double ha_arr[3] = {ha.x, ha.y, ha.z};
   const double tilt_arr[3] = {tilt.x, tilt.y, tilt.z};
-  const std::size_t cap = lanes;  // slot count of a field row
 
-  // The field block holds the per-lane fields of kNoiseBlockSteps steps as
+  // Turns raw deviates into thermal fields in place: the first `slots`
+  // columns of the 3 * steps rows at `rows`, `stride` apart, the first of
+  // them an x row.
+  const auto to_fields = [&](std::size_t steps, std::size_t slots,
+                             std::size_t stride, double* rows) {
+    if (has_tilt) {
+      thermal_field_rows<true>(steps, slots, stride, ha_arr, sigma, tilt_arr,
+                               rows);
+    } else {
+      thermal_field_rows<false>(steps, slots, stride, ha_arr, sigma,
+                                tilt_arr, rows);
+    }
+  };
+
+  // The field block holds the per-slot fields of kNoiseBlockSteps steps as
   // rows [step][xyz][slot]: row 3 * s + c is component c of step s. At each
-  // block boundary one lane-parallel fill writes every active lane's next
-  // 3 * 64 deviates straight into it (value k of a lane's stream is
+  // block boundary one lane-parallel fill writes every active slot's next
+  // 3 * 64 deviates straight into it (value k of a trial's stream is
   // component k % 3 of step k / 3, exactly the order the scalar path draws
   // three per step), and thermal_field_rows applies the scalar path's field
   // transform in place. The kernel then reads whole rows with contiguous
-  // vector loads. normal_fill's stream consistency (one big fill == many
+  // vector loads. A trial that enters a slot mid-block has the block's
+  // remaining rows filled from its own stream, so every stream is consumed
+  // in solo order. normal_fill's stream consistency (one big fill == many
   // 3-value fills) keeps the values identical to the scalar path's per-step
   // draws. Without a thermal field the block is one constant row of
   // h_applied that every step reuses (h_stride 0).
@@ -295,9 +320,7 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
     }
   }
 
-  std::size_t n_active = lanes;
-  double t = 0.0;
-  std::size_t steps_done = 0;  // shared lockstep clock, starts at step 0
+  std::size_t n_active = cap;
   std::size_t phase = 0;  // step index within the current noise block
   while (n_active > 0) {
     std::size_t steps_avail = kNoiseBlockSteps;
@@ -308,13 +331,7 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
         util::Rng::normal_fill_lanes(rngs, lane_of_.data(), n_active,
                                      3 * kNoiseBlockSteps, field_.data(),
                                      cap);
-        if (has_tilt) {
-          thermal_field_rows<true>(kNoiseBlockSteps, n_active, cap, ha_arr,
-                                   sigma, tilt_arr, field_.data());
-        } else {
-          thermal_field_rows<false>(kNoiseBlockSteps, n_active, cap, ha_arr,
-                                    sigma, tilt_arr, field_.data());
-        }
+        to_fields(kNoiseBlockSteps, n_active, cap, field_.data());
       }
       steps_avail = kNoiseBlockSteps - phase;
       h = field_.data() + phase * 3 * cap;
@@ -325,12 +342,12 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
     const double* hzm = h + 2 * cap;
 
     // Steps this kernel call may run: capped by the noise block and by the
-    // smallest remaining per-lane budget, so no lane ever oversteps its own
-    // window. Active lanes always have budget left (exhausted lanes retire
-    // below), so min_left >= 1.
-    std::size_t min_left = budget_[0] - steps_done;
+    // smallest remaining per-slot budget, so no trial ever oversteps its
+    // own window. Active slots always have budget left (exhausted trials
+    // retire below), so min_left >= 1.
+    std::size_t min_left = left_[0];
     for (std::size_t a = 1; a < n_active; ++a) {
-      min_left = std::min(min_left, budget_[a] - steps_done);
+      min_left = std::min(min_left, left_[a]);
     }
     const std::size_t remaining = std::min(steps_avail, min_left);
 
@@ -368,40 +385,53 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
     const std::size_t done = has_torque ? dispatch(std::true_type{})
                                         : dispatch(std::false_type{});
     // Occupancy bookkeeping: lane-steps actually executed vs the capacity
-    // the entry width would have given (the compaction-efficiency ratio).
+    // of every slot stepping (the refill-and-compaction efficiency ratio).
     obs::counter_add(obs::Counter::kLlgNoiseBlocks);
     obs::counter_add(obs::Counter::kLlgLaneSteps,
                      static_cast<std::uint64_t>(done) * n_active);
     obs::counter_add(obs::Counter::kLlgLaneStepCapacity,
-                     static_cast<std::uint64_t>(done) * lanes);
+                     static_cast<std::uint64_t>(done) * cap);
     obs::counter_add(obs::Counter::kLlgFlops,
                      static_cast<std::uint64_t>(done) * n_active *
                          (has_torque ? detail::kHeunStepFlopsTorque
                                      : detail::kHeunStepFlops));
-    for (std::size_t s = 0; s < done; ++s) t += dt;
-    steps_done += done;
-    if (sigma > 0.0) phase = (phase + done) % kNoiseBlockSteps;
-
+    // Each slot's clock takes the scalar loop's t += dt once per step.
+    for (std::size_t s = 0; s < done; ++s) {
+      for (std::size_t a = 0; a < n_active; ++a) t_[a] += dt;
+    }
     bool any_finished = false;
     for (std::size_t a = 0; a < n_active; ++a) {
-      any_finished |= (crossed_[a] != 0.0) || (steps_done >= budget_[a]);
+      left_[a] -= done;
+      any_finished |= (crossed_[a] != 0.0) || (left_[a] == 0);
     }
+    if (sigma > 0.0) phase = (phase + done) % kNoiseBlockSteps;
     if (!any_finished) continue;
-    // Compact finished lanes out of the active set (order-preserving, so
-    // slot order stays the trial-index order within the block), dragging
-    // the remaining rows of the field block along. A crossing takes
-    // precedence over budget exhaustion, exactly like the scalar loop's
-    // final-step check.
+
+    // Retire finished trials. A crossing takes precedence over budget
+    // exhaustion, exactly like the scalar loop's final-step check. While
+    // trials are queued a retired slot is refilled in place with the next
+    // one; once the queue is empty, retired slots are compacted out
+    // (order-preserving), dragging the remaining rows of the field block
+    // along. Vacancies only open once the queue is empty, so a refill
+    // always lands in its own slot.
+    std::size_t n_fresh = 0;
     std::size_t w = 0;
     for (std::size_t a = 0; a < n_active; ++a) {
-      const std::size_t l = lane_of_[a];
-      if (crossed_[a] != 0.0) {
-        obs::counter_add(obs::Counter::kLlgLanesEarlyExit);
-        out[l] = {true, t, logw_[a], {mx_[a], my_[a], mz_[a]}};
-        continue;
-      }
-      if (steps_done >= budget_[a]) {
-        out[l] = {false, durations[l], logw_[a], {mx_[a], my_[a], mz_[a]}};
+      const bool crossed = crossed_[a] != 0.0;
+      if (crossed || left_[a] == 0) {
+        const std::size_t l = lane_of_[a];
+        if (crossed) {
+          obs::counter_add(obs::Counter::kLlgLanesEarlyExit);
+          out[l] = {true, t_[a], logw_[a], {mx_[a], my_[a], mz_[a]}};
+        } else {
+          out[l] = {false, durations[l], logw_[a], {mx_[a], my_[a], mz_[a]}};
+        }
+        if (next == n) continue;
+        load(a);
+        fresh_[n_fresh] = a;
+        fresh_lane_[n_fresh] = lane_of_[a];
+        ++n_fresh;
+        ++w;
         continue;
       }
       if (w != a) {
@@ -410,7 +440,8 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
         mz_[w] = mz_[a];
         sign_[w] = sign_[a];
         logw_[w] = logw_[a];
-        budget_[w] = budget_[a];
+        left_[w] = left_[a];
+        t_[w] = t_[a];
         lane_of_[w] = lane_of_[a];
         if (sigma > 0.0 && phase != 0) {
           for (std::size_t r = 3 * phase; r < 3 * kNoiseBlockSteps; ++r) {
@@ -421,6 +452,30 @@ void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
       ++w;
     }
     n_active = w;
+
+    // Newcomers mid-block: draw the block's remaining rows from their own
+    // streams, then scatter them to their slots. A lone newcomer (the
+    // common case when trials retire at their own crossing times) takes
+    // its solo fill, which writes the same values at about half the cost
+    // of a one-lane SIMD fill; several take one lane-parallel fill. At a
+    // block boundary the next block's fill covers them.
+    if (n_fresh > 0 && sigma > 0.0 && phase != 0) {
+      const std::size_t rows = 3 * (kNoiseBlockSteps - phase);
+      fresh_field_.resize(rows * n_fresh);
+      if (n_fresh == 1) {
+        rngs[fresh_lane_[0]].normal_fill(fresh_field_.data(), rows);
+      } else {
+        util::Rng::normal_fill_lanes(rngs, fresh_lane_.data(), n_fresh,
+                                     rows, fresh_field_.data(), n_fresh);
+      }
+      to_fields(kNoiseBlockSteps - phase, n_fresh, n_fresh,
+                fresh_field_.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* src = fresh_field_.data() + r * n_fresh;
+        double* dst = field_.data() + (3 * phase + r) * cap;
+        for (std::size_t j = 0; j < n_fresh; ++j) dst[fresh_[j]] = src[j];
+      }
+    }
   }
 }
 

@@ -80,6 +80,20 @@ Vec3 thermal_initial_tilt(util::Rng& rng, double delta, double mz0) {
                           mz0 * std::cos(theta)});
 }
 
+const SwitchResult* ThermalLlgSpan::run(util::Rng* rngs, std::size_t n,
+                                         double delta, double mz0,
+                                         double duration, double dt,
+                                         const Vec3& tilt) {
+  m0.resize(n);
+  out.resize(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    m0[l] = thermal_initial_tilt(rngs[l], delta, mz0);
+  }
+  sim.run_until_switch(n, m0.data(), rngs, duration, dt, out.data(), 0.0,
+                       tilt);
+  return out.data();
+}
+
 SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
                                    SwitchDirection dir, double vp,
                                    double hz_stray, std::size_t trials,
@@ -93,16 +107,10 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
   const double mz0 = (initial_state(dir) == MtjState::kParallel) ? 1.0 : -1.0;
 
   // Each trial integrates thousands of stochastic LLG steps -- the heaviest
-  // trial body in the repo. The batched path advances a whole lane-block
-  // per worker in lockstep; folding lane results in lane order keeps the
+  // trial body in the repo. The batched path runs each runner span through
+  // one refilling kernel call; folding results in trial order keeps the
   // accumulation order of one trial at a time, so the result is
-  // bit-identical for the same (seed, trials) at any thread count -- and at
-  // any lane width, which lets preferred_lanes() pick the widest
-  // kernel this CPU has a clone for. The stack buffers are sized for the
-  // engine maximum, not the chosen width.
-  const std::size_t lane_width = BatchMacrospinSim::preferred_lanes();
-  MRAM_EXPECTS(lane_width <= eng::MonteCarloRunner::kMaxLaneWidth,
-               "preferred lane width exceeds engine maximum");
+  // bit-identical for the same (seed, trials) at any thread count.
   // Report echo for the efficiency section: which documented flop constant
   // the llg.flops counter is accumulating under (serial context, once per
   // runner call -- never from inside a chunk).
@@ -112,17 +120,15 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
                      : static_cast<double>(detail::kHeunStepFlops));
   const std::uint64_t seed = rng();
   const auto partial = runner.run_batched<SwitchPartial>(
-      trials, seed, lane_width, [&] { return BatchMacrospinSim(llg); },
-      [&](BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
-          std::size_t lanes, SwitchPartial& acc) {
-        Vec3 m0[eng::MonteCarloRunner::kMaxLaneWidth];
-        SwitchResult result[eng::MonteCarloRunner::kMaxLaneWidth];
-        for (std::size_t l = 0; l < lanes; ++l) {
-          m0[l] = thermal_initial_tilt(rngs[l], delta, mz0);
-        }
-        batch.run_until_switch(lanes, m0, rngs, duration, dt, result);
-        for (std::size_t l = 0; l < lanes; ++l) {
+      trials, seed, eng::MonteCarloRunner::kMaxLaneWidth,
+      [&] { return ThermalLlgSpan(llg); },
+      [&](ThermalLlgSpan& span, util::Rng* rngs, std::size_t first,
+          std::size_t n, const auto& acc_of) {
+        const SwitchResult* result =
+            span.run(rngs, n, delta, mz0, duration, dt);
+        for (std::size_t l = 0; l < n; ++l) {
           if (result[l].switched) {
+            SwitchPartial& acc = acc_of(first + l);
             ++acc.switched;
             acc.times.add(result[l].time);
           }

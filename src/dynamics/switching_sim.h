@@ -2,6 +2,7 @@
 
 #include "device/mtj_device.h"
 #include "dynamics/llg.h"
+#include "dynamics/llg_batch.h"
 #include "engine/monte_carlo.h"
 
 // Bridges the device model and the LLG solver: builds a MacrospinSim from
@@ -35,6 +36,24 @@ LlgParams llg_from_device_current(const dev::MtjDevice& device,
 /// their stream consumption stays identical.
 num::Vec3 thermal_initial_tilt(util::Rng& rng, double delta, double mz0);
 
+/// Runner context of the batched stochastic-LLG ensembles (switching stats
+/// and read disturb): the kernel plus span-sized start and result buffers,
+/// reused by every span the context runs.
+struct ThermalLlgSpan {
+  explicit ThermalLlgSpan(const LlgParams& llg) : sim(llg) {}
+
+  /// Trial l of the span draws its thermal_initial_tilt(rngs[l], delta,
+  /// mz0), then all n trials run through one refilling kernel call.
+  /// Returns the n results, valid until the next call.
+  const SwitchResult* run(util::Rng* rngs, std::size_t n, double delta,
+                          double mz0, double duration, double dt,
+                          const num::Vec3& tilt = {});
+
+  BatchMacrospinSim sim;
+  std::vector<num::Vec3> m0;
+  std::vector<SwitchResult> out;
+};
+
 struct SwitchingStats {
   double mean_time = 0.0;    ///< [s] over switched trials
   double stddev_time = 0.0;  ///< [s]
@@ -44,10 +63,10 @@ struct SwitchingStats {
 
 /// Monte Carlo switching-time statistics from repeated stochastic LLG runs
 /// starting near the initial state of `dir` (thermal initial tilt). Runs on
-/// the engine runner's batched path: each worker advances a lane-block of
-/// dyn::BatchMacrospinSim::preferred_lanes() trials in lockstep, each lane
-/// bit-identical to one MacrospinSim::run_until_switch trial for the same
-/// (seed, trials) at any thread count. The overload taking a
+/// the engine runner's batched path: each runner span goes through one
+/// BatchMacrospinSim call, each trial bit-identical to one
+/// MacrospinSim::run_until_switch trial for the same (seed, trials) at any
+/// thread count. The overload taking a
 /// MonteCarloRunner reuses its thread pool across calls (sweeps should
 /// hoist one runner).
 SwitchingStats llg_switching_stats(const dev::MtjDevice& device,

@@ -28,12 +28,17 @@
 // Because the chunking, the per-trial streams and the merge order depend
 // only on (trials, seed, chunk_size) -- never on the thread count or the
 // scheduling interleaving -- a run is bit-identical on 1 thread and on 64.
+// The batched path fans out spans of whole chunks instead of single chunks
+// (so a SIMD kernel sees many trials at once), but each trial still folds
+// into its own chunk's partial: spans decide who executes a trial, never
+// where its result goes. The engine.chunks / engine.chunk_ns metrics count
+// and time these fan-out tasks: chunks of run(), spans of run_batched().
 //
 // The accumulator type (`Partial`) must be default-constructible and provide
 //   void merge(const Partial&);
 // Workloads with per-trial setup cost (e.g. building an MramArray) supply a
-// context factory that runs once per chunk; the trial functor receives the
-// chunk-local context by reference.
+// context factory that runs once per chunk (once per span on the batched
+// path); the trial functor receives that local context by reference.
 
 namespace mram::eng {
 
@@ -77,9 +82,11 @@ class MonteCarloRunner {
     return chunk;
   }
 
-  /// Upper bound on run_batched's lane_width: lane blocks live in a
-  /// fixed-size stack buffer of per-trial streams. 64 matches the widest
-  /// consumers (subset simulation and the read-error noise_margin blocks).
+  /// Upper bound on run_batched's lane_width, and the widest block a batch
+  /// body hands to a lane-parallel score at once (eng::BatchScore). 64
+  /// matches the widest consumers: subset simulation and the read-error
+  /// noise_margin blocks. The batched LLG callers pass it too, so a span
+  /// keeps the kernel's slots refilled for many trials.
   static constexpr std::size_t kMaxLaneWidth = 64;
 
   template <class Partial, class MakeContext, class TrialFn>
@@ -89,7 +96,7 @@ class MonteCarloRunner {
     const std::size_t chunk = effective_chunk(trials);
     const std::size_t n_chunks = (trials + chunk - 1) / chunk;
     return run_chunks<Partial>(
-        trials, chunk, n_chunks,
+        trials, chunk, n_chunks, n_chunks,
         [&](std::vector<Partial>& partials) {
           pool_.for_each(n_chunks, [&](std::size_t ci) {
             obs::ChunkScope scope(chunk_block(ci));
@@ -123,18 +130,23 @@ class MonteCarloRunner {
         });
   }
 
-  /// Batched variant of run(): each chunk is handed to `batch` in
-  /// lane-blocks of up to `lane_width` consecutive trials, so a SoA kernel
-  /// (e.g. dyn::BatchMacrospinSim) can advance the whole block in lockstep.
-  /// BatchFn: (Ctx&, util::Rng* rngs, std::size_t first_trial,
-  ///           std::size_t lanes, Partial&) -> void, where rngs[l] is the
-  /// stream of trial first_trial + l.
+  /// Batched variant of run(): the pool fans out *spans* -- the fewest
+  /// whole consecutive chunks holding at least `lane_width` trials, so a
+  /// span depends only on (trials, chunk_size, lane_width) -- and hands
+  /// each span's trials to `batch` at once, so a SoA kernel (e.g.
+  /// dyn::BatchMacrospinSim) can keep its lanes full across chunk
+  /// boundaries.
+  /// BatchFn: (Ctx&, util::Rng* rngs, std::size_t first_trial, std::size_t n,
+  ///           const AccOf& acc_of) -> void, where rngs[l] is the stream of
+  /// trial first_trial + l and acc_of(i) -> Partial& is the partial of
+  /// trial i's chunk. The functor folds trial i into acc_of(i), in trial
+  /// order.
   ///
-  /// Chunking and merge order are shared with run() -- they depend only on
-  /// (trials, chunk_size), never on lane_width or the thread count -- and
-  /// the per-trial streams are identical, so a batch functor that folds its
-  /// lanes into the accumulator in lane order reproduces run() bit for bit
-  /// at any lane_width (remainder blocks and lane_width=1 included).
+  /// Spans group execution only. Chunks, per-trial streams, partials and
+  /// the chunk-order merge are run()'s -- they depend on (trials,
+  /// chunk_size), never on lane_width or the thread count -- so a batch
+  /// functor that folds each trial into its own chunk's partial in trial
+  /// order reproduces run() bit for bit at any lane_width.
   template <class Partial, class MakeContext, class BatchFn>
   Partial run_batched(std::size_t trials, std::uint64_t seed,
                       std::size_t lane_width, MakeContext&& make_context,
@@ -145,32 +157,30 @@ class MonteCarloRunner {
                  "lane width exceeds engine maximum (64)");
     const std::size_t chunk = effective_chunk(trials);
     const std::size_t n_chunks = (trials + chunk - 1) / chunk;
+    const std::size_t per_span = (lane_width + chunk - 1) / chunk;
+    const std::size_t n_spans = (n_chunks + per_span - 1) / per_span;
     return run_chunks<Partial>(
-        trials, chunk, n_chunks,
+        trials, chunk, n_chunks, n_spans,
         [&](std::vector<Partial>& partials) {
-          pool_.for_each(n_chunks, [&](std::size_t ci) {
-            obs::ChunkScope scope(chunk_block(ci));
-            obs::TraceSpan span("engine", [ci] {
-              return "chunk " + std::to_string(ci);
+          const auto acc_of = [&partials, chunk](std::size_t i) -> Partial& {
+            return partials[i / chunk];
+          };
+          pool_.for_each(n_spans, [&](std::size_t si) {
+            obs::ChunkScope scope(chunk_block(si));
+            obs::TraceSpan span("engine", [si] {
+              return "span " + std::to_string(si);
             });
             auto context = make_context();
-            Partial acc;
-            const std::size_t lo = ci * chunk;
-            const std::size_t hi = std::min(lo + chunk, trials);
-            // Lane streams live in a fixed stack buffer, assigned in place
-            // per block -- no per-block heap churn in the hot scheduling
-            // loop.
-            util::Rng rngs[kMaxLaneWidth];
-            for (std::size_t base = lo; base < hi; base += lane_width) {
-              const std::size_t lanes = std::min(lane_width, hi - base);
-              for (std::size_t l = 0; l < lanes; ++l) {
-                rngs[l] = util::Rng::stream(seed, base + l);
-              }
-              batch(context, rngs, base, lanes, acc);
-              obs::counter_add(obs::Counter::kEngineBatchBlocks);
-              obs::counter_add(obs::Counter::kEngineBatchLanes, lanes);
+            const std::size_t lo = si * per_span * chunk;
+            const std::size_t hi = std::min(lo + per_span * chunk, trials);
+            std::vector<util::Rng> rngs;
+            rngs.reserve(hi - lo);
+            for (std::size_t i = lo; i < hi; ++i) {
+              rngs.push_back(util::Rng::stream(seed, i));
             }
-            partials[ci] = std::move(acc);
+            batch(context, rngs.data(), lo, hi - lo, acc_of);
+            obs::counter_add(obs::Counter::kEngineBatchBlocks);
+            obs::counter_add(obs::Counter::kEngineBatchLanes, hi - lo);
             scope.finish(hi - lo);
             obs::progress_add_trials(hi - lo);
           });
@@ -178,8 +188,8 @@ class MonteCarloRunner {
   }
 
   /// Context-free convenience overload of run_batched().
-  /// BatchFn: (util::Rng* rngs, std::size_t first_trial, std::size_t lanes,
-  ///           Partial&) -> void.
+  /// BatchFn: (util::Rng* rngs, std::size_t first_trial, std::size_t n,
+  ///           const AccOf& acc_of) -> void.
   template <class Partial, class BatchFn>
   Partial run_batched(std::size_t trials, std::uint64_t seed,
                       std::size_t lane_width, BatchFn&& batch) {
@@ -187,8 +197,8 @@ class MonteCarloRunner {
     return run_batched<Partial>(
         trials, seed, lane_width, [] { return NoContext{}; },
         [&batch](NoContext&, util::Rng* rngs, std::size_t first,
-                 std::size_t lanes, Partial& acc) {
-          batch(rngs, first, lanes, acc);
+                 std::size_t n, const auto& acc_of) {
+          batch(rngs, first, n, acc_of);
         });
   }
 
@@ -233,26 +243,27 @@ class MonteCarloRunner {
     obs::Stopwatch sw_;
   };
 
-  /// Accumulation target for chunk ci, or null when metrics are off
-  /// (chunk_blocks_ is sized by run_chunks before each fan-out and left
-  /// empty when no registry is installed).
-  obs::MetricsBlock* chunk_block(std::size_t ci) {
-    return chunk_blocks_.empty() ? nullptr : &chunk_blocks_[ci];
+  /// Accumulation target for fan-out task ti (a chunk of run(), a span of
+  /// run_batched()), or null when metrics are off (chunk_blocks_ is sized
+  /// by run_chunks before each fan-out and left empty when no registry is
+  /// installed).
+  obs::MetricsBlock* chunk_block(std::size_t ti) {
+    return chunk_blocks_.empty() ? nullptr : &chunk_blocks_[ti];
   }
 
-  /// Shared tail of run()/run_batched(). `exec(partials)` fans all
-  /// n_chunks chunks out over the pool, writing the partial of chunk ci into
-  /// partials[ci]; the partials and the per-chunk metric blocks are then
-  /// folded strictly in chunk order on this thread -- never in completion
+  /// Shared tail of run()/run_batched(). `exec(partials)` fans n_tasks
+  /// tasks out over the pool, which write the partial of chunk ci into
+  /// partials[ci]; the partials and the per-task metric blocks are then
+  /// folded strictly in index order on this thread -- never in completion
   /// order -- which is what makes the result thread-count independent.
   template <class Partial, class Exec>
   Partial run_chunks(std::size_t trials, std::size_t chunk,
-                     std::size_t n_chunks, Exec&& exec) {
+                     std::size_t n_chunks, std::size_t n_tasks, Exec&& exec) {
     const CallObserver observe(*this, trials, chunk);
     // With no registry installed the block vector stays empty and every
-    // chunk gets a null block (no-op scope).
+    // task gets a null block (no-op scope).
     if (obs::metrics_enabled()) {
-      chunk_blocks_.assign(n_chunks, obs::MetricsBlock{});
+      chunk_blocks_.assign(n_tasks, obs::MetricsBlock{});
     } else {
       chunk_blocks_.clear();
     }
@@ -269,7 +280,7 @@ class MonteCarloRunner {
 
   RunnerConfig config_;
   ThreadPool pool_;
-  /// Per-chunk metric blocks of the fan-out in flight, indexed by chunk.
+  /// Per-task metric blocks of the fan-out in flight, indexed by task.
   /// Sized on the caller thread before the pool starts, each element
   /// written by exactly one worker, folded in chunk order after for_each
   /// returns; empty whenever metrics are off.

@@ -51,6 +51,11 @@ namespace {
 struct ScorePartial {
   std::vector<double> zs;
   std::vector<double> scores;
+  /// Appends one trial: its latent vector z[0..dim) and its score.
+  void add(const double* z, std::size_t dim, double score) {
+    zs.insert(zs.end(), z, z + dim);
+    scores.push_back(score);
+  }
   void merge(const ScorePartial& other) {
     zs.insert(zs.end(), other.zs.begin(), other.zs.end());
     scores.insert(scores.end(), other.scores.begin(), other.scores.end());
@@ -90,21 +95,25 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
   est.method = RareEventMethod::kSplitting;
 
   // Level 0: fresh standard-normal latent vectors through the runner, one
-  // score call per lane block.
+  // score call per block of up to kLanes trials of a span.
   ScorePartial gen = runner.run_batched<ScorePartial>(
       N, derive_seed(seed, 0), kLanes,
       [&] { return std::vector<double>(kLanes * (dim + 1)); },
-      [&](std::vector<double>& buf, util::Rng* rngs, std::size_t,
-          std::size_t lanes, ScorePartial& acc) {
+      [&](std::vector<double>& buf, util::Rng* rngs, std::size_t first,
+          std::size_t n, const auto& acc_of) {
         obs::tag_kernel(obs::KernelTag::kRare);
         double* zs = buf.data();
         double* scores = zs + kLanes * dim;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          rngs[l].normal_fill(zs + l * dim, dim);
+        for (std::size_t b = 0; b < n; b += kLanes) {
+          const std::size_t lanes = std::min(kLanes, n - b);
+          for (std::size_t l = 0; l < lanes; ++l) {
+            rngs[b + l].normal_fill(zs + l * dim, dim);
+          }
+          score(lanes, zs, scores);
+          for (std::size_t l = 0; l < lanes; ++l) {
+            acc_of(first + b + l).add(zs + l * dim, dim, scores[l]);
+          }
         }
-        score(lanes, zs, scores);
-        acc.zs.insert(acc.zs.end(), zs, zs + lanes * dim);
-        acc.scores.insert(acc.scores.end(), scores, scores + lanes);
       });
   check_scores(gen, 0);
 
@@ -116,8 +125,8 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
   // Resamples the next generation from `parents` (indices into gen),
   // refreshing each trial with cfg.mcmc_steps pCN moves accepted inside
   // {score >= level}. Trial i of level tag k draws only from
-  // Rng::stream(derive_seed(seed, k), i); the chains of a lane block step
-  // in lockstep through one score call per MCMC step.
+  // Rng::stream(derive_seed(seed, k), i); the chains of a block of up to
+  // kLanes trials step in lockstep through one score call per MCMC step.
   const auto resample = [&](const std::vector<std::size_t>& parents,
                             double level, std::uint64_t tag) {
     const double rho = cfg.mcmc_rho;
@@ -126,41 +135,46 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
     gen = runner.run_batched<ScorePartial>(
         N, derive_seed(seed, tag), kLanes,
         [&] { return std::vector<double>(kLanes * (2 * dim + 2)); },
-        [&, m](std::vector<double>& buf, util::Rng* rngs, std::size_t,
-               std::size_t lanes, ScorePartial& acc) {
+        [&, m](std::vector<double>& buf, util::Rng* rngs, std::size_t first,
+               std::size_t n, const auto& acc_of) {
           obs::tag_kernel(obs::KernelTag::kRare);
           double* cur = buf.data();
           double* prop = cur + kLanes * dim;
           double* cur_score = prop + kLanes * dim;
           double* prop_score = cur_score + kLanes;
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const std::size_t j = parents[rngs[l].below(m)];
-            std::copy_n(gen.zs.data() + j * dim, dim, cur + l * dim);
-            cur_score[l] = gen.scores[j];
-          }
-          for (std::size_t step = 0; step < cfg.mcmc_steps; ++step) {
+          for (std::size_t b = 0; b < n; b += kLanes) {
+            const std::size_t lanes = std::min(kLanes, n - b);
+            util::Rng* block = rngs + b;
             for (std::size_t l = 0; l < lanes; ++l) {
-              double* p = prop + l * dim;
-              const double* c = cur + l * dim;
-              rngs[l].normal_fill(p, dim);
-              for (std::size_t d = 0; d < dim; ++d) {
-                p[d] = rho * c[d] + beta * p[d];
-              }
+              const std::size_t j = parents[block[l].below(m)];
+              std::copy_n(gen.zs.data() + j * dim, dim, cur + l * dim);
+              cur_score[l] = gen.scores[j];
             }
-            score(lanes, prop, prop_score);
-            std::uint64_t accepts = 0;
+            for (std::size_t step = 0; step < cfg.mcmc_steps; ++step) {
+              for (std::size_t l = 0; l < lanes; ++l) {
+                double* p = prop + l * dim;
+                const double* c = cur + l * dim;
+                block[l].normal_fill(p, dim);
+                for (std::size_t d = 0; d < dim; ++d) {
+                  p[d] = rho * c[d] + beta * p[d];
+                }
+              }
+              score(lanes, prop, prop_score);
+              std::uint64_t accepts = 0;
+              for (std::size_t l = 0; l < lanes; ++l) {
+                if (prop_score[l] >= level) {
+                  ++accepts;
+                  std::copy_n(prop + l * dim, dim, cur + l * dim);
+                  cur_score[l] = prop_score[l];
+                }
+              }
+              obs::counter_add(obs::Counter::kRareMcmcProposals, lanes);
+              obs::counter_add(obs::Counter::kRareMcmcAccepts, accepts);
+            }
             for (std::size_t l = 0; l < lanes; ++l) {
-              if (prop_score[l] >= level) {
-                ++accepts;
-                std::copy_n(prop + l * dim, dim, cur + l * dim);
-                cur_score[l] = prop_score[l];
-              }
+              acc_of(first + b + l).add(cur + l * dim, dim, cur_score[l]);
             }
-            obs::counter_add(obs::Counter::kRareMcmcProposals, lanes);
-            obs::counter_add(obs::Counter::kRareMcmcAccepts, accepts);
           }
-          acc.zs.insert(acc.zs.end(), cur, cur + lanes * dim);
-          acc.scores.insert(acc.scores.end(), cur_score, cur_score + lanes);
         });
     check_scores(gen, static_cast<std::size_t>(tag));
     evals += dN * static_cast<double>(cfg.mcmc_steps);

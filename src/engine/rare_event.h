@@ -209,8 +209,9 @@ inline constexpr std::size_t kSplittingMinTrials = 4;
 /// cross-trial logic runs serially on chunk-order-merged results.
 ///
 /// Lockstep evaluation: every level runs through runner.run_batched with
-/// lane width kMaxLaneWidth, and the chains of one lane block advance in
-/// lockstep -- level 0 draws all of the block's vectors, then scores them
+/// lane width kMaxLaneWidth, each span walks its trials in blocks of up to
+/// kMaxLaneWidth, and the chains of one block advance in lockstep --
+/// level 0 draws all of the block's vectors, then scores them
 /// in one call; a resample level draws each chain's parent
 /// (rng.below(m)), then per MCMC step fills every chain's proposal
 /// (normal_fill), scores the whole block in one call and accepts chain by

@@ -48,17 +48,18 @@ namespace mram::obs {
 /// loops) share this namespace; counter_add() routes correctly for both.
 enum class Counter : std::uint16_t {
   kEngineCalls,          ///< runner run()/run_batched() calls
-  kEngineChunks,         ///< chunks executed
+  kEngineChunks,         ///< fan-out tasks: chunks of run(), spans of
+                         ///< run_batched()
   kEngineTrials,         ///< trials executed
-  kEngineBatchBlocks,    ///< lane blocks dispatched by run_batched
-  kEngineBatchLanes,     ///< lanes actually run across those blocks
-  kEngineBusyNanos,      ///< summed chunk wall time (worker busy time)
+  kEngineBatchBlocks,    ///< spans handed to a run_batched body
+  kEngineBatchLanes,     ///< trials in those spans
+  kEngineBusyNanos,      ///< summed task wall time (worker busy time)
   kEngineWallNanos,      ///< summed runner-call wall time (caller view)
   kLlgNoiseBlocks,       ///< batched-LLG kernel invocations (noise blocks)
   kLlgLaneSteps,         ///< Heun lane-steps executed (active lanes)
-  kLlgLaneStepCapacity,  ///< lane-steps at entry width (occupancy denom.)
-  kLlgLanesEntered,      ///< lanes entering run_until_switch
-  kLlgLanesEarlyExit,    ///< lanes retired by mz crossing before their window
+  kLlgLaneStepCapacity,  ///< steps x slots per call (occupancy denom.)
+  kLlgLanesEntered,      ///< trials entering run_until_switch
+  kLlgLanesEarlyExit,    ///< trials retired by mz crossing before their window
   kLlgBlocksW8,          ///< kernel calls through the fixed 8-lane body
   kLlgBlocksW16,         ///< kernel calls through the fixed 16-lane body
   kLlgBlocksGeneric,     ///< kernel calls through the variable-width body
@@ -89,7 +90,7 @@ enum class Gauge : std::uint16_t {
 /// unless noted). Buckets are powers of two, so merge is a bucket-wise
 /// integer add -- exact in any order.
 enum class Hist : std::uint16_t {
-  kEngineChunkNanos,   ///< per-chunk wall time
+  kEngineChunkNanos,   ///< per-task wall time (chunk or span)
   kEngineCallNanos,    ///< per-runner-call wall time
   kSweepPointNanos,    ///< per-sweep-point wall time
   kCount

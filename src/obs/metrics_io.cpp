@@ -181,10 +181,6 @@ std::map<std::string, double> derived_metrics(const Snapshot& s) {
     const auto it = s.counters.find(name);
     return it == s.counters.end() ? 0.0 : static_cast<double>(it->second);
   };
-  const auto gauge = [&](const char* name) -> double {
-    const auto it = s.gauges.find(name);
-    return it == s.gauges.end() ? 0.0 : it->second;
-  };
 
   std::map<std::string, double> d;
   const double trials = counter("engine.trials");

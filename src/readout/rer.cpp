@@ -91,28 +91,33 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
                               s * theta * sp.reference_sigma / sigma};
       const double bias =
           0.5 * (tilt[1] * tilt[1] + tilt[2] * tilt[2]);
-      // One lane-parallel noise_margin call per lane block; lanes fold in
-      // trial order, exactly like one trial at a time.
+      // One lane-parallel noise_margin call per block of up to kLanes
+      // trials of a span; trials fold in trial order, exactly like one
+      // trial at a time.
       est = eng::importance_rounds(
           config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
             return runner.run_batched<util::WeightedStats>(
                 config.trials, round_seed, kLanes,
                 [&] { return std::vector<double>(4 * kLanes); },
-                [&](std::vector<double>& buf, util::Rng* rngs, std::size_t,
-                    std::size_t lanes, util::WeightedStats& ws) {
+                [&](std::vector<double>& buf, util::Rng* rngs,
+                    std::size_t first, std::size_t n, const auto& acc_of) {
                   double* zs = buf.data();
                   double* margins = zs + 3 * kLanes;
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    rngs[l].normal_fill_tilted(zs + 3 * l, 3, tilt, 3);
-                  }
-                  model.noise_margin(op, config.stored, lanes, zs, margins);
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    const double* z = zs + 3 * l;
-                    if (margins[l] < band) {
-                      ws.add(1.0, std::exp(bias - tilt[1] * z[1] -
-                                           tilt[2] * z[2]));
-                    } else {
-                      ws.add(0.0, 0.0);
+                  for (std::size_t b = 0; b < n; b += kLanes) {
+                    const std::size_t lanes = std::min(kLanes, n - b);
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                      rngs[b + l].normal_fill_tilted(zs + 3 * l, 3, tilt, 3);
+                    }
+                    model.noise_margin(op, config.stored, lanes, zs, margins);
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                      const double* z = zs + 3 * l;
+                      util::WeightedStats& ws = acc_of(first + b + l);
+                      if (margins[l] < band) {
+                        ws.add(1.0, std::exp(bias - tilt[1] * z[1] -
+                                             tilt[2] * z[2]));
+                      } else {
+                        ws.add(0.0, 0.0);
+                      }
                     }
                   }
                 });
@@ -175,8 +180,6 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
 
 namespace {
 
-constexpr std::size_t kMaxLanes = eng::MonteCarloRunner::kMaxLaneWidth;
-
 struct DisturbPartial {
   std::size_t disturbed = 0;
   util::RunningStats times;
@@ -196,6 +199,19 @@ struct StagePartial {
   }
 };
 
+/// Runner context of a splitting stage: the kernel plus span-sized buffers
+/// of the trials that still have window left (their starts, remaining
+/// windows, elapsed times, span positions, streams and results).
+struct StageContext {
+  explicit StageContext(const dyn::LlgParams& llg) : sim(llg) {}
+  dyn::BatchMacrospinSim sim;
+  std::vector<num::Vec3> m0;
+  std::vector<double> left, base_t;
+  std::vector<std::size_t> idx;
+  std::vector<util::Rng> comp;
+  std::vector<dyn::SwitchResult> sub, res;
+};
+
 /// Multilevel splitting on the switching coordinate: trajectories are staged
 /// through descending |mz| thresholds; each stage restarts N trajectories
 /// from uniformly resampled survivor crossing states (with their elapsed
@@ -204,8 +220,8 @@ struct StagePartial {
 /// conditional crossing fractions. Deterministic across --threads: stage k
 /// trial i draws only from Rng::stream(derive_seed(seed, k), i) -- the
 /// parent pick first, then the integrator -- and all cross-trial logic runs
-/// serially on the chunk-order-merged results. Lane blocks run on the
-/// per-lane-durations kernel, each lane consuming exactly the draws a
+/// serially on the chunk-order-merged results. Each runner span runs on the
+/// per-trial-durations kernel, each trial consuming exactly the draws a
 /// scalar MacrospinSim trial would.
 eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
                                          eng::MonteCarloRunner& runner,
@@ -267,18 +283,17 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
     // goes to the integrator. A parent that crossed with no window left
     // fails immediately without touching the integrator.
     const StagePartial gen = runner.run_batched<StagePartial>(
-        N, stage_seed, dyn::BatchMacrospinSim::preferred_lanes(),
-        [&] { return dyn::BatchMacrospinSim(llg); },
-        [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
-            std::size_t lanes, StagePartial& acc) {
-          num::Vec3 m0[kMaxLanes];
-          double left[kMaxLanes];
-          double base_t[kMaxLanes];
-          std::size_t idx[kMaxLanes];
-          util::Rng comp[kMaxLanes];
-          dyn::SwitchResult res[kMaxLanes];
-          std::size_t na = 0;
-          for (std::size_t l = 0; l < lanes; ++l) {
+        N, stage_seed, eng::MonteCarloRunner::kMaxLaneWidth,
+        [&] { return StageContext(llg); },
+        [&](StageContext& ctx, util::Rng* rngs, std::size_t first,
+            std::size_t n, const auto& acc_of) {
+          ctx.res.assign(n, dyn::SwitchResult{});
+          ctx.m0.clear();
+          ctx.left.clear();
+          ctx.base_t.clear();
+          ctx.idx.clear();
+          ctx.comp.clear();
+          for (std::size_t l = 0; l < n; ++l) {
             double t0 = 0.0;
             num::Vec3 start;
             if (k == 0) {
@@ -289,27 +304,28 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
               t0 = pool_t[j];
             }
             if (duration - t0 <= 0.0) {
-              res[l].time = t0;
+              ctx.res[l].time = t0;
               continue;
             }
-            m0[na] = start;
-            left[na] = duration - t0;
-            base_t[na] = t0;
-            comp[na] = rngs[l];
-            idx[na] = l;
-            ++na;
+            ctx.m0.push_back(start);
+            ctx.left.push_back(duration - t0);
+            ctx.base_t.push_back(t0);
+            ctx.comp.push_back(rngs[l]);
+            ctx.idx.push_back(l);
           }
+          const std::size_t na = ctx.idx.size();
           if (na > 0) {
-            dyn::SwitchResult sub[kMaxLanes];
-            batch.run_until_switch(na, m0, comp, left, config.dt, sub,
-                                   thr);
+            ctx.sub.resize(na);
+            ctx.sim.run_until_switch(na, ctx.m0.data(), ctx.comp.data(),
+                                     ctx.left.data(), config.dt,
+                                     ctx.sub.data(), thr);
             for (std::size_t a = 0; a < na; ++a) {
-              sub[a].time += base_t[a];
-              res[idx[a]] = sub[a];
+              ctx.sub[a].time += ctx.base_t[a];
+              ctx.res[ctx.idx[a]] = ctx.sub[a];
             }
           }
-          for (std::size_t l = 0; l < lanes; ++l) {
-            acc.results.push_back(res[l]);
+          for (std::size_t l = 0; l < n; ++l) {
+            acc_of(first + l).results.push_back(ctx.res[l]);
           }
         });
     simulated += dN;
@@ -407,19 +423,14 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
           config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
             return runner.run_batched<util::WeightedStats>(
                 config.trials, round_seed,
-                dyn::BatchMacrospinSim::preferred_lanes(),
-                [&] { return dyn::BatchMacrospinSim(llg); },
-                [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
-                    std::size_t, std::size_t lanes,
-                    util::WeightedStats& ws) {
-                  num::Vec3 m0[kMaxLanes];
-                  dyn::SwitchResult result[kMaxLanes];
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    m0[l] = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-                  }
-                  batch.run_until_switch(lanes, m0, rngs, duration,
-                                         config.dt, result, 0.0, tilt);
-                  for (std::size_t l = 0; l < lanes; ++l) {
+                eng::MonteCarloRunner::kMaxLaneWidth,
+                [&] { return dyn::ThermalLlgSpan(llg); },
+                [&](dyn::ThermalLlgSpan& span, util::Rng* rngs,
+                    std::size_t first, std::size_t n, const auto& acc_of) {
+                  const dyn::SwitchResult* result = span.run(
+                      rngs, n, delta, mz0, duration, config.dt, tilt);
+                  for (std::size_t l = 0; l < n; ++l) {
+                    util::WeightedStats& ws = acc_of(first + l);
                     if (result[l].switched) {
                       ws.add(1.0, std::exp(result[l].log_weight));
                     } else {
@@ -452,18 +463,15 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
   // inline stochastic_heun_step MacrospinSim executes, so every lane equals
   // a scalar run_until_switch bit for bit.
   const auto partial = runner.run_batched<DisturbPartial>(
-      config.trials, seed, dyn::BatchMacrospinSim::preferred_lanes(),
-      [&] { return dyn::BatchMacrospinSim(llg); },
-      [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
-          std::size_t lanes, DisturbPartial& acc) {
-        num::Vec3 m0[kMaxLanes];
-        dyn::SwitchResult result[kMaxLanes];
-        for (std::size_t l = 0; l < lanes; ++l) {
-          m0[l] = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-        }
-        batch.run_until_switch(lanes, m0, rngs, duration, config.dt, result);
-        for (std::size_t l = 0; l < lanes; ++l) {
+      config.trials, seed, eng::MonteCarloRunner::kMaxLaneWidth,
+      [&] { return dyn::ThermalLlgSpan(llg); },
+      [&](dyn::ThermalLlgSpan& span, util::Rng* rngs, std::size_t first,
+          std::size_t n, const auto& acc_of) {
+        const dyn::SwitchResult* result =
+            span.run(rngs, n, delta, mz0, duration, config.dt);
+        for (std::size_t l = 0; l < n; ++l) {
           if (result[l].switched) {
+            DisturbPartial& acc = acc_of(first + l);
             ++acc.disturbed;
             acc.times.add(result[l].time);
           }

@@ -139,10 +139,10 @@ int run_scenarios(const ScenarioRegistry& registry,
     std::vector<std::string> row;
     try {
       obs::TraceSpan scenario_span("scenario", [&] { return name; });
-      ScenarioContext ctx{.runner = runner};
-      ctx.seed = opt.seed;
-      ctx.data_dir = opt.data_dir;
-      ctx.trial_scale = opt.trial_scale;
+      ScenarioContext ctx{.runner = runner,
+                          .seed = opt.seed,
+                          .data_dir = opt.data_dir,
+                          .trial_scale = opt.trial_scale};
       const ResultSet results = scenario.run(ctx);
       const double secs = watch.seconds();
       total_secs += secs;

@@ -200,19 +200,21 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 /// time = duration whatever its step count, so its m_end is what exposes an
 /// off-by-one step budget. `per_lane` selects the per-lane-durations
 /// overload; otherwise every durations entry must be equal and the
-/// uniform-window overload runs.
+/// uniform-window overload runs. More trials than
+/// BatchMacrospinSim::preferred_lanes() slots exercise slot refills.
 void expect_lanes_match_scalar(BatchMacrospinSim& batch,
                                const std::vector<Vec3>& m0,
                                const std::vector<double>& durations,
                                double dt, std::uint64_t seed,
-                               bool per_lane = false) {
+                               bool per_lane = false, double mz_stop = 0.0) {
   const MacrospinSim scalar(batch.params());
   const std::size_t lanes = m0.size();
 
   std::vector<SwitchResult> expected(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
     util::Rng rng = util::Rng::stream(seed, l);
-    expected[l] = scalar.run_until_switch(m0[l], durations[l], dt, rng);
+    expected[l] =
+        scalar.run_until_switch(m0[l], durations[l], dt, rng, mz_stop);
   }
 
   std::vector<util::Rng> rngs;
@@ -222,10 +224,10 @@ void expect_lanes_match_scalar(BatchMacrospinSim& batch,
   std::vector<SwitchResult> got(lanes);
   if (per_lane) {
     batch.run_until_switch(lanes, m0.data(), rngs.data(), durations.data(),
-                           dt, got.data());
+                           dt, got.data(), mz_stop);
   } else {
     batch.run_until_switch(lanes, m0.data(), rngs.data(), durations[0], dt,
-                           got.data());
+                           got.data(), mz_stop);
   }
 
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -239,20 +241,26 @@ void expect_lanes_match_scalar(BatchMacrospinSim& batch,
   }
 }
 
-/// Runs `lanes` trials through both kernels on identical per-lane streams
-/// and requires bit-identical SwitchResults.
-void expect_batch_matches_scalar(const LlgParams& p, std::size_t lanes,
-                                 double duration, double dt,
-                                 std::uint64_t seed) {
-  BatchMacrospinSim batch(p);
+/// Starts near -z with a small seeded tilt, one per trial.
+std::vector<Vec3> tilted_starts(std::size_t lanes, std::uint64_t seed) {
   std::vector<Vec3> m0(lanes);
   util::Rng tilt(seed);
   for (auto& m : m0) {
     m = num::normalized({0.08 * tilt.uniform(-1.0, 1.0),
                          0.08 * tilt.uniform(-1.0, 1.0), -1.0});
   }
-  expect_lanes_match_scalar(batch, m0, std::vector<double>(lanes, duration),
-                            dt, seed);
+  return m0;
+}
+
+/// Runs `lanes` trials through both kernels on identical per-lane streams
+/// and requires bit-identical SwitchResults.
+void expect_batch_matches_scalar(const LlgParams& p, std::size_t lanes,
+                                 double duration, double dt,
+                                 std::uint64_t seed, double mz_stop = 0.0) {
+  BatchMacrospinSim batch(p);
+  expect_lanes_match_scalar(batch, tilted_starts(lanes, seed),
+                            std::vector<double>(lanes, duration), dt, seed,
+                            /*per_lane=*/false, mz_stop);
 }
 
 TEST(BatchLlg, BitIdenticalToScalarThermalDriven) {
@@ -277,22 +285,42 @@ TEST(BatchLlg, BitIdenticalAtSixteenLanes) {
   const auto p = thermal_driven_params();
   expect_batch_matches_scalar(p, BatchMacrospinSim::kAvx512Lanes, 8e-9, 2e-13,
                               42);
-  // 17 lanes: one full 16-block plus a 1-lane remainder in the same call.
+  // 17 trials: on an AVX-512 host, 16 slots and one refill in the same
+  // call.
   expect_batch_matches_scalar(p, 17, 3e-9, 2e-13, 77);
 }
 
 TEST(BatchLlg, BitIdenticalAtLaneFillShapes) {
   // The thermal noise of a block comes from one lane-parallel fill in
-  // groups of up to 16 lanes. 12 lanes is the block width
-  // read_disturb_vs_pulse runs at trial scale 3 (chunks of 12 trials): one
-  // group, with a partial second zmm at the AVX-512 level. 33 and 64 lanes
-  // span several groups, and compaction moves lanes across their borders.
+  // groups of up to 16 slots. 12 trials fill one group, with a partial
+  // second zmm at the AVX-512 level. 33, 40, 64 and 100 trials outnumber
+  // the slots: retired slots are refilled mid-block from the queue, the
+  // newcomers' partial blocks come from their own streams, and compaction
+  // only starts once the queue is empty.
   const auto p = thermal_driven_params();
   for (std::size_t lanes :
-       {std::size_t{12}, std::size_t{33}, std::size_t{64}}) {
+       {std::size_t{12}, std::size_t{33}, std::size_t{40}, std::size_t{64},
+        std::size_t{100}}) {
     SCOPED_TRACE(lanes);
     expect_batch_matches_scalar(p, lanes, 3e-9, 2e-13, 5000 + lanes);
   }
+
+  // Refills under per-trial windows: windows shorter than one 64-step
+  // noise block (25 and 55 steps at 0.2 ps) retire mid-block and hand
+  // their slot to the next trial at a nonzero phase, beside windows of
+  // many blocks (1.5 and 3 ns).
+  const double windows[4] = {5e-12, 3e-9, 1.1e-11, 1.5e-9};
+  std::vector<double> durations(41);
+  for (std::size_t l = 0; l < durations.size(); ++l) {
+    durations[l] = windows[l % 4];
+  }
+  BatchMacrospinSim batch(p);
+  expect_lanes_match_scalar(batch, tilted_starts(durations.size(), 6100),
+                            durations, 2e-13, 6100, /*per_lane=*/true);
+
+  // Refills at a stop plane below the equator: trials cross it earlier,
+  // and each newcomer's crossing sign comes from its own start.
+  expect_batch_matches_scalar(p, 40, 3e-9, 2e-13, 6200, /*mz_stop=*/-0.5);
 }
 
 TEST(BatchLlg, PreferredLanesIsASupportedWidth) {

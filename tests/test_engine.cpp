@@ -379,10 +379,11 @@ CountPartial run_counting_batched(unsigned threads, std::size_t chunk,
   eng::MonteCarloRunner runner(cfg);
   return runner.run_batched<CountPartial>(
       999, 1234, lane_width,
-      [](util::Rng* rngs, std::size_t, std::size_t lanes,
-         CountPartial& acc) {
-        for (std::size_t l = 0; l < lanes; ++l) {
+      [](util::Rng* rngs, std::size_t first, std::size_t n,
+         const auto& acc_of) {
+        for (std::size_t l = 0; l < n; ++l) {
           const double u = rngs[l].uniform();
+          CountPartial& acc = acc_of(first + l);
           acc.hits += (u < 0.25);
           acc.values.add(u);
         }
@@ -390,19 +391,27 @@ CountPartial run_counting_batched(unsigned threads, std::size_t chunk,
 }
 
 TEST(MonteCarloRunner, BatchedBitIdenticalToUnbatched) {
-  // Same chunking, same per-trial streams, lane-ordered folding: any lane
-  // width must reproduce run() bit for bit -- remainder blocks (999 % 8 and
-  // 999 % 7 != 0) and lane_width = 1 included.
-  const auto reference = run_counting(1, 64);
-  for (std::size_t lane_width : {std::size_t{1}, std::size_t{7},
-                                 std::size_t{8}, std::size_t{64}}) {
-    for (unsigned threads : {1u, 4u}) {
-      const auto batched = run_counting_batched(threads, 64, lane_width);
-      EXPECT_EQ(batched.hits, reference.hits)
-          << "lanes=" << lane_width << " threads=" << threads;
-      EXPECT_EQ(batched.values.count(), reference.values.count());
-      EXPECT_EQ(batched.values.mean(), reference.values.mean());
-      EXPECT_EQ(batched.values.variance(), reference.values.variance());
+  // Same chunking, same per-trial streams, each trial folded into its own
+  // chunk's partial in trial order: any lane width must reproduce run() bit
+  // for bit. Spans are whole chunks holding at least lane_width trials, so
+  // chunk sizes 5 and 12 (effective 5 and 12 of 999 trials) make spans that
+  // cross chunk boundaries, with short last spans (999 % 10, 999 % 65 != 0);
+  // chunk size 64 gives the effective 16. lane_width = 1 is one chunk per
+  // span.
+  for (std::size_t chunk : {std::size_t{5}, std::size_t{12}, std::size_t{64}}) {
+    const auto reference = run_counting(1, chunk);
+    for (std::size_t lane_width : {std::size_t{1}, std::size_t{7},
+                                   std::size_t{8}, std::size_t{64}}) {
+      for (unsigned threads : {1u, 3u, 4u}) {
+        const auto batched = run_counting_batched(threads, chunk, lane_width);
+        SCOPED_TRACE(testing::Message()
+                     << "chunk=" << chunk << " lanes=" << lane_width
+                     << " threads=" << threads);
+        EXPECT_EQ(batched.hits, reference.hits);
+        EXPECT_EQ(batched.values.count(), reference.values.count());
+        EXPECT_EQ(batched.values.mean(), reference.values.mean());
+        EXPECT_EQ(batched.values.variance(), reference.values.variance());
+      }
     }
   }
 }
@@ -416,7 +425,7 @@ TEST(MonteCarloRunner, BatchedRejectsZeroLaneWidth) {
   EXPECT_THROW(
       runner.run_batched<Sum>(
           10, 1, 0,
-          [](util::Rng*, std::size_t, std::size_t, Sum&) {}),
+          [](util::Rng*, std::size_t, std::size_t, const auto&) {}),
       util::ContractViolation);
 }
 

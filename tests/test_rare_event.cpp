@@ -236,12 +236,17 @@ TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTilt) {
 }
 
 TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTiltAt17Lanes) {
-  // 17 lanes: the tilted fields come from a full 16-lane fill group plus a
-  // 1-lane group, and compaction moves them across the group boundary.
+  // 17 trials: at most 16 slots, so the last trial enters a retired slot
+  // and its tilted fields come from a fill of its own. 41 trials refill
+  // the slots many times, each newcomer's log weight starting from zero in
+  // the middle of a noise block.
   const double pattern[5] = {-1.0, -0.15, -0.9, -0.1, -0.2};
-  std::vector<double> heights(17);
-  for (std::size_t l = 0; l < heights.size(); ++l) heights[l] = pattern[l % 5];
-  expect_tilted_batch_matches_scalar(heights, 77);
+  for (std::size_t n : {std::size_t{17}, std::size_t{41}}) {
+    SCOPED_TRACE(n);
+    std::vector<double> heights(n);
+    for (std::size_t l = 0; l < n; ++l) heights[l] = pattern[l % 5];
+    expect_tilted_batch_matches_scalar(heights, 77);
+  }
 }
 
 TEST(TiltedLlg, PerLaneDurationsMatchScalarContinuations) {
