@@ -120,7 +120,7 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
                      : static_cast<double>(detail::kHeunStepFlops));
   const std::uint64_t seed = rng();
   const auto partial = runner.run_batched<SwitchPartial>(
-      trials, seed, eng::MonteCarloRunner::kMaxLaneWidth,
+      trials, seed,
       [&] { return ThermalLlgSpan(llg); },
       [&](ThermalLlgSpan& span, util::Rng* rngs, std::size_t first,
           std::size_t n, const auto& acc_of) {

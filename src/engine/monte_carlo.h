@@ -31,8 +31,9 @@
 // The batched path fans out spans of whole chunks instead of single chunks
 // (so a SIMD kernel sees many trials at once), but each trial still folds
 // into its own chunk's partial: spans decide who executes a trial, never
-// where its result goes. The engine.chunks / engine.chunk_ns metrics count
-// and time these fan-out tasks: chunks of run(), spans of run_batched().
+// where its result goes, so span sizes may follow the thread count. The
+// engine.chunks / engine.chunk_ns metrics count and time these fan-out
+// tasks: chunks of run(), spans of run_batched().
 //
 // The accumulator type (`Partial`) must be default-constructible and provide
 //   void merge(const Partial&);
@@ -82,11 +83,11 @@ class MonteCarloRunner {
     return chunk;
   }
 
-  /// Upper bound on run_batched's lane_width, and the widest block a batch
-  /// body hands to a lane-parallel score at once (eng::BatchScore). 64
-  /// matches the widest consumers: subset simulation and the read-error
-  /// noise_margin blocks. The batched LLG callers pass it too, so a span
-  /// keeps the kernel's slots refilled for many trials.
+  /// The widest block a batch body hands to a lane-parallel score at once
+  /// (eng::BatchScore), and the trial count a run_batched() span aims at.
+  /// 64 matches the widest consumers: subset simulation and the read-error
+  /// noise_margin blocks; a 64-trial span also keeps an LLG kernel's slots
+  /// refilled for many trials.
   static constexpr std::size_t kMaxLaneWidth = 64;
 
   template <class Partial, class MakeContext, class TrialFn>
@@ -130,10 +131,9 @@ class MonteCarloRunner {
         });
   }
 
-  /// Batched variant of run(): the pool fans out *spans* -- the fewest
-  /// whole consecutive chunks holding at least `lane_width` trials, so a
-  /// span depends only on (trials, chunk_size, lane_width) -- and hands
-  /// each span's trials to `batch` at once, so a SoA kernel (e.g.
+  /// Batched variant of run(): the pool fans out *spans* of whole
+  /// consecutive chunks (span_chunks() of them) and hands each span's
+  /// trials to `batch` at once, so a SoA kernel (e.g.
   /// dyn::BatchMacrospinSim) can keep its lanes full across chunk
   /// boundaries.
   /// BatchFn: (Ctx&, util::Rng* rngs, std::size_t first_trial, std::size_t n,
@@ -144,20 +144,16 @@ class MonteCarloRunner {
   ///
   /// Spans group execution only. Chunks, per-trial streams, partials and
   /// the chunk-order merge are run()'s -- they depend on (trials,
-  /// chunk_size), never on lane_width or the thread count -- so a batch
+  /// chunk_size), never on the span size or the thread count -- so a batch
   /// functor that folds each trial into its own chunk's partial in trial
-  /// order reproduces run() bit for bit at any lane_width.
+  /// order reproduces run() bit for bit at any thread count.
   template <class Partial, class MakeContext, class BatchFn>
   Partial run_batched(std::size_t trials, std::uint64_t seed,
-                      std::size_t lane_width, MakeContext&& make_context,
-                      BatchFn&& batch) {
+                      MakeContext&& make_context, BatchFn&& batch) {
     MRAM_EXPECTS(trials > 0, "need at least one trial");
-    MRAM_EXPECTS(lane_width > 0, "lane width must be positive");
-    MRAM_EXPECTS(lane_width <= kMaxLaneWidth,
-                 "lane width exceeds engine maximum (64)");
     const std::size_t chunk = effective_chunk(trials);
     const std::size_t n_chunks = (trials + chunk - 1) / chunk;
-    const std::size_t per_span = (lane_width + chunk - 1) / chunk;
+    const std::size_t per_span = span_chunks(chunk, n_chunks);
     const std::size_t n_spans = (n_chunks + per_span - 1) / per_span;
     return run_chunks<Partial>(
         trials, chunk, n_chunks, n_spans,
@@ -192,10 +188,10 @@ class MonteCarloRunner {
   ///           const AccOf& acc_of) -> void.
   template <class Partial, class BatchFn>
   Partial run_batched(std::size_t trials, std::uint64_t seed,
-                      std::size_t lane_width, BatchFn&& batch) {
+                      BatchFn&& batch) {
     struct NoContext {};
     return run_batched<Partial>(
-        trials, seed, lane_width, [] { return NoContext{}; },
+        trials, seed, [] { return NoContext{}; },
         [&batch](NoContext&, util::Rng* rngs, std::size_t first,
                  std::size_t n, const auto& acc_of) {
           batch(rngs, first, n, acc_of);
@@ -204,6 +200,15 @@ class MonteCarloRunner {
 
  private:
   static constexpr std::size_t kTargetChunks = 64;
+
+  /// Whole chunks per run_batched() span: enough for kMaxLaneWidth trials,
+  /// capped so that at least min(n_chunks, threads()) spans remain and a
+  /// small call of heavy trials (16 stochastic-LLG trials in chunks of
+  /// one) still spreads over the pool.
+  std::size_t span_chunks(std::size_t chunk, std::size_t n_chunks) const {
+    const std::size_t fill = (kMaxLaneWidth + chunk - 1) / chunk;
+    return std::min(fill, std::max<std::size_t>(n_chunks / threads(), 1));
+  }
 
   /// Per-runner-call observability: counts the call, stamps the config
   /// gauges, announces the trial total to the progress gate, opens the

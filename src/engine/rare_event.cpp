@@ -97,7 +97,7 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
   // Level 0: fresh standard-normal latent vectors through the runner, one
   // score call per block of up to kLanes trials of a span.
   ScorePartial gen = runner.run_batched<ScorePartial>(
-      N, derive_seed(seed, 0), kLanes,
+      N, derive_seed(seed, 0),
       [&] { return std::vector<double>(kLanes * (dim + 1)); },
       [&](std::vector<double>& buf, util::Rng* rngs, std::size_t first,
           std::size_t n, const auto& acc_of) {
@@ -133,7 +133,7 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
     const double beta = std::sqrt(1.0 - rho * rho);
     const std::size_t m = parents.size();
     gen = runner.run_batched<ScorePartial>(
-        N, derive_seed(seed, tag), kLanes,
+        N, derive_seed(seed, tag),
         [&] { return std::vector<double>(kLanes * (2 * dim + 2)); },
         [&, m](std::vector<double>& buf, util::Rng* rngs, std::size_t first,
                std::size_t n, const auto& acc_of) {

@@ -208,17 +208,17 @@ inline constexpr std::size_t kSplittingMinTrials = 4;
 /// trial i draws only from Rng::stream(derive_seed(seed, k), i), and all
 /// cross-trial logic runs serially on chunk-order-merged results.
 ///
-/// Lockstep evaluation: every level runs through runner.run_batched with
-/// lane width kMaxLaneWidth, each span walks its trials in blocks of up to
-/// kMaxLaneWidth, and the chains of one block advance in lockstep --
+/// Lockstep evaluation: every level runs through runner.run_batched, each
+/// span walks its trials in blocks of up to kMaxLaneWidth, and the chains
+/// of one block advance in lockstep --
 /// level 0 draws all of the block's vectors, then scores them
 /// in one call; a resample level draws each chain's parent
 /// (rng.below(m)), then per MCMC step fills every chain's proposal
 /// (normal_fill), scores the whole block in one call and accepts chain by
 /// chain. Each chain still consumes its own stream in the per-trial order
 /// below(m), then mcmc_steps normal_fill calls, and states are appended in
-/// lane (= trial) order, so the result does not depend on the lane width,
-/// the chunking of the batch or the thread count.
+/// lane (= trial) order, so the result does not depend on the block or span
+/// sizes, the chunking of the batch or the thread count.
 RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
                                     std::size_t n_per_level,
                                     std::uint64_t seed,

@@ -5,17 +5,6 @@
 
 #include "util/error.h"
 
-// The ladder solve is the hot loop of every read-model build, and inlined
-// into its caller its speed moved by 10-21% with its offset modulo 64 bytes
-// whenever unrelated code shifted the layout of the LTO build. Out of line
-// and aligned to 64 bytes, its loops keep one offset from a cache-line
-// start whatever code changes around it.
-#if defined(__GNUC__) || defined(__clang__)
-#define MRAM_PINNED_HOT __attribute__((noinline, aligned(64)))
-#else
-#define MRAM_PINNED_HOT
-#endif
-
 namespace mram::rdo {
 
 void BitlineParams::validate() const {
@@ -64,9 +53,14 @@ namespace {
 /// bitwise, because no entry is ever -0 (stamps and differences of nonzero
 /// values give nonzero values or +0), so the solution is bit-identical to
 /// the full dense elimination.
-MRAM_PINNED_HOT void eliminate_banded(std::vector<double>& a,
-                                      std::vector<double>& rhs, std::size_t n,
-                                      std::size_t band, std::size_t k) {
+///
+/// It is the hot loop of every read-model build. Kept out of line at a
+/// 64-byte boundary, its loops keep one cache-line offset whatever code
+/// around it changes; inlined, its speed moved by 10-21% with unrelated
+/// layout shifts of the LTO build.
+[[gnu::noinline, gnu::aligned(64)]] void eliminate_banded(
+    std::vector<double>& a, std::vector<double>& rhs, std::size_t n,
+    std::size_t band, std::size_t k) {
   for (std::size_t col = 0; col < n; ++col) {
     const double pivot = a[col * n + col];
     MRAM_ENSURES(std::abs(pivot) > 0.0, "singular read-column network");

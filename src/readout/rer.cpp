@@ -97,7 +97,7 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
       est = eng::importance_rounds(
           config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
             return runner.run_batched<util::WeightedStats>(
-                config.trials, round_seed, kLanes,
+                config.trials, round_seed,
                 [&] { return std::vector<double>(4 * kLanes); },
                 [&](std::vector<double>& buf, util::Rng* rngs,
                     std::size_t first, std::size_t n, const auto& acc_of) {
@@ -283,7 +283,7 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
     // goes to the integrator. A parent that crossed with no window left
     // fails immediately without touching the integrator.
     const StagePartial gen = runner.run_batched<StagePartial>(
-        N, stage_seed, eng::MonteCarloRunner::kMaxLaneWidth,
+        N, stage_seed,
         [&] { return StageContext(llg); },
         [&](StageContext& ctx, util::Rng* rngs, std::size_t first,
             std::size_t n, const auto& acc_of) {
@@ -423,7 +423,6 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
           config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
             return runner.run_batched<util::WeightedStats>(
                 config.trials, round_seed,
-                eng::MonteCarloRunner::kMaxLaneWidth,
                 [&] { return dyn::ThermalLlgSpan(llg); },
                 [&](dyn::ThermalLlgSpan& span, util::Rng* rngs,
                     std::size_t first, std::size_t n, const auto& acc_of) {
@@ -463,7 +462,7 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
   // inline stochastic_heun_step MacrospinSim executes, so every lane equals
   // a scalar run_until_switch bit for bit.
   const auto partial = runner.run_batched<DisturbPartial>(
-      config.trials, seed, eng::MonteCarloRunner::kMaxLaneWidth,
+      config.trials, seed,
       [&] { return dyn::ThermalLlgSpan(llg); },
       [&](dyn::ThermalLlgSpan& span, util::Rng* rngs, std::size_t first,
           std::size_t n, const auto& acc_of) {

@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/array_field.h"
@@ -299,13 +300,14 @@ struct CountPartial {
   }
 };
 
-CountPartial run_counting(unsigned threads, std::size_t chunk) {
+CountPartial run_counting(unsigned threads, std::size_t chunk,
+                          std::size_t trials = 999) {
   eng::RunnerConfig cfg;
   cfg.threads = threads;
   cfg.chunk_size = chunk;
   eng::MonteCarloRunner runner(cfg);
   return runner.run<CountPartial>(
-      999, 1234, [](util::Rng& rng, std::size_t, CountPartial& acc) {
+      trials, 1234, [](util::Rng& rng, std::size_t, CountPartial& acc) {
         const double u = rng.uniform();
         acc.hits += (u < 0.25);
         acc.values.add(u);
@@ -372,14 +374,19 @@ TEST(MonteCarloRunner, RejectsInvalidConfig) {
 // --- batched runner path ----------------------------------------------------
 
 CountPartial run_counting_batched(unsigned threads, std::size_t chunk,
-                                  std::size_t lane_width) {
+                                  std::size_t trials,
+                                  std::atomic<int>* spans = nullptr) {
   eng::RunnerConfig cfg;
   cfg.threads = threads;
   cfg.chunk_size = chunk;
   eng::MonteCarloRunner runner(cfg);
   return runner.run_batched<CountPartial>(
-      999, 1234, lane_width,
-      [](util::Rng* rngs, std::size_t first, std::size_t n,
+      trials, 1234,
+      [spans] {
+        if (spans != nullptr) ++*spans;
+        return 0;
+      },
+      [](int&, util::Rng* rngs, std::size_t first, std::size_t n,
          const auto& acc_of) {
         for (std::size_t l = 0; l < n; ++l) {
           const double u = rngs[l].uniform();
@@ -392,21 +399,20 @@ CountPartial run_counting_batched(unsigned threads, std::size_t chunk,
 
 TEST(MonteCarloRunner, BatchedBitIdenticalToUnbatched) {
   // Same chunking, same per-trial streams, each trial folded into its own
-  // chunk's partial in trial order: any lane width must reproduce run() bit
-  // for bit. Spans are whole chunks holding at least lane_width trials, so
-  // chunk sizes 5 and 12 (effective 5 and 12 of 999 trials) make spans that
-  // cross chunk boundaries, with short last spans (999 % 10, 999 % 65 != 0);
-  // chunk size 64 gives the effective 16. lane_width = 1 is one chunk per
-  // span.
-  for (std::size_t chunk : {std::size_t{5}, std::size_t{12}, std::size_t{64}}) {
-    const auto reference = run_counting(1, chunk);
-    for (std::size_t lane_width : {std::size_t{1}, std::size_t{7},
-                                   std::size_t{8}, std::size_t{64}}) {
-      for (unsigned threads : {1u, 3u, 4u}) {
-        const auto batched = run_counting_batched(threads, chunk, lane_width);
-        SCOPED_TRACE(testing::Message()
-                     << "chunk=" << chunk << " lanes=" << lane_width
-                     << " threads=" << threads);
+  // chunk's partial in trial order: any span geometry must reproduce run()
+  // bit for bit. Of 999 trials, chunk sizes 5 and 12 (effective 5 and 12)
+  // make 65- and 72-trial spans that cross chunk boundaries, with short
+  // last spans; chunk size 64 gives the effective 16. Of 40 trials (chunks
+  // of one), the thread count caps the span: one 40-trial span on 1
+  // thread, 20 on 2, 13 with a 1-trial tail on 3, 10 on 4.
+  for (std::size_t trials : {std::size_t{999}, std::size_t{40}}) {
+    for (std::size_t chunk :
+         {std::size_t{5}, std::size_t{12}, std::size_t{64}}) {
+      const auto reference = run_counting(1, chunk, trials);
+      for (unsigned threads : {1u, 2u, 3u, 4u}) {
+        const auto batched = run_counting_batched(threads, chunk, trials);
+        SCOPED_TRACE(testing::Message() << "trials=" << trials << " chunk="
+                                        << chunk << " threads=" << threads);
         EXPECT_EQ(batched.hits, reference.hits);
         EXPECT_EQ(batched.values.count(), reference.values.count());
         EXPECT_EQ(batched.values.mean(), reference.values.mean());
@@ -416,17 +422,22 @@ TEST(MonteCarloRunner, BatchedBitIdenticalToUnbatched) {
   }
 }
 
-TEST(MonteCarloRunner, BatchedRejectsZeroLaneWidth) {
-  eng::MonteCarloRunner runner;
-  struct Sum {
-    std::size_t n = 0;
-    void merge(const Sum& o) { n += o.n; }
-  };
-  EXPECT_THROW(
-      runner.run_batched<Sum>(
-          10, 1, 0,
-          [](util::Rng*, std::size_t, std::size_t, const auto&) {}),
-      util::ContractViolation);
+TEST(MonteCarloRunner, BatchedSmallCallSpreadsOverPool) {
+  // One context per span. 16 trials run in chunks of one; spans aim at 64
+  // trials but keep min(chunks, threads) of them, so a small call of heavy
+  // trials still fans out over the pool.
+  const std::pair<unsigned, int> cases[] = {{1u, 1}, {2u, 2}, {4u, 4}};
+  for (const auto& [threads, expected] : cases) {
+    std::atomic<int> spans{0};
+    const auto total = run_counting_batched(threads, 64, 16, &spans);
+    EXPECT_EQ(total.values.count(), 16u);
+    EXPECT_EQ(spans.load(), expected) << "threads=" << threads;
+  }
+  // Enough chunks to fill 64-trial spans on every thread: 999 trials in
+  // chunks of 16 make 63 chunks, 4 per span.
+  std::atomic<int> spans{0};
+  run_counting_batched(4, 64, 999, &spans);
+  EXPECT_EQ(spans.load(), 16);
 }
 
 // --- seeded WER: serial vs. 4 threads bit-identity --------------------------
