@@ -109,37 +109,22 @@ namespace {
 /// through Rng::normal_fill -- the same sampler, values and order the
 /// batched kernel consumes, which (together with the shared step) keeps
 /// the scalar and batched paths bit-identical.
-template <bool kHasTorque, bool kHasNoise, bool kHasTilt>
+template <bool kHasTorque, bool kHasNoise>
 SwitchResult run_switch_loop(const detail::HeunStepCoeffs& coeffs,
                              const Vec3& h_applied, double sigma,
                              const Vec3& m0, double duration, double dt,
-                             util::Rng& rng, double mz_stop,
-                             const Vec3& tilt) {
-  static_assert(kHasNoise || !kHasTilt, "a tilt requires the thermal field");
+                             util::Rng& rng, double mz_stop) {
   const double start_sign = (m0.z >= mz_stop) ? 1.0 : -1.0;
   double mx = m0.x, my = m0.y, mz = m0.z;
   double fx = h_applied.x, fy = h_applied.y, fz = h_applied.z;
   double noise[3];
-  const double tilt_arr[3] = {tilt.x, tilt.y, tilt.z};
-  const auto wc = detail::TiltWeightCoeffs::from(tilt, h_applied, sigma);
-  double logw = 0.0;
   double t = 0.0;
   while (t < duration) {
     if constexpr (kHasNoise) {
-      if constexpr (kHasTilt) {
-        rng.normal_fill_tilted(noise, 3, tilt_arr, 3);
-      } else {
-        rng.normal_fill(noise, 3);
-      }
+      rng.normal_fill(noise, 3);
       fx = h_applied.x + sigma * noise[0];
       fy = h_applied.y + sigma * noise[1];
       fz = h_applied.z + sigma * noise[2];
-    }
-    if constexpr (kHasTilt) {
-      // Accumulated over *executed* steps only, from the assembled field
-      // values, before the step -- the batch kernel does literally the same
-      // per lane in step order, keeping the weights bit-identical.
-      logw += detail::tilt_log_weight_step(wc, fx, fy, fz);
     }
     // Heun predictor-corrector (Stratonovich-consistent with the frozen
     // thermal field across the step). m is unit by invariant, so k1 needs
@@ -147,18 +132,17 @@ SwitchResult run_switch_loop(const detail::HeunStepCoeffs& coeffs,
     detail::stochastic_heun_step<kHasTorque>(coeffs, fx, fy, fz, mx, my, mz);
     t += dt;
     if (start_sign * (mz - mz_stop) < 0.0) {
-      return {true, t, logw, {mx, my, mz}};
+      return {true, t, {mx, my, mz}};
     }
   }
-  return {false, duration, logw, {mx, my, mz}};
+  return {false, duration, {mx, my, mz}};
 }
 
 }  // namespace
 
 SwitchResult MacrospinSim::run_until_switch(const Vec3& m0, double duration,
                                             double dt, util::Rng& rng,
-                                            double mz_stop,
-                                            const Vec3& tilt) const {
+                                            double mz_stop) const {
   MRAM_EXPECTS(dt > 0.0 && duration > 0.0, "invalid integration window");
   MRAM_EXPECTS(std::abs(num::norm(m0) - 1.0) < 1e-6,
                "m0 must be a unit vector");
@@ -166,32 +150,18 @@ SwitchResult MacrospinSim::run_until_switch(const Vec3& m0, double duration,
   const double sigma = thermal_field_sigma(dt);
   const auto coeffs = detail::HeunStepCoeffs::from(rhs_, dt);
   const Vec3& h = params_.h_applied;
-  const bool tilted =
-      sigma > 0.0 && (tilt.x != 0.0 || tilt.y != 0.0 || tilt.z != 0.0);
   if (rhs_.aj != 0.0) {
-    if (tilted) {
-      return run_switch_loop<true, true, true>(coeffs, h, sigma, m0, duration,
-                                               dt, rng, mz_stop, tilt);
-    }
     return (sigma > 0.0)
-               ? run_switch_loop<true, true, false>(coeffs, h, sigma, m0,
-                                                    duration, dt, rng, mz_stop,
-                                                    tilt)
-               : run_switch_loop<true, false, false>(coeffs, h, sigma, m0,
-                                                     duration, dt, rng,
-                                                     mz_stop, tilt);
-  }
-  if (tilted) {
-    return run_switch_loop<false, true, true>(coeffs, h, sigma, m0, duration,
-                                              dt, rng, mz_stop, tilt);
+               ? run_switch_loop<true, true>(coeffs, h, sigma, m0, duration,
+                                             dt, rng, mz_stop)
+               : run_switch_loop<true, false>(coeffs, h, sigma, m0, duration,
+                                              dt, rng, mz_stop);
   }
   return (sigma > 0.0)
-             ? run_switch_loop<false, true, false>(coeffs, h, sigma, m0,
-                                                   duration, dt, rng, mz_stop,
-                                                   tilt)
-             : run_switch_loop<false, false, false>(coeffs, h, sigma, m0,
-                                                    duration, dt, rng, mz_stop,
-                                                    tilt);
+             ? run_switch_loop<false, true>(coeffs, h, sigma, m0, duration,
+                                            dt, rng, mz_stop)
+             : run_switch_loop<false, false>(coeffs, h, sigma, m0, duration,
+                                             dt, rng, mz_stop);
 }
 
 }  // namespace mram::dyn

@@ -74,15 +74,9 @@ struct LlgRhs {
 
 struct SwitchResult {
   bool switched = false;
-  double time = 0.0;  ///< time of the mz zero crossing [s]
-  /// Accumulated log likelihood ratio log(dP/dQ) of the executed trajectory
-  /// when the thermal noise was importance-tilted; exactly 0.0 for untilted
-  /// runs. Multiplying an indicator by exp(log_weight) unbiases estimates
-  /// taken under the tilted measure.
-  double log_weight = 0.0;
+  double time = 0.0;  ///< time of the mz_stop crossing [s]
   /// Magnetization at exit -- the crossing state when switched, the
-  /// end-of-window state otherwise. The splitting driver restarts
-  /// continuation trajectories from here.
+  /// end-of-window state otherwise.
   num::Vec3 m_end{};
 };
 
@@ -108,16 +102,10 @@ class MacrospinSim {
                 std::size_t record_every = 1) const;
 
   /// Stochastic integration (Heun) with the thermal field enabled when
-  /// temperature > 0. Stops early once mz crosses `mz_stop`. A nonzero
-  /// `tilt` (per-component mean shift of the *standard-normal* thermal
-  /// deviates, importance sampling) biases the noise toward switching and
-  /// accumulates the compensating log likelihood ratio in
-  /// SwitchResult::log_weight; the raw draw stream is identical to the
-  /// untilted run, so tilt = 0 reproduces it bit for bit.
+  /// temperature > 0. Stops early once mz crosses `mz_stop`.
   SwitchResult run_until_switch(const num::Vec3& m0, double duration,
                                 double dt, util::Rng& rng,
-                                double mz_stop = 0.0,
-                                const num::Vec3& tilt = {}) const;
+                                double mz_stop = 0.0) const;
 
   /// Thermal field standard deviation per component for step dt [A/m].
   double thermal_field_sigma(double dt) const;

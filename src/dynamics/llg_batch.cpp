@@ -72,22 +72,14 @@ constexpr std::size_t kNoiseBlockSteps = 64;
 
 // Turns the raw deviates z in the first n slots of the field block's
 // 3 * steps rows into thermal fields, in place: h = h_applied + sigma * z,
-// or h_applied + sigma * (z + tilt) under a tilt -- the scalar loop's
-// operations in its order (normal_fill_tilted adds the tilt after the
-// draw, then the field transform scales and shifts).
-template <bool kHasTilt>
+// the scalar loop's field transform.
 MRAM_NOINLINE MRAM_SIMD_CLONES void thermal_field_rows(
     std::size_t steps, std::size_t n, std::size_t cap, const double* ha,
-    double sigma, const double* tilt, double* MRAM_RESTRICT field) {
+    double sigma, double* MRAM_RESTRICT field) {
   for (std::size_t r = 0; r < 3 * steps; ++r) {
     double* MRAM_RESTRICT row = field + r * cap;
     const double hac = ha[r % 3];
-    const double tc = tilt[r % 3];
-    for (std::size_t a = 0; a < n; ++a) {
-      double z = row[a];
-      if constexpr (kHasTilt) z += tc;
-      row[a] = hac + sigma * z;
-    }
+    for (std::size_t a = 0; a < n; ++a) row[a] = hac + sigma * row[a];
   }
 }
 
@@ -107,30 +99,21 @@ MRAM_NOINLINE MRAM_SIMD_CLONES void thermal_field_rows(
 // aliasing between the arrays blocks vectorization. The three field
 // pointers may address rows of one block: restrict only forbids overlap
 // with memory that is written, and the kernel never writes a field.
-template <bool kHasTorque, bool kHasTilt>
+template <bool kHasTorque>
 MRAM_ALWAYS_INLINE std::size_t step_lanes_body(
     std::size_t n, std::size_t steps, std::size_t h_stride,
     double* MRAM_RESTRICT mx, double* MRAM_RESTRICT my,
     double* MRAM_RESTRICT mz, const double* MRAM_RESTRICT hxm,
     const double* MRAM_RESTRICT hym, const double* MRAM_RESTRICT hzm,
     const double* MRAM_RESTRICT sign, double* MRAM_RESTRICT crossed,
-    double* MRAM_RESTRICT logw, const detail::HeunStepCoeffs& coeffs,
-    const detail::TiltWeightCoeffs& wcoeffs, double mz_stop) {
+    const detail::HeunStepCoeffs& coeffs, double mz_stop) {
   const detail::HeunStepCoeffs c = coeffs;  // loop-invariant locals
-  const detail::TiltWeightCoeffs w = wcoeffs;
   for (std::size_t s = 0; s < steps; ++s) {
     const double* MRAM_RESTRICT hx = hxm + s * h_stride;
     const double* MRAM_RESTRICT hy = hym + s * h_stride;
     const double* MRAM_RESTRICT hz = hzm + s * h_stride;
     double any = 0.0;
     for (std::size_t a = 0; a < n; ++a) {
-      if constexpr (kHasTilt) {
-        // Same expression, same assembled-field inputs, same step order as
-        // the scalar loop's accumulation -- bit-identical log weights. The
-        // crossing step's weight is included, matching the scalar loop
-        // (which accumulates before stepping and checking).
-        logw[a] += detail::tilt_log_weight_step(w, hx[a], hy[a], hz[a]);
-      }
       detail::stochastic_heun_step<kHasTorque>(c, hx[a], hy[a], hz[a], mx[a],
                                                my[a], mz[a]);
       const double flag = (sign[a] * (mz[a] - mz_stop) < 0.0) ? 1.0 : 0.0;
@@ -142,57 +125,51 @@ MRAM_ALWAYS_INLINE std::size_t step_lanes_body(
   return steps;
 }
 
-template <bool kHasTorque, bool kHasTilt>
+template <bool kHasTorque>
 MRAM_NOINLINE MRAM_SIMD_CLONES std::size_t step_lanes_block(
     std::size_t n, std::size_t steps, std::size_t h_stride,
     double* MRAM_RESTRICT mx, double* MRAM_RESTRICT my,
     double* MRAM_RESTRICT mz, const double* MRAM_RESTRICT hxm,
     const double* MRAM_RESTRICT hym, const double* MRAM_RESTRICT hzm,
     const double* MRAM_RESTRICT sign, double* MRAM_RESTRICT crossed,
-    double* MRAM_RESTRICT logw, const detail::HeunStepCoeffs& coeffs,
-    const detail::TiltWeightCoeffs& wcoeffs, double mz_stop) {
-  return step_lanes_body<kHasTorque, kHasTilt>(n, steps, h_stride, mx, my,
-                                               mz, hxm, hym, hzm, sign,
-                                               crossed, logw, coeffs,
-                                               wcoeffs, mz_stop);
+    const detail::HeunStepCoeffs& coeffs, double mz_stop) {
+  return step_lanes_body<kHasTorque>(n, steps, h_stride, mx, my, mz, hxm,
+                                     hym, hzm, sign, crossed, coeffs,
+                                     mz_stop);
 }
 
 // Fixed-width specialization for full kDefaultLanes blocks -- the common
 // case by far. The compile-time lane count removes the vector epilogue and
 // all dynamic-bound loop overhead from the hot step loop.
-template <bool kHasTorque, bool kHasTilt>
+template <bool kHasTorque>
 MRAM_NOINLINE MRAM_SIMD_CLONES std::size_t step_lanes_block_w8(
     std::size_t steps, std::size_t h_stride, double* MRAM_RESTRICT mx,
     double* MRAM_RESTRICT my, double* MRAM_RESTRICT mz,
     const double* MRAM_RESTRICT hxm, const double* MRAM_RESTRICT hym,
     const double* MRAM_RESTRICT hzm, const double* MRAM_RESTRICT sign,
-    double* MRAM_RESTRICT crossed, double* MRAM_RESTRICT logw,
-    const detail::HeunStepCoeffs& coeffs,
-    const detail::TiltWeightCoeffs& wcoeffs, double mz_stop) {
+    double* MRAM_RESTRICT crossed, const detail::HeunStepCoeffs& coeffs,
+    double mz_stop) {
   static_assert(BatchMacrospinSim::kDefaultLanes == 8);
-  return step_lanes_body<kHasTorque, kHasTilt>(8, steps, h_stride, mx, my,
-                                               mz, hxm, hym, hzm, sign,
-                                               crossed, logw, coeffs,
-                                               wcoeffs, mz_stop);
+  return step_lanes_body<kHasTorque>(8, steps, h_stride, mx, my, mz, hxm,
+                                     hym, hzm, sign, crossed, coeffs,
+                                     mz_stop);
 }
 
 // Fixed 16-lane specialization, the only kernel with an avx512f clone: two
 // independent zmm dependency chains keep the wide units busy where a single
 // 8-lane chain cannot (see the clone-list comment above).
-template <bool kHasTorque, bool kHasTilt>
+template <bool kHasTorque>
 MRAM_NOINLINE MRAM_SIMD_CLONES_W16 std::size_t step_lanes_block_w16(
     std::size_t steps, std::size_t h_stride, double* MRAM_RESTRICT mx,
     double* MRAM_RESTRICT my, double* MRAM_RESTRICT mz,
     const double* MRAM_RESTRICT hxm, const double* MRAM_RESTRICT hym,
     const double* MRAM_RESTRICT hzm, const double* MRAM_RESTRICT sign,
-    double* MRAM_RESTRICT crossed, double* MRAM_RESTRICT logw,
-    const detail::HeunStepCoeffs& coeffs,
-    const detail::TiltWeightCoeffs& wcoeffs, double mz_stop) {
+    double* MRAM_RESTRICT crossed, const detail::HeunStepCoeffs& coeffs,
+    double mz_stop) {
   static_assert(BatchMacrospinSim::kAvx512Lanes == 16);
-  return step_lanes_body<kHasTorque, kHasTilt>(16, steps, h_stride, mx, my,
-                                               mz, hxm, hym, hzm, sign,
-                                               crossed, logw, coeffs,
-                                               wcoeffs, mz_stop);
+  return step_lanes_body<kHasTorque>(16, steps, h_stride, mx, my, mz, hxm,
+                                     hym, hzm, sign, crossed, coeffs,
+                                     mz_stop);
 }
 
 }  // namespace
@@ -224,23 +201,12 @@ std::size_t BatchMacrospinSim::step_budget(double duration, double dt) {
 void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
                                          util::Rng* rngs, double duration,
                                          double dt, SwitchResult* out,
-                                         double mz_stop, const Vec3& tilt) {
-  MRAM_EXPECTS(n > 0, "need at least one trial");
-  durations_.assign(n, duration);
-  run_until_switch(n, m0, rngs, durations_.data(), dt, out, mz_stop, tilt);
-}
-
-void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
-                                         util::Rng* rngs,
-                                         const double* durations, double dt,
-                                         SwitchResult* out, double mz_stop,
-                                         const Vec3& tilt) {
-  MRAM_EXPECTS(dt > 0.0, "invalid integration step");
+                                         double mz_stop) {
+  MRAM_EXPECTS(dt > 0.0 && duration > 0.0, "invalid integration window");
   MRAM_EXPECTS(n > 0, "need at least one trial");
   for (std::size_t l = 0; l < n; ++l) {
     MRAM_EXPECTS(std::abs(num::norm(m0[l]) - 1.0) < 1e-6,
                  "m0 must be a unit vector");
-    MRAM_EXPECTS(durations[l] > 0.0, "invalid integration window");
   }
   obs::counter_add(obs::Counter::kLlgLanesEntered, n);
 
@@ -250,7 +216,6 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
   mz_.resize(cap);
   sign_.resize(cap);
   crossed_.resize(cap);
-  logw_.resize(cap);
   left_.resize(cap);
   t_.resize(cap);
   lane_of_.resize(cap);
@@ -259,6 +224,7 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
 
   // Starts the next queued trial in slot a, with its whole step budget
   // left and its own clock at zero.
+  const std::size_t budget = step_budget(duration, dt);
   std::size_t next = 0;
   const auto load = [&](std::size_t a) {
     const std::size_t l = next++;
@@ -267,8 +233,7 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
     mz_[a] = m0[l].z;
     sign_[a] = (m0[l].z >= mz_stop) ? 1.0 : -1.0;
     crossed_[a] = 0.0;
-    logw_[a] = 0.0;
-    left_[a] = step_budget(durations[l], dt);
+    left_[a] = budget;
     t_[a] = 0.0;
     lane_of_[a] = l;
   };
@@ -276,27 +241,9 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
 
   const double sigma = thermal_field_sigma(params_, dt);
   const bool has_torque = (rhs_.aj != 0.0);
-  const bool has_tilt =
-      sigma > 0.0 && (tilt.x != 0.0 || tilt.y != 0.0 || tilt.z != 0.0);
   const Vec3 ha = params_.h_applied;
   const auto coeffs = detail::HeunStepCoeffs::from(rhs_, dt);
-  const auto wcoeffs = detail::TiltWeightCoeffs::from(tilt, ha, sigma);
   const double ha_arr[3] = {ha.x, ha.y, ha.z};
-  const double tilt_arr[3] = {tilt.x, tilt.y, tilt.z};
-
-  // Turns raw deviates into thermal fields in place: the first `slots`
-  // columns of the 3 * steps rows at `rows`, `stride` apart, the first of
-  // them an x row.
-  const auto to_fields = [&](std::size_t steps, std::size_t slots,
-                             std::size_t stride, double* rows) {
-    if (has_tilt) {
-      thermal_field_rows<true>(steps, slots, stride, ha_arr, sigma, tilt_arr,
-                               rows);
-    } else {
-      thermal_field_rows<false>(steps, slots, stride, ha_arr, sigma,
-                                tilt_arr, rows);
-    }
-  };
 
   // The field block holds the per-slot fields of kNoiseBlockSteps steps as
   // rows [step][xyz][slot]: row 3 * s + c is component c of step s. At each
@@ -331,7 +278,8 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
         util::Rng::normal_fill_lanes(rngs, lane_of_.data(), n_active,
                                      3 * kNoiseBlockSteps, field_.data(),
                                      cap);
-        to_fields(kNoiseBlockSteps, n_active, cap, field_.data());
+        thermal_field_rows(kNoiseBlockSteps, n_active, cap, ha_arr, sigma,
+                           field_.data());
       }
       steps_avail = kNoiseBlockSteps - phase;
       h = field_.data() + phase * 3 * cap;
@@ -351,39 +299,33 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
     }
     const std::size_t remaining = std::min(steps_avail, min_left);
 
-    const auto kernel = [&](auto torque, auto tilted) -> std::size_t {
+    const auto kernel = [&](auto torque) -> std::size_t {
       constexpr bool kT = decltype(torque)::value;
-      constexpr bool kW = decltype(tilted)::value;
       if (n_active == kDefaultLanes) {
         obs::counter_add(obs::Counter::kLlgBlocksW8);
         obs::tag_kernel(obs::KernelTag::kLlgW8);
-        return step_lanes_block_w8<kT, kW>(
-            remaining, h_stride, mx_.data(), my_.data(), mz_.data(), hxm,
-            hym, hzm, sign_.data(), crossed_.data(), logw_.data(), coeffs,
-            wcoeffs, mz_stop);
+        return step_lanes_block_w8<kT>(remaining, h_stride, mx_.data(),
+                                       my_.data(), mz_.data(), hxm, hym, hzm,
+                                       sign_.data(), crossed_.data(), coeffs,
+                                       mz_stop);
       }
       if (n_active == kAvx512Lanes) {
         obs::counter_add(obs::Counter::kLlgBlocksW16);
         obs::tag_kernel(obs::KernelTag::kLlgW16);
-        return step_lanes_block_w16<kT, kW>(
-            remaining, h_stride, mx_.data(), my_.data(), mz_.data(), hxm,
-            hym, hzm, sign_.data(), crossed_.data(), logw_.data(), coeffs,
-            wcoeffs, mz_stop);
+        return step_lanes_block_w16<kT>(remaining, h_stride, mx_.data(),
+                                        my_.data(), mz_.data(), hxm, hym, hzm,
+                                        sign_.data(), crossed_.data(), coeffs,
+                                        mz_stop);
       }
       obs::counter_add(obs::Counter::kLlgBlocksGeneric);
       obs::tag_kernel(obs::KernelTag::kLlgGeneric);
-      return step_lanes_block<kT, kW>(n_active, remaining, h_stride,
-                                      mx_.data(), my_.data(), mz_.data(),
-                                      hxm, hym, hzm, sign_.data(),
-                                      crossed_.data(), logw_.data(), coeffs,
-                                      wcoeffs, mz_stop);
+      return step_lanes_block<kT>(n_active, remaining, h_stride, mx_.data(),
+                                  my_.data(), mz_.data(), hxm, hym, hzm,
+                                  sign_.data(), crossed_.data(), coeffs,
+                                  mz_stop);
     };
-    const auto dispatch = [&](auto torque) -> std::size_t {
-      return has_tilt ? kernel(torque, std::true_type{})
-                      : kernel(torque, std::false_type{});
-    };
-    const std::size_t done = has_torque ? dispatch(std::true_type{})
-                                        : dispatch(std::false_type{});
+    const std::size_t done = has_torque ? kernel(std::true_type{})
+                                        : kernel(std::false_type{});
     // Occupancy bookkeeping: lane-steps actually executed vs the capacity
     // of every slot stepping (the refill-and-compaction efficiency ratio).
     obs::counter_add(obs::Counter::kLlgNoiseBlocks);
@@ -422,9 +364,9 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
         const std::size_t l = lane_of_[a];
         if (crossed) {
           obs::counter_add(obs::Counter::kLlgLanesEarlyExit);
-          out[l] = {true, t_[a], logw_[a], {mx_[a], my_[a], mz_[a]}};
+          out[l] = {true, t_[a], {mx_[a], my_[a], mz_[a]}};
         } else {
-          out[l] = {false, durations[l], logw_[a], {mx_[a], my_[a], mz_[a]}};
+          out[l] = {false, duration, {mx_[a], my_[a], mz_[a]}};
         }
         if (next == n) continue;
         load(a);
@@ -439,7 +381,6 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
         my_[w] = my_[a];
         mz_[w] = mz_[a];
         sign_[w] = sign_[a];
-        logw_[w] = logw_[a];
         left_[w] = left_[a];
         t_[w] = t_[a];
         lane_of_[w] = lane_of_[a];
@@ -468,8 +409,8 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
         util::Rng::normal_fill_lanes(rngs, fresh_lane_.data(), n_fresh,
                                      rows, fresh_field_.data(), n_fresh);
       }
-      to_fields(kNoiseBlockSteps - phase, n_fresh, n_fresh,
-                fresh_field_.data());
+      thermal_field_rows(kNoiseBlockSteps - phase, n_fresh, n_fresh, ha_arr,
+                         sigma, fresh_field_.data());
       for (std::size_t r = 0; r < rows; ++r) {
         const double* src = fresh_field_.data() + r * n_fresh;
         double* dst = field_.data() + (3 * phase + r) * cap;

@@ -65,8 +65,13 @@ class BatchMacrospinSim {
   /// min(n, preferred_lanes()) refilled slots. Trial l starts at m0[l] (a
   /// unit vector), draws its thermal field from rngs[l], and writes its
   /// result to out[l]. Results per trial are exactly
-  /// MacrospinSim::run_until_switch(m0[l], duration, dt, rngs[l], mz_stop,
-  /// tilt) -- switched flag, crossing time, log_weight and m_end included.
+  /// MacrospinSim::run_until_switch(m0[l], duration, dt, rngs[l], mz_stop)
+  /// -- switched flag, crossing time and m_end included. Each trial runs
+  /// for the step budget the scalar while-loop would execute for
+  /// `duration` (see step_budget) on its own slot clock, and a trial whose
+  /// budget is exhausted retires with {switched=false, time=duration}; one
+  /// that crosses on its final budgeted step reports switched, exactly like
+  /// the scalar loop.
   /// The thermal history is prefetched from each trial's rng in blocks, so
   /// the kernel may consume *more* values from rngs[l] than the scalar path
   /// would (the values actually used are the same ones, in the same order);
@@ -74,33 +79,20 @@ class BatchMacrospinSim {
   /// call and expect scalar-path agreement.
   void run_until_switch(std::size_t n, const num::Vec3* m0, util::Rng* rngs,
                         double duration, double dt, SwitchResult* out,
-                        double mz_stop = 0.0, const num::Vec3& tilt = {});
-
-  /// Per-trial-durations variant for the multilevel-splitting driver, whose
-  /// continuation trajectories carry different remaining windows. Trial l
-  /// integrates for durations[l] seconds (each > 0) on its own slot clock
-  /// from step 0 (its step budget is the number of iterations the scalar
-  /// while-loop would execute for durations[l], replayed with the scalar
-  /// path's exact floating-point time accumulation), and a trial whose
-  /// budget is exhausted retires with {switched=false, time=durations[l]}.
-  /// A trial that crosses on its final budgeted step reports switched,
-  /// exactly like the scalar loop.
-  ///
-  /// The replay costs one dependent add per step (30,000 for a 60 ns window
-  /// at 2 ps), more than a trial that switches early spends integrating, so
-  /// its result is memoised per (duration, dt) and recomputed only when
-  /// either changes: a uniform window replays once per sim, not once per
-  /// trial per call. A closed form is not a substitute, because accumulated
-  /// rounding moves the count both ways: 1e-9 / 1e-12 replays to 1000 steps
-  /// where ceil(duration / dt) gives 1001, and 8e-9 / 2e-13 replays to 40001
-  /// where both ceil and round give 40000.
-  void run_until_switch(std::size_t n, const num::Vec3* m0, util::Rng* rngs,
-                        const double* durations, double dt, SwitchResult* out,
-                        double mz_stop = 0.0, const num::Vec3& tilt = {});
+                        double mz_stop = 0.0);
 
  private:
-  /// Step budget of a `duration` window at step `dt` (see the per-lane
-  /// overload), served from the one-slot memo below when the key matches.
+  /// Step budget of a `duration` window at step `dt`: the number of
+  /// iterations the scalar while-loop executes, replayed with its exact
+  /// floating-point time accumulation. The replay costs one dependent add
+  /// per step (30,000 for a 60 ns window at 2 ps), so the result is
+  /// memoised per (duration, dt) and recomputed only when either changes:
+  /// a sim reused across spans replays each window once, not once per
+  /// span. A closed form is not a
+  /// substitute, because accumulated rounding moves the count both ways:
+  /// 1e-9 / 1e-12 replays to 1000 steps where ceil(duration / dt) gives
+  /// 1001, and 8e-9 / 2e-13 replays to 40001 where both ceil and round give
+  /// 40000.
   std::size_t step_budget(double duration, double dt);
 
   LlgParams params_;
@@ -112,11 +104,9 @@ class BatchMacrospinSim {
   std::vector<double> mx_, my_, mz_;   ///< magnetization per slot
   std::vector<double> sign_;           ///< per-slot start_sign
   std::vector<double> crossed_;        ///< per-slot crossing flag (0/1)
-  std::vector<double> logw_;           ///< per-slot accumulated log(dP/dQ)
   std::vector<std::size_t> left_;      ///< per-slot steps left in budget
   std::vector<double> t_;              ///< per-slot clock (t += dt per step)
   std::vector<std::size_t> lane_of_;   ///< slot -> caller trial
-  std::vector<double> durations_;      ///< broadcast buffer (uniform window)
   /// Field block [step][xyz][slot] of the current noise block: 64 steps of
   /// thermal fields, filled in place by one Rng::normal_fill_lanes call
   /// per block, or a single constant h_applied row when sigma == 0.

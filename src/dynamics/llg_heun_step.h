@@ -55,44 +55,6 @@ struct HeunStepCoeffs {
   }
 };
 
-/// Per-run constants for the importance-sampling log-likelihood-ratio
-/// accumulation. The tilt is a mean shift theta_c applied to the
-/// standard-normal thermal deviates (component c in {x,y,z}); for a
-/// trajectory under the tilted measure Q, the per-step contribution to
-/// log(dP/dQ) is sum_c (theta_c^2/2 - theta_c z_c). Both kernels only keep
-/// the *assembled* field f_c = ha_c + sigma z_c, so the contribution is
-/// rewritten in terms of f_c:
-///   logw += bias - (sx f_x + sy f_y + sz f_z),   s_c = theta_c / sigma,
-///   bias = |theta|^2/2 + s . ha.
-/// Evaluating tilt_log_weight_step on the assembled field with this exact
-/// expression in both the scalar loop and the batch kernel is what keeps
-/// their log weights bit-identical.
-struct TiltWeightCoeffs {
-  double sx = 0.0, sy = 0.0, sz = 0.0;  ///< theta_c / sigma
-  double bias = 0.0;                    ///< |theta|^2/2 + s . h_applied
-
-  static TiltWeightCoeffs from(const num::Vec3& tilt,
-                               const num::Vec3& h_applied, double sigma) {
-    TiltWeightCoeffs c;
-    if (sigma > 0.0) {
-      c.sx = tilt.x / sigma;
-      c.sy = tilt.y / sigma;
-      c.sz = tilt.z / sigma;
-      c.bias = 0.5 * (tilt.x * tilt.x + tilt.y * tilt.y + tilt.z * tilt.z) +
-               c.sx * h_applied.x + c.sy * h_applied.y + c.sz * h_applied.z;
-    }
-    return c;
-  }
-};
-
-/// One executed step's log(dP/dQ) contribution from the assembled frozen
-/// field. Only *executed* steps accumulate -- prefetched draws a trajectory
-/// never consumed carry likelihood ratio 1 and must not be counted.
-inline double tilt_log_weight_step(const TiltWeightCoeffs& c, double fx,
-                                   double fy, double fz) {
-  return c.bias - (c.sx * fx + c.sy * fy + c.sz * fz);
-}
-
 /// One Heun predictor-corrector step with the frozen effective field
 /// (fx, fy, fz) = applied + thermal, updating (mx, my, mz) in place.
 /// kHasTorque selects the spin-transfer term at compile time so the

@@ -82,15 +82,13 @@ Vec3 thermal_initial_tilt(util::Rng& rng, double delta, double mz0) {
 
 const SwitchResult* ThermalLlgSpan::run(util::Rng* rngs, std::size_t n,
                                          double delta, double mz0,
-                                         double duration, double dt,
-                                         const Vec3& tilt) {
+                                         double duration, double dt) {
   m0.resize(n);
   out.resize(n);
   for (std::size_t l = 0; l < n; ++l) {
     m0[l] = thermal_initial_tilt(rngs[l], delta, mz0);
   }
-  sim.run_until_switch(n, m0.data(), rngs, duration, dt, out.data(), 0.0,
-                       tilt);
+  sim.run_until_switch(n, m0.data(), rngs, duration, dt, out.data());
   return out.data();
 }
 

@@ -46,8 +46,7 @@ struct ThermalLlgSpan {
   /// mz0), then all n trials run through one refilling kernel call.
   /// Returns the n results, valid until the next call.
   const SwitchResult* run(util::Rng* rngs, std::size_t n, double delta,
-                          double mz0, double duration, double dt,
-                          const num::Vec3& tilt = {});
+                          double mz0, double duration, double dt);
 
   BatchMacrospinSim sim;
   std::vector<num::Vec3> m0;

@@ -81,9 +81,7 @@ void check_scores(const ScorePartial& gen, std::size_t level) {
 RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
                                     std::size_t n_per_level,
                                     std::uint64_t seed,
-                                    const RareEventConfig& cfg,
                                     const BatchScore& score) {
-  cfg.validate();
   MRAM_EXPECTS(dim > 0, "subset simulation needs a positive dimension");
   MRAM_EXPECTS(n_per_level >= kSplittingMinTrials,
                "subset simulation needs kSplittingMinTrials per level");
@@ -120,16 +118,16 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
   double log_p = 0.0;
   double delta2 = 0.0;
   double evals = dN;
-  bool dead = false;  // a level produced zero survivors / zero hits
+  bool dead = false;  // the schedule stalled with zero hits
 
   // Resamples the next generation from `parents` (indices into gen),
-  // refreshing each trial with cfg.mcmc_steps pCN moves accepted inside
+  // refreshing each trial with kMcmcSteps pCN moves accepted inside
   // {score >= level}. Trial i of level tag k draws only from
   // Rng::stream(derive_seed(seed, k), i); the chains of a block of up to
   // kLanes trials step in lockstep through one score call per MCMC step.
   const auto resample = [&](const std::vector<std::size_t>& parents,
                             double level, std::uint64_t tag) {
-    const double rho = cfg.mcmc_rho;
+    const double rho = kMcmcRho;
     const double beta = std::sqrt(1.0 - rho * rho);
     const std::size_t m = parents.size();
     gen = runner.run_batched<ScorePartial>(
@@ -150,7 +148,7 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
               std::copy_n(gen.zs.data() + j * dim, dim, cur + l * dim);
               cur_score[l] = gen.scores[j];
             }
-            for (std::size_t step = 0; step < cfg.mcmc_steps; ++step) {
+            for (std::size_t step = 0; step < kMcmcSteps; ++step) {
               for (std::size_t l = 0; l < lanes; ++l) {
                 double* p = prop + l * dim;
                 const double* c = cur + l * dim;
@@ -177,7 +175,7 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
           }
         });
     check_scores(gen, static_cast<std::size_t>(tag));
-    evals += dN * static_cast<double>(cfg.mcmc_steps);
+    evals += dN * static_cast<double>(kMcmcSteps);
   };
 
   const auto count_hits = [&] {
@@ -201,75 +199,46 @@ RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
                        phat);
   };
 
-  if (cfg.levels.empty()) {
-    // Adaptive quantile schedule: each level pins the top level_p0
-    // fraction (deterministic (score desc, trial index asc) tie-break).
-    const std::size_t m = std::max<std::size_t>(
-        1, static_cast<std::size_t>(cfg.level_p0 * dN));
-    double prev_level = -std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0;; ++k) {
-      const std::size_t hits = count_hits();
-      if (hits >= m) {
+  // Adaptive quantile schedule: each level pins the top kLevelP0 fraction
+  // (deterministic (score desc, trial index asc) tie-break).
+  const std::size_t m =
+      std::max<std::size_t>(1, static_cast<std::size_t>(kLevelP0 * dN));
+  double prev_level = -std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0;; ++k) {
+    const std::size_t hits = count_hits();
+    if (hits >= m) {
+      record_level(static_cast<double>(hits) / dN, k == 0);
+      est.ess = static_cast<double>(hits);
+      break;
+    }
+    std::vector<std::size_t> order(N);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    // (score desc, index asc) is a strict total order on the NaN-free
+    // scores, so the top-m set and its order are unique: a partial sort
+    // yields exactly the full sort's first m entries.
+    std::partial_sort(order.begin(), order.begin() + m, order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                        if (gen.scores[a] != gen.scores[b]) {
+                          return gen.scores[a] > gen.scores[b];
+                        }
+                        return a < b;
+                      });
+    const double level = gen.scores[order[m - 1]];
+    if (k >= kMaxLevels || level <= prev_level) {
+      // No further progress possible; settle for the direct estimate at
+      // the current level (zero hits => probability zero).
+      if (hits > 0) {
         record_level(static_cast<double>(hits) / dN, k == 0);
         est.ess = static_cast<double>(hits);
-        break;
-      }
-      std::vector<std::size_t> order(N);
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      // (score desc, index asc) is a strict total order on the NaN-free
-      // scores, so the top-m set and its order are unique: a partial sort
-      // yields exactly the full sort's first m entries.
-      std::partial_sort(order.begin(), order.begin() + m, order.end(),
-                        [&](std::size_t a, std::size_t b) {
-                          if (gen.scores[a] != gen.scores[b]) {
-                            return gen.scores[a] > gen.scores[b];
-                          }
-                          return a < b;
-                        });
-      const double level = gen.scores[order[m - 1]];
-      if (k >= cfg.max_levels || level <= prev_level) {
-        // No further progress possible; settle for the direct estimate at
-        // the current level (zero hits => probability zero).
-        if (hits > 0) {
-          record_level(static_cast<double>(hits) / dN, k == 0);
-          est.ess = static_cast<double>(hits);
-        } else {
-          dead = true;
-        }
-        break;
-      }
-      prev_level = level;
-      record_level(static_cast<double>(m) / dN, k == 0);
-      order.resize(m);
-      resample(order, level, k + 1);
-    }
-  } else {
-    // Explicit ascending score-threshold schedule; the event itself
-    // (score > 0) is the final level.
-    bool first = true;
-    std::size_t tag = 1;
-    for (double level : cfg.levels) {
-      std::vector<std::size_t> survivors;
-      for (std::size_t i = 0; i < N; ++i) {
-        if (gen.scores[i] >= level) survivors.push_back(i);
-      }
-      if (survivors.empty()) {
-        dead = true;
-        break;
-      }
-      record_level(static_cast<double>(survivors.size()) / dN, first);
-      first = false;
-      resample(survivors, level, tag++);
-    }
-    if (!dead) {
-      const std::size_t hits = count_hits();
-      if (hits == 0) {
-        dead = true;
       } else {
-        record_level(static_cast<double>(hits) / dN, first);
-        est.ess = static_cast<double>(hits);
+        dead = true;
       }
+      break;
     }
+    prev_level = level;
+    record_level(static_cast<double>(m) / dN, k == 0);
+    order.resize(m);
+    resample(order, level, k + 1);
   }
 
   est.simulated_trials = evals;

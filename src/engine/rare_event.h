@@ -12,7 +12,8 @@
 // Rare-event acceleration on top of MonteCarloRunner. Production MRAM error
 // rates sit at 1e-12..1e-18 where brute-force sampling is hopeless (1e14+
 // trials for a single hit), so the deep-rate paths estimate through variance
-// reduction instead:
+// reduction instead (measure_wer, measure_retention_faults and measure_rer
+// select one through their RareEventConfig):
 //
 //   * importance sampling -- trials are drawn under an exponentially tilted
 //     (mean-shifted) noise measure that makes failures common, and every
@@ -41,58 +42,33 @@ enum class RareEventMethod {
   kSplitting,           ///< multilevel splitting / subset simulation
 };
 
-/// Tuning knobs for the rare-event drivers. The default method is brute
+/// Rare-event method selection of a workload config. The default is brute
 /// force, so wiring this struct into a workload config changes nothing
 /// until a caller opts in.
 struct RareEventConfig {
   RareEventMethod method = RareEventMethod::kBruteForce;
-
-  /// Importance-sampling tilt strength in standard-deviation units of the
-  /// underlying noise. 0 = auto-tune (workloads place the tilt at their
-  /// analytic most-likely failure point; LLG workloads default to a unit
-  /// tilt along the switching direction).
-  double tilt = 0.0;
-
-  /// Explicit splitting-level schedule (workload-specific coordinate:
-  /// latent-score thresholds for analytic paths, |mz| thresholds for LLG
-  /// read disturb). Empty = auto schedule from level_p0.
-  std::vector<double> levels;
-
-  /// Target conditional probability per auto-scheduled splitting level.
-  double level_p0 = 0.25;
-
-  /// MCMC refresh moves per trial in subset-simulation levels.
-  std::size_t mcmc_steps = 8;
-
-  /// Preconditioned-Crank-Nicolson correlation of MCMC proposals.
-  double mcmc_rho = 0.8;
-
-  /// Hard cap on splitting levels (auto schedule bails beyond this).
-  std::size_t max_levels = 24;
-
-  /// Importance sampling stops adding rounds once the estimator relative
-  /// error falls below this.
-  double target_rel_error = 0.1;
-
-  /// Hard cap on importance-sampling rounds (each of the workload's trial
-  /// count), so a badly placed tilt cannot loop forever.
-  std::size_t max_rounds = 64;
-
-  void validate() const {
-    if (level_p0 <= 0.0 || level_p0 >= 1.0) {
-      throw util::ConfigError("splitting level_p0 must be in (0,1)");
-    }
-    if (mcmc_rho <= 0.0 || mcmc_rho >= 1.0) {
-      throw util::ConfigError("mcmc_rho must be in (0,1)");
-    }
-    if (mcmc_steps == 0) throw util::ConfigError("mcmc_steps must be >= 1");
-    if (max_levels == 0) throw util::ConfigError("max_levels must be >= 1");
-    if (max_rounds == 0) throw util::ConfigError("max_rounds must be >= 1");
-    if (target_rel_error <= 0.0) {
-      throw util::ConfigError("target_rel_error must be positive");
-    }
-  }
 };
+
+/// Target conditional probability per adaptive subset-simulation level.
+inline constexpr double kLevelP0 = 0.25;
+
+/// MCMC refresh moves per trial in subset-simulation levels.
+inline constexpr std::size_t kMcmcSteps = 8;
+
+/// Preconditioned-Crank-Nicolson correlation of MCMC proposals.
+inline constexpr double kMcmcRho = 0.8;
+
+/// Hard cap on subset-simulation levels (the adaptive schedule settles for
+/// the direct estimate beyond this).
+inline constexpr std::size_t kMaxLevels = 24;
+
+/// Importance sampling stops adding rounds once the estimator relative
+/// error falls below this.
+inline constexpr double kTargetRelError = 0.1;
+
+/// Hard cap on importance-sampling rounds (each of the workload's trial
+/// count), so a badly placed tilt cannot loop forever.
+inline constexpr std::size_t kMaxRounds = 64;
 
 /// What a rare-event (or brute-force) estimation run reports alongside the
 /// raw workload result: the probability, its estimator quality, and the
@@ -149,7 +125,7 @@ RareEventEstimate importance_estimate(const util::WeightedStats& ws);
 /// Importance sampling with deterministic relative-error stopping: runs
 /// rounds of `batch` trials (round r seeds from derive_seed(seed, r)),
 /// merging round accumulators in round order, until the estimator relative
-/// error reaches cfg.target_rel_error or cfg.max_rounds rounds ran. The
+/// error reaches kTargetRelError or kMaxRounds rounds ran. The
 /// stopping decision consumes only merged (thread-count-independent) state,
 /// so the round count -- and therefore the result -- is bit-identical
 /// across --threads.
@@ -157,13 +133,11 @@ RareEventEstimate importance_estimate(const util::WeightedStats& ws);
 /// call of `batch` trials (run or run_batched, as the workload needs).
 template <class RoundFn>
 RareEventEstimate importance_rounds(std::size_t batch, std::uint64_t seed,
-                                    const RareEventConfig& cfg,
                                     RoundFn&& round) {
-  cfg.validate();
   MRAM_EXPECTS(batch > 0, "importance sampling needs a positive batch size");
   util::WeightedStats total;
   std::size_t rounds = 0;
-  for (std::size_t r = 0; r < cfg.max_rounds; ++r) {
+  for (std::size_t r = 0; r < kMaxRounds; ++r) {
     total.merge(round(derive_seed(seed, r)));
     ++rounds;
     obs::counter_add(obs::Counter::kRareIsRounds);
@@ -171,7 +145,7 @@ RareEventEstimate importance_rounds(std::size_t batch, std::uint64_t seed,
                        total.effective_samples());
     obs::series_append("rare.is.rel_error", static_cast<double>(rounds),
                        total.rel_error());
-    if (total.rel_error() <= cfg.target_rel_error) break;
+    if (total.rel_error() <= kTargetRelError) break;
   }
   auto est = importance_estimate(total);
   est.simulated_trials = static_cast<double>(rounds * batch);
@@ -190,10 +164,9 @@ RareEventEstimate importance_rounds(std::size_t batch, std::uint64_t seed,
 using BatchScore =
     std::function<void(std::size_t n, const double* zs, double* out)>;
 
-/// Smallest per-level (per-stage) trial count the splitting drivers accept:
-/// subset_simulation's n_per_level and rdo::disturb_splitting's trajectories
-/// per stage. Scenarios pass it as the floor of their scaled trial counts,
-/// so a too-small --trial-scale is an input error, not a contract failure.
+/// Smallest per-level trial count subset_simulation accepts. Scenarios pass
+/// it as the floor of their scaled trial counts, so a too-small
+/// --trial-scale is an input error, not a contract failure.
 inline constexpr std::size_t kSplittingMinTrials = 4;
 
 /// Subset simulation (multilevel splitting in a standard-normal latent
@@ -201,12 +174,12 @@ inline constexpr std::size_t kSplittingMinTrials = 4;
 /// deterministic score over `dim` iid standard normals; failure is
 /// score > 0. Level 0 draws n_per_level fresh vectors through the runner;
 /// each subsequent level resamples survivors and refreshes them with
-/// cfg.mcmc_steps preconditioned-Crank-Nicolson moves accepted inside the
-/// current level set. Levels come from cfg.levels (ascending score
-/// thresholds) or the adaptive quantile schedule (top level_p0 fraction,
-/// ties broken by trial index). Deterministic across --threads: level-k
-/// trial i draws only from Rng::stream(derive_seed(seed, k), i), and all
-/// cross-trial logic runs serially on chunk-order-merged results.
+/// kMcmcSteps preconditioned-Crank-Nicolson moves accepted inside the
+/// current level set. Levels follow the adaptive quantile schedule (each
+/// pins the top kLevelP0 fraction, ties broken by trial index).
+/// Deterministic across --threads: level-k trial i draws only from
+/// Rng::stream(derive_seed(seed, k), i), and all cross-trial logic runs
+/// serially on chunk-order-merged results.
 ///
 /// Lockstep evaluation: every level runs through runner.run_batched, each
 /// span walks its trials in blocks of up to kMaxLaneWidth, and the chains
@@ -216,13 +189,12 @@ inline constexpr std::size_t kSplittingMinTrials = 4;
 /// (rng.below(m)), then per MCMC step fills every chain's proposal
 /// (normal_fill), scores the whole block in one call and accepts chain by
 /// chain. Each chain still consumes its own stream in the per-trial order
-/// below(m), then mcmc_steps normal_fill calls, and states are appended in
+/// below(m), then kMcmcSteps normal_fill calls, and states are appended in
 /// lane (= trial) order, so the result does not depend on the block or span
 /// sizes, the chunking of the batch or the thread count.
 RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
                                     std::size_t n_per_level,
                                     std::uint64_t seed,
-                                    const RareEventConfig& cfg,
                                     const BatchScore& score);
 
 }  // namespace mram::eng

@@ -124,11 +124,10 @@ RetentionEnsembleResult measure_retention_faults(
                eng::RareEventMethod::kImportanceSampling) {
       // Product-Bernoulli importance sampling: cell i flips with inflated
       // probability q_i = min(1/2, T p_i) instead of p_i, where the
-      // auto-tuned T = 1/sum(p_i) makes about one flip per trial expected.
+      // T = 1/sum(p_i) makes about one flip per trial expected.
       // The likelihood ratio is exact: log w = sum_i l0_i + sum_flips
       // (l1_i - l0_i) with l0 = log((1-p)/(1-q)), l1 = log(p/q).
-      const double temp =
-          (config.rare.tilt > 0.0) ? config.rare.tilt : 1.0 / expected_flips;
+      const double temp = 1.0 / expected_flips;
       const std::size_t cells = p_flip.size();
       std::vector<double> q(cells), l0(cells), dl(cells);
       double base0 = 0.0;
@@ -148,7 +147,7 @@ RetentionEnsembleResult measure_retention_faults(
         base0 += l0[i];
       }
       est = eng::importance_rounds(
-          config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
+          config.trials, seed, [&](std::uint64_t round_seed) {
             return runner.run<util::WeightedStats>(
                 config.trials, round_seed,
                 [&](util::Rng& trial_rng, std::size_t,
@@ -177,7 +176,7 @@ RetentionEnsembleResult measure_retention_faults(
         b[i] = util::probit(std::min(p_flip[i], 1.0 - 1e-15));
       }
       est = eng::subset_simulation(
-          runner, b.size(), config.trials, seed, config.rare,
+          runner, b.size(), config.trials, seed,
           [&b](std::size_t n, const double* zs, double* out) {
             for (std::size_t l = 0; l < n; ++l) {
               const double* z = zs + l * b.size();

@@ -81,17 +81,16 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
       est.rel_error = 0.0;
       est.confidence = {est.probability, est.probability};
     } else if (config.rare.method == eng::RareEventMethod::kImportanceSampling) {
-      const double theta = (config.rare.tilt != 0.0) ? config.rare.tilt : beta;
       est = eng::importance_rounds(
-          config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
+          config.trials, seed, [&](std::uint64_t round_seed) {
             return runner.run<util::WeightedStats>(
                 config.trials, round_seed,
-                [theta, beta](util::Rng& trial_rng, std::size_t,
-                              util::WeightedStats& ws) {
+                [beta](util::Rng& trial_rng, std::size_t,
+                       util::WeightedStats& ws) {
                   double y;
-                  trial_rng.normal_fill_tilted(&y, 1, &theta, 1);
+                  trial_rng.normal_fill_tilted(&y, 1, &beta, 1);
                   if (y > beta) {
-                    ws.add(1.0, std::exp(0.5 * theta * theta - theta * y));
+                    ws.add(1.0, std::exp(0.5 * beta * beta - beta * y));
                   } else {
                     ws.add(0.0, 0.0);
                   }
@@ -99,7 +98,7 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
           });
     } else {
       est = eng::subset_simulation(
-          runner, 1, config.trials, seed, config.rare,
+          runner, 1, config.trials, seed,
           [beta](std::size_t n, const double* zs, double* out) {
             for (std::size_t l = 0; l < n; ++l) out[l] = zs[l] - beta;
           });

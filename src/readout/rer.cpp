@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dynamics/llg_batch.h"
 #include "dynamics/switching_sim.h"
 #include "util/error.h"
 
@@ -85,17 +84,16 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
       // (z1, z2) by beta along the failure gradient. The TMR deviate z0
       // stays untilted: it enters through the nonlinear electrical solve,
       // and the sense deviates dominate the boundary.
-      const double theta = (config.rare.tilt != 0.0) ? config.rare.tilt : beta;
       const double s = config.stored == MtjState::kParallel ? 1.0 : -1.0;
-      const double tilt[3] = {0.0, -s * theta * sp.offset_sigma / sigma,
-                              s * theta * sp.reference_sigma / sigma};
+      const double tilt[3] = {0.0, -s * beta * sp.offset_sigma / sigma,
+                              s * beta * sp.reference_sigma / sigma};
       const double bias =
           0.5 * (tilt[1] * tilt[1] + tilt[2] * tilt[2]);
       // One lane-parallel noise_margin call per block of up to kLanes
       // trials of a span; trials fold in trial order, exactly like one
       // trial at a time.
       est = eng::importance_rounds(
-          config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
+          config.trials, seed, [&](std::uint64_t round_seed) {
             return runner.run_batched<util::WeightedStats>(
                 config.trials, round_seed,
                 [&] { return std::vector<double>(4 * kLanes); },
@@ -124,7 +122,7 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
           });
     } else {
       est = eng::subset_simulation(
-          runner, 3, config.trials, seed, config.rare,
+          runner, 3, config.trials, seed,
           [&](std::size_t n, const double* zs, double* out) {
             model.noise_margin(op, config.stored, n, zs, out);
             for (std::size_t l = 0; l < n; ++l) out[l] = band - out[l];
@@ -190,189 +188,6 @@ struct DisturbPartial {
   }
 };
 
-/// One splitting stage's trajectory results, concatenated in trial order by
-/// the runner's chunk-ordered merge.
-struct StagePartial {
-  std::vector<dyn::SwitchResult> results;
-  void merge(const StagePartial& o) {
-    results.insert(results.end(), o.results.begin(), o.results.end());
-  }
-};
-
-/// Runner context of a splitting stage: the kernel plus span-sized buffers
-/// of the trials that still have window left (their starts, remaining
-/// windows, elapsed times, span positions, streams and results).
-struct StageContext {
-  explicit StageContext(const dyn::LlgParams& llg) : sim(llg) {}
-  dyn::BatchMacrospinSim sim;
-  std::vector<num::Vec3> m0;
-  std::vector<double> left, base_t;
-  std::vector<std::size_t> idx;
-  std::vector<util::Rng> comp;
-  std::vector<dyn::SwitchResult> sub, res;
-};
-
-/// Multilevel splitting on the switching coordinate: trajectories are staged
-/// through descending |mz| thresholds; each stage restarts N trajectories
-/// from uniformly resampled survivor crossing states (with their elapsed
-/// time) and integrates them to the next threshold within the remaining
-/// pulse window. The disturb probability is the product of the per-stage
-/// conditional crossing fractions. Deterministic across --threads: stage k
-/// trial i draws only from Rng::stream(derive_seed(seed, k), i) -- the
-/// parent pick first, then the integrator -- and all cross-trial logic runs
-/// serially on the chunk-order-merged results. Each runner span runs on the
-/// per-trial-durations kernel, each trial consuming exactly the draws a
-/// scalar MacrospinSim trial would.
-eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
-                                         eng::MonteCarloRunner& runner,
-                                         const dyn::LlgParams& llg,
-                                         double delta, double mz0,
-                                         double duration,
-                                         std::uint64_t seed) {
-  config.rare.validate();
-  const std::size_t N = config.trials;
-  MRAM_EXPECTS(N >= eng::kSplittingMinTrials,
-               "splitting needs kSplittingMinTrials trajectories per stage");
-  const double dN = static_cast<double>(N);
-
-  // Stage schedule: descending |mz| thresholds ending at the mz = 0
-  // crossing (the disturb event itself). The auto schedule spaces levels
-  // evenly in the energy coordinate 1 - mz^2 (the macrospin barrier is
-  // ~ Delta * (1 - mz^2)), aiming at a conditional probability of about
-  // level_p0 per stage: crossing costs ~ln(1/p0) of barrier each.
-  std::vector<double> xs;
-  if (!config.rare.levels.empty()) {
-    xs = config.rare.levels;
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      MRAM_EXPECTS(xs[j] >= 0.0 && xs[j] < 1.0,
-                   "|mz| levels must be in [0, 1)");
-      MRAM_EXPECTS(j == 0 || xs[j] < xs[j - 1], "|mz| levels must descend");
-    }
-    if (xs.back() != 0.0) xs.push_back(0.0);
-  } else {
-    const double lp = std::log(1.0 / config.rare.level_p0);
-    std::size_t n = static_cast<std::size_t>(std::ceil(delta / lp));
-    n = std::min(std::max<std::size_t>(n, 1), config.rare.max_levels);
-    const double spacing = std::max(lp / delta, 1.0 / static_cast<double>(n));
-    for (std::size_t j = 1; j <= n; ++j) {
-      const double e = 1.0 - static_cast<double>(j) * spacing;
-      xs.push_back(e > 0.0 ? std::sqrt(e) : 0.0);
-    }
-    xs.back() = 0.0;
-  }
-
-  eng::RareEventEstimate est;
-  est.method = eng::RareEventMethod::kSplitting;
-
-  // Survivor pool of the previous stage: crossing states and elapsed times.
-  std::vector<num::Vec3> pool_m;
-  std::vector<double> pool_t;
-
-  double log_p = 0.0;
-  double delta2 = 0.0;
-  double simulated = 0.0;
-  bool dead = false;
-
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    const double thr = mz0 * xs[k];
-    const std::uint64_t stage_seed = eng::derive_seed(seed, k);
-    const std::size_t pool = pool_m.size();
-
-    // Per-trial draw order: stage 0 pays the thermal tilt's two uniforms;
-    // later stages pay one below(pool) for the parent pick; then the stream
-    // goes to the integrator. A parent that crossed with no window left
-    // fails immediately without touching the integrator.
-    const StagePartial gen = runner.run_batched<StagePartial>(
-        N, stage_seed,
-        [&] { return StageContext(llg); },
-        [&](StageContext& ctx, util::Rng* rngs, std::size_t first,
-            std::size_t n, const auto& acc_of) {
-          ctx.res.assign(n, dyn::SwitchResult{});
-          ctx.m0.clear();
-          ctx.left.clear();
-          ctx.base_t.clear();
-          ctx.idx.clear();
-          ctx.comp.clear();
-          for (std::size_t l = 0; l < n; ++l) {
-            double t0 = 0.0;
-            num::Vec3 start;
-            if (k == 0) {
-              start = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-            } else {
-              const std::size_t j = rngs[l].below(pool);
-              start = pool_m[j];
-              t0 = pool_t[j];
-            }
-            if (duration - t0 <= 0.0) {
-              ctx.res[l].time = t0;
-              continue;
-            }
-            ctx.m0.push_back(start);
-            ctx.left.push_back(duration - t0);
-            ctx.base_t.push_back(t0);
-            ctx.comp.push_back(rngs[l]);
-            ctx.idx.push_back(l);
-          }
-          const std::size_t na = ctx.idx.size();
-          if (na > 0) {
-            ctx.sub.resize(na);
-            ctx.sim.run_until_switch(na, ctx.m0.data(), ctx.comp.data(),
-                                     ctx.left.data(), config.dt,
-                                     ctx.sub.data(), thr);
-            for (std::size_t a = 0; a < na; ++a) {
-              ctx.sub[a].time += ctx.base_t[a];
-              ctx.res[ctx.idx[a]] = ctx.sub[a];
-            }
-          }
-          for (std::size_t l = 0; l < n; ++l) {
-            acc_of(first + l).results.push_back(ctx.res[l]);
-          }
-        });
-    simulated += dN;
-
-    std::vector<num::Vec3> next_m;
-    std::vector<double> next_t;
-    for (const auto& r : gen.results) {
-      if (r.switched) {
-        next_m.push_back(r.m_end);
-        next_t.push_back(r.time);
-      }
-    }
-    if (next_m.empty()) {
-      dead = true;
-      break;
-    }
-    const double phat = static_cast<double>(next_m.size()) / dN;
-    log_p += std::log(phat);
-    // Stage 0 trials are independent (g = 1); resampled stages are
-    // correlated through shared parents, inflated by g = 3 like the
-    // subset-simulation driver (a documented, conservative approximation).
-    delta2 += (k == 0 ? 1.0 : 3.0) * (1.0 - phat) / (dN * phat);
-    est.level_probabilities.push_back(phat);
-    est.ess = static_cast<double>(next_m.size());
-    pool_m = std::move(next_m);
-    pool_t = std::move(next_t);
-  }
-
-  est.simulated_trials = simulated;
-  if (dead) {
-    // Nothing crossed this stage: report zero with a rule-of-three style
-    // upper bound conditional on the stages that did resolve.
-    est.probability = 0.0;
-    est.ess = 0.0;
-    est.confidence = {0.0, std::exp(log_p) * 3.0 / dN};
-    return est;
-  }
-  est.probability = std::exp(log_p);
-  est.rel_error = std::sqrt(delta2);
-  est.confidence = {
-      std::max(0.0, est.probability * (1.0 - 1.96 * est.rel_error)),
-      est.probability * (1.0 + 1.96 * est.rel_error)};
-  est.effective_trials = eng::brute_equivalent_trials(
-      est.probability, est.rel_error, simulated);
-  return est;
-}
-
 }  // namespace
 
 ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
@@ -409,54 +224,6 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
 
   const std::uint64_t seed = rng();
 
-  if (config.rare.method != eng::RareEventMethod::kBruteForce) {
-    eng::RareEventEstimate est;
-    if (config.rare.method == eng::RareEventMethod::kImportanceSampling) {
-      // Constant mean shift of the standard-normal thermal deviates along
-      // the switching direction (-z for a +z stored state); the tilted
-      // Heun kernels accumulate the exact pathwise likelihood ratio per
-      // trajectory. Good for moderately rare disturbs; a constant drift is
-      // a weak proxy deep in the diffusive regime -- use splitting there.
-      const double theta = (config.rare.tilt != 0.0) ? config.rare.tilt : 1.0;
-      const num::Vec3 tilt{0.0, 0.0, -theta * mz0};
-      est = eng::importance_rounds(
-          config.trials, seed, config.rare, [&](std::uint64_t round_seed) {
-            return runner.run_batched<util::WeightedStats>(
-                config.trials, round_seed,
-                [&] { return dyn::ThermalLlgSpan(llg); },
-                [&](dyn::ThermalLlgSpan& span, util::Rng* rngs,
-                    std::size_t first, std::size_t n, const auto& acc_of) {
-                  const dyn::SwitchResult* result = span.run(
-                      rngs, n, delta, mz0, duration, config.dt, tilt);
-                  for (std::size_t l = 0; l < n; ++l) {
-                    util::WeightedStats& ws = acc_of(first + l);
-                    if (result[l].switched) {
-                      ws.add(1.0, std::exp(result[l].log_weight));
-                    } else {
-                      ws.add(0.0, 0.0);
-                    }
-                  }
-                });
-          });
-    } else {
-      est = disturb_splitting(config, runner, llg, delta, mz0, duration,
-                              seed);
-    }
-
-    ReadDisturbResult result;
-    result.trials = static_cast<std::size_t>(est.simulated_trials);
-    result.disturbed = static_cast<std::size_t>(est.ess + 0.5);
-    result.rate = est.probability;
-    result.confidence = est.confidence;
-    result.analytic_probability = model.disturb_probability(
-        config.stored, i_read, duration, config.hz_stray,
-        config.temperature);
-    result.i_read = i_read;
-    result.v_mtj = v_mtj;
-    result.rare = std::move(est);
-    return result;
-  }
-
   // Each trial draws the thermal tilt (two uniforms), then the stochastic
   // Heun integration; the batched kernel's per-lane arithmetic is the
   // inline stochastic_heun_step MacrospinSim executes, so every lane equals
@@ -488,7 +255,6 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
       config.stored, i_read, duration, config.hz_stray, config.temperature);
   result.i_read = i_read;
   result.v_mtj = v_mtj;
-  result.rare = eng::brute_force_estimate(result.disturbed, result.trials);
   return result;
 }
 

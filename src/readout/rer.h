@@ -17,7 +17,9 @@
 //   measure_read_disturb -- stochastic-LLG read disturb: integrates the
 //                           actual read-current torque on the batched
 //                           BatchMacrospinSim kernel, lane for lane equal
-//                           to the scalar MacrospinSim.
+//                           to the scalar MacrospinSim. Plain Monte Carlo
+//                           only: the deep read-error rates come from
+//                           measure_rer's rare-event drivers.
 
 namespace mram::rdo {
 
@@ -79,28 +81,17 @@ struct ReadDisturbConfig {
   double dt = 1e-12;      ///< LLG step [s]
   std::size_t trials = 256;
   eng::RunnerConfig runner;
-  /// Rare-event driver selection on the stochastic-LLG trajectories.
-  /// Importance sampling applies a constant mean shift to the thermal
-  /// field along the switching direction (exact pathwise likelihood
-  /// ratios from the tilted Heun kernels; best for moderately rare
-  /// disturbs -- a constant tilt is a weak drift proxy deep in the
-  /// diffusive regime). Splitting stages the trajectories through
-  /// descending |mz| levels, restarting survivors from their crossing
-  /// states -- the method of choice for very deep disturb rates. Both stay
-  /// bit-identical across --threads.
-  eng::RareEventConfig rare;
 };
 
 struct ReadDisturbResult {
-  std::size_t trials = 0;          ///< trajectories actually simulated
-  std::size_t disturbed = 0;       ///< raw count (brute) / effective hits
-  double rate = 0.0;               ///< estimated disturb probability
-  util::Interval confidence;       ///< 95% Wilson (brute) or estimator CI
-  double mean_switch_time = 0.0;   ///< over disturbed trials [s] (brute only)
+  std::size_t trials = 0;          ///< trajectories simulated
+  std::size_t disturbed = 0;       ///< trajectories that crossed mz = 0
+  double rate = 0.0;               ///< disturbed / trials
+  util::Interval confidence;       ///< 95% Wilson interval
+  double mean_switch_time = 0.0;   ///< over disturbed trials [s]
   double analytic_probability = 0.0;  ///< thermal-activation model, same drive
   double i_read = 0.0;             ///< read current through the cell [A]
   double v_mtj = 0.0;              ///< bias across the MTJ [V]
-  eng::RareEventEstimate rare;     ///< estimator quality (all methods)
 };
 
 /// Stochastic-LLG read disturb: each trial tilts the stored state thermally

@@ -198,23 +198,19 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 /// the scalar reference on identical per-lane streams, and requires every
 /// SwitchResult field bitwise equal. A lane that does not switch reports
 /// time = duration whatever its step count, so its m_end is what exposes an
-/// off-by-one step budget. `per_lane` selects the per-lane-durations
-/// overload; otherwise every durations entry must be equal and the
-/// uniform-window overload runs. More trials than
+/// off-by-one step budget. More trials than
 /// BatchMacrospinSim::preferred_lanes() slots exercise slot refills.
 void expect_lanes_match_scalar(BatchMacrospinSim& batch,
-                               const std::vector<Vec3>& m0,
-                               const std::vector<double>& durations,
+                               const std::vector<Vec3>& m0, double duration,
                                double dt, std::uint64_t seed,
-                               bool per_lane = false, double mz_stop = 0.0) {
+                               double mz_stop = 0.0) {
   const MacrospinSim scalar(batch.params());
   const std::size_t lanes = m0.size();
 
   std::vector<SwitchResult> expected(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
     util::Rng rng = util::Rng::stream(seed, l);
-    expected[l] =
-        scalar.run_until_switch(m0[l], durations[l], dt, rng, mz_stop);
+    expected[l] = scalar.run_until_switch(m0[l], duration, dt, rng, mz_stop);
   }
 
   std::vector<util::Rng> rngs;
@@ -222,19 +218,12 @@ void expect_lanes_match_scalar(BatchMacrospinSim& batch,
     rngs.push_back(util::Rng::stream(seed, l));
   }
   std::vector<SwitchResult> got(lanes);
-  if (per_lane) {
-    batch.run_until_switch(lanes, m0.data(), rngs.data(), durations.data(),
-                           dt, got.data(), mz_stop);
-  } else {
-    batch.run_until_switch(lanes, m0.data(), rngs.data(), durations[0], dt,
-                           got.data(), mz_stop);
-  }
+  batch.run_until_switch(lanes, m0.data(), rngs.data(), duration, dt,
+                         got.data(), mz_stop);
 
   for (std::size_t l = 0; l < lanes; ++l) {
     EXPECT_EQ(got[l].switched, expected[l].switched) << "lane " << l;
     EXPECT_EQ(bits(got[l].time), bits(expected[l].time)) << "lane " << l;
-    EXPECT_EQ(bits(got[l].log_weight), bits(expected[l].log_weight))
-        << "lane " << l;
     EXPECT_EQ(bits(got[l].m_end.x), bits(expected[l].m_end.x)) << "lane " << l;
     EXPECT_EQ(bits(got[l].m_end.y), bits(expected[l].m_end.y)) << "lane " << l;
     EXPECT_EQ(bits(got[l].m_end.z), bits(expected[l].m_end.z)) << "lane " << l;
@@ -258,9 +247,8 @@ void expect_batch_matches_scalar(const LlgParams& p, std::size_t lanes,
                                  double duration, double dt,
                                  std::uint64_t seed, double mz_stop = 0.0) {
   BatchMacrospinSim batch(p);
-  expect_lanes_match_scalar(batch, tilted_starts(lanes, seed),
-                            std::vector<double>(lanes, duration), dt, seed,
-                            /*per_lane=*/false, mz_stop);
+  expect_lanes_match_scalar(batch, tilted_starts(lanes, seed), duration, dt,
+                            seed, mz_stop);
 }
 
 TEST(BatchLlg, BitIdenticalToScalarThermalDriven) {
@@ -305,18 +293,14 @@ TEST(BatchLlg, BitIdenticalAtLaneFillShapes) {
     expect_batch_matches_scalar(p, lanes, 3e-9, 2e-13, 5000 + lanes);
   }
 
-  // Refills under per-trial windows: windows shorter than one 64-step
-  // noise block (25 and 55 steps at 0.2 ps) retire mid-block and hand
-  // their slot to the next trial at a nonzero phase, beside windows of
-  // many blocks (1.5 and 3 ns).
-  const double windows[4] = {5e-12, 3e-9, 1.1e-11, 1.5e-9};
-  std::vector<double> durations(41);
-  for (std::size_t l = 0; l < durations.size(); ++l) {
-    durations[l] = windows[l % 4];
+  // Refills at a window's end: windows shorter than one 64-step noise
+  // block (25 and 55 steps at 0.2 ps) retire their trials mid-block by
+  // exhausting the budget, and the next trials enter those slots at a
+  // nonzero phase.
+  for (const double window : {5e-12, 1.1e-11}) {
+    SCOPED_TRACE(window);
+    expect_batch_matches_scalar(p, 41, window, 2e-13, 6100);
   }
-  BatchMacrospinSim batch(p);
-  expect_lanes_match_scalar(batch, tilted_starts(durations.size(), 6100),
-                            durations, 2e-13, 6100, /*per_lane=*/true);
 
   // Refills at a stop plane below the equator: trials cross it earlier,
   // and each newcomer's crossing sign comes from its own start.
@@ -364,9 +348,8 @@ std::size_t replayed_steps(double duration, double dt) {
 TEST(BatchLlg, ReusedSimTracksEveryWindowChange) {
   // The step budget is memoised per (duration, dt), so one sim reused
   // across calls must recompute it whenever either changes: here duration,
-  // then dt, then back to the first pair, then per-lane windows that mix
-  // equal and different values. The two windows are ones where no closed
-  // form matches the scalar clock.
+  // then dt, then back to the first pair. The two windows are ones where no
+  // closed form matches the scalar clock.
   EXPECT_EQ(replayed_steps(1e-9, 1e-12), 1000u);
   EXPECT_EQ(std::ceil(1e-9 / 1e-12), 1001.0);
   EXPECT_EQ(replayed_steps(8e-9, 2e-13), 40001u);
@@ -383,19 +366,12 @@ TEST(BatchLlg, ReusedSimTracksEveryWindowChange) {
       num::normalized({0.03, -0.02, -1.0}),
       num::normalized({-0.04, 0.01, 1.0}),
       num::normalized({0.02, 0.02, -1.0})};
-  const std::size_t lanes = m0.size();
-  const auto uniform = [&](double d) { return std::vector<double>(lanes, d); };
 
   BatchMacrospinSim batch(p);
-  expect_lanes_match_scalar(batch, m0, uniform(1e-9), 1e-12, 11);
-  expect_lanes_match_scalar(batch, m0, uniform(8e-9), 1e-12, 12);
-  expect_lanes_match_scalar(batch, m0, uniform(8e-9), 2e-13, 13);
-  expect_lanes_match_scalar(batch, m0, uniform(1e-9), 1e-12, 14);
-  expect_lanes_match_scalar(batch, m0, {1e-9, 1e-9, 2.5e-9, 1e-9, 4e-9},
-                            1e-12, 15, /*per_lane=*/true);
-  expect_lanes_match_scalar(batch, m0, {8e-9, 8e-9, 3e-9, 8e-9, 1e-9},
-                            2e-13, 16, /*per_lane=*/true);
-  expect_lanes_match_scalar(batch, m0, uniform(1e-9), 1e-12, 17);
+  expect_lanes_match_scalar(batch, m0, 1e-9, 1e-12, 11);
+  expect_lanes_match_scalar(batch, m0, 8e-9, 1e-12, 12);
+  expect_lanes_match_scalar(batch, m0, 8e-9, 2e-13, 13);
+  expect_lanes_match_scalar(batch, m0, 1e-9, 1e-12, 14);
 }
 
 TEST(BatchLlg, SwitchingStatsBatchedMatchesScalarAcrossThreads) {

@@ -1,10 +1,8 @@
 // Tests for the rare-event acceleration stack: the weighted accumulator and
-// probit primitives, the tilted RNG hooks, the tilted stochastic-LLG kernels
-// (scalar vs batched bitwise parity, likelihood-ratio bookkeeping), the
-// generic importance-sampling / subset-simulation drivers, and the workload
-// wirings (WER, retention, RER, read disturb) -- including the acceptance
-// contract: overlap-regime agreement with brute force, bit identity across
-// thread counts, and pinned read-disturb estimates.
+// probit primitives, the tilted RNG hooks, the generic importance-sampling /
+// subset-simulation drivers, and the workload wirings (WER, retention,
+// RER) -- including the acceptance contract: overlap-regime agreement with
+// brute force and bit identity across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -20,9 +18,6 @@
 #include <vector>
 
 #include "device/mtj_device.h"
-#include "dynamics/llg.h"
-#include "dynamics/llg_batch.h"
-#include "dynamics/switching_sim.h"
 #include "engine/monte_carlo.h"
 #include "engine/rare_event.h"
 #include "mram/retention.h"
@@ -155,146 +150,7 @@ TEST(RngTilt, TiltAddsExactlyOntoTheSameRawDeviates) {
   }
 }
 
-// --- tilted stochastic-LLG kernels ------------------------------------------
-
-dyn::LlgParams disturb_llg() {
-  // A thermally active device under a destabilizing read current: the
-  // bridge used by measure_read_disturb, at parameters where trajectories
-  // are cheap (few thousand Heun steps).
-  auto params = dev::MtjParams::reference_device(35e-9);
-  params.delta0 = 14.0;
-  const dev::MtjDevice device(params);
-  return dyn::llg_from_device(device, dev::SwitchDirection::kApToP, 0.35,
-                              device.intra_stray_field(), 300.0);
-}
-
-TEST(TiltedLlg, ZeroTiltLeavesWeightZeroAndPathUnchanged) {
-  const dyn::MacrospinSim sim(disturb_llg());
-  const num::Vec3 m0 = num::normalized({0.05, 0.02, 1.0});
-  util::Rng a(5), b(5);
-  const auto plain = sim.run_until_switch(m0, 3e-9, 2e-12, a, 0.0);
-  const auto tilted = sim.run_until_switch(m0, 3e-9, 2e-12, b, 0.0, {});
-  EXPECT_EQ(plain.switched, tilted.switched);
-  EXPECT_EQ(plain.time, tilted.time);
-  EXPECT_EQ(tilted.log_weight, 0.0);  // exactly, by construction
-}
-
-/// Runs one tilted read-disturb trial per starting height through the
-/// batched and scalar kernels on identical per-lane streams, and requires
-/// bitwise-equal results, a paid tilt on every lane, and both outcomes.
-void expect_tilted_batch_matches_scalar(const std::vector<double>& heights,
-                                        std::uint64_t seed) {
-  const auto llg = disturb_llg();
-  const dyn::MacrospinSim scalar(llg);
-  dyn::BatchMacrospinSim batch(llg);
-  // Stored AP sits at -z and the read current drives toward +z; the tilt
-  // pushes the thermal field the same way, toward the mz = 0 crossing.
-  const num::Vec3 tilt{0.0, 0.0, 3.0};
-
-  const std::size_t lanes = heights.size();
-  std::vector<num::Vec3> m0(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    m0[l] = num::normalized({0.03 + 0.01 * static_cast<double>(l), -0.02,
-                             heights[l]});
-  }
-
-  std::vector<dyn::SwitchResult> expected(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    util::Rng rng = util::Rng::stream(seed, l);
-    expected[l] = scalar.run_until_switch(m0[l], 8e-10, 2e-12, rng, 0.0, tilt);
-  }
-
-  std::vector<util::Rng> rngs;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    rngs.push_back(util::Rng::stream(seed, l));
-  }
-  std::vector<dyn::SwitchResult> got(lanes);
-  batch.run_until_switch(lanes, m0.data(), rngs.data(), 8e-10, 2e-12,
-                         got.data(), 0.0, tilt);
-
-  bool any_switched = false, any_survived = false;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    EXPECT_EQ(got[l].switched, expected[l].switched) << "lane " << l;
-    EXPECT_EQ(got[l].time, expected[l].time) << "lane " << l;
-    EXPECT_EQ(got[l].log_weight, expected[l].log_weight) << "lane " << l;
-    EXPECT_EQ(got[l].m_end.x, expected[l].m_end.x) << "lane " << l;
-    EXPECT_EQ(got[l].m_end.y, expected[l].m_end.y) << "lane " << l;
-    EXPECT_EQ(got[l].m_end.z, expected[l].m_end.z) << "lane " << l;
-    EXPECT_NE(expected[l].log_weight, 0.0) << "lane " << l;  // tilt was paid
-    any_switched |= got[l].switched;
-    any_survived |= !got[l].switched;
-  }
-  // The window is chosen so the test exercises both outcomes.
-  EXPECT_TRUE(any_switched);
-  EXPECT_TRUE(any_survived);
-}
-
-TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTilt) {
-  // Odd lane count (remainder masking included); starting heights straddle
-  // the barrier so the window produces both crossers and survivors.
-  expect_tilted_batch_matches_scalar({-1.0, -0.15, -0.9, -0.1, -0.2}, 77);
-}
-
-TEST(TiltedLlg, BatchedMatchesScalarBitwiseUnderTiltAt17Lanes) {
-  // 17 trials: at most 16 slots, so the last trial enters a retired slot
-  // and its tilted fields come from a fill of its own. 41 trials refill
-  // the slots many times, each newcomer's log weight starting from zero in
-  // the middle of a noise block.
-  const double pattern[5] = {-1.0, -0.15, -0.9, -0.1, -0.2};
-  for (std::size_t n : {std::size_t{17}, std::size_t{41}}) {
-    SCOPED_TRACE(n);
-    std::vector<double> heights(n);
-    for (std::size_t l = 0; l < n; ++l) heights[l] = pattern[l % 5];
-    expect_tilted_batch_matches_scalar(heights, 77);
-  }
-}
-
-TEST(TiltedLlg, PerLaneDurationsMatchScalarContinuations) {
-  // The splitting driver restarts survivors mid-window: lane l resumes at
-  // its own remaining budget. The per-lane-durations overload must replay
-  // the scalar integrator for each lane's own window.
-  const auto llg = disturb_llg();
-  const dyn::MacrospinSim scalar(llg);
-  dyn::BatchMacrospinSim batch(llg);
-
-  constexpr std::size_t kLanes = 3;
-  const num::Vec3 m0[kLanes] = {num::normalized({0.30, 0.10, 0.90}),
-                                num::normalized({0.25, -0.20, 0.85}),
-                                num::normalized({0.05, 0.02, 1.00})};
-  const double durations[kLanes] = {2.5e-9, 1.0e-9, 4.0e-9};
-
-  dyn::SwitchResult expected[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    util::Rng rng = util::Rng::stream(31, l);
-    expected[l] =
-        scalar.run_until_switch(m0[l], durations[l], 2e-12, rng, 0.5);
-  }
-
-  util::Rng rngs[kLanes] = {util::Rng::stream(31, 0), util::Rng::stream(31, 1),
-                            util::Rng::stream(31, 2)};
-  dyn::SwitchResult got[kLanes];
-  batch.run_until_switch(kLanes, m0, rngs, durations, 2e-12, got, 0.5);
-
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    EXPECT_EQ(got[l].switched, expected[l].switched) << "lane " << l;
-    EXPECT_EQ(got[l].time, expected[l].time) << "lane " << l;
-    EXPECT_EQ(got[l].m_end.z, expected[l].m_end.z) << "lane " << l;
-  }
-}
-
 // --- generic drivers --------------------------------------------------------
-
-TEST(RareEvent, ConfigValidation) {
-  eng::RareEventConfig cfg;
-  cfg.level_p0 = 1.5;
-  EXPECT_THROW(cfg.validate(), util::ConfigError);
-  cfg = {};
-  cfg.max_rounds = 0;
-  EXPECT_THROW(cfg.validate(), util::ConfigError);
-  cfg = {};
-  cfg.target_rel_error = 0.0;
-  EXPECT_THROW(cfg.validate(), util::ConfigError);
-}
 
 TEST(RareEvent, BruteEquivalentTrialsFormula) {
   // 1e-4 at 10% relative error needs ~(1-p)/(p re^2) ~ 1e6 brute trials.
@@ -311,11 +167,9 @@ TEST(RareEvent, ImportanceRoundsEstimatesATiltedGaussianTail) {
   eng::MonteCarloRunner runner;
   const double beta = 4.0;
   const double p_true = normal_cdf(-beta);
-  eng::RareEventConfig cfg;
-  cfg.method = eng::RareEventMethod::kImportanceSampling;
   const double tilt[1] = {beta};
   const auto est =
-      eng::importance_rounds(2000, 11, cfg, [&](std::uint64_t round_seed) {
+      eng::importance_rounds(2000, 11, [&](std::uint64_t round_seed) {
         return runner.run<util::WeightedStats>(
             2000, round_seed,
             [&](util::Rng& rng, std::size_t, util::WeightedStats& ws) {
@@ -328,7 +182,7 @@ TEST(RareEvent, ImportanceRoundsEstimatesATiltedGaussianTail) {
               }
             });
       });
-  EXPECT_LE(est.rel_error, cfg.target_rel_error);
+  EXPECT_LE(est.rel_error, eng::kTargetRelError);
   EXPECT_NEAR(est.probability, p_true, 3.0 * est.rel_error * p_true);
   EXPECT_GE(est.confidence.lo, 0.0);
   EXPECT_LE(est.confidence.lo, est.probability);
@@ -341,10 +195,8 @@ TEST(RareEvent, SubsetSimulationEstimatesAGaussianTail) {
   eng::MonteCarloRunner runner;
   const double beta = 4.5;
   const double p_true = normal_cdf(-beta);
-  eng::RareEventConfig cfg;
-  cfg.method = eng::RareEventMethod::kSplitting;
   const auto est = eng::subset_simulation(
-      runner, 1, 1500, 13, cfg,
+      runner, 1, 1500, 13,
       [beta](std::size_t n, const double* zs, double* out) {
         for (std::size_t l = 0; l < n; ++l) out[l] = zs[l] - beta;
       });
@@ -362,10 +214,9 @@ TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
     eng::RunnerConfig rc;
     rc.threads = threads;
     eng::MonteCarloRunner runner(rc);
-    eng::RareEventConfig cfg;
     const double tilt[1] = {beta};
     const auto is =
-        eng::importance_rounds(500, 21, cfg, [&](std::uint64_t round_seed) {
+        eng::importance_rounds(500, 21, [&](std::uint64_t round_seed) {
           return runner.run<util::WeightedStats>(
               500, round_seed,
               [&](util::Rng& rng, std::size_t, util::WeightedStats& ws) {
@@ -379,7 +230,7 @@ TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
               });
         });
     const auto split = eng::subset_simulation(
-        runner, 2, 400, 22, cfg,
+        runner, 2, 400, 22,
         [beta](std::size_t n, const double* zs, double* out) {
           for (std::size_t l = 0; l < n; ++l) {
             const double* z = zs + 2 * l;
@@ -404,8 +255,7 @@ TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
 /// proposal, and a full sort of every adaptive level.
 eng::RareEventEstimate per_trial_subset_simulation(
     eng::MonteCarloRunner& runner, std::size_t dim, std::size_t N,
-    std::uint64_t seed, const eng::RareEventConfig& cfg,
-    const std::function<double(const double*)>& score) {
+    std::uint64_t seed, const std::function<double(const double*)>& score) {
   struct Gen {
     std::vector<double> zs;
     std::vector<double> scores;
@@ -430,7 +280,7 @@ eng::RareEventEstimate per_trial_subset_simulation(
   bool dead = false;
   const auto resample = [&](const std::vector<std::size_t>& parents,
                             double level, std::uint64_t tag) {
-    const double rho = cfg.mcmc_rho;
+    const double rho = eng::kMcmcRho;
     const double beta = std::sqrt(1.0 - rho * rho);
     const std::size_t m = parents.size();
     gen = runner.run<Gen>(
@@ -443,7 +293,7 @@ eng::RareEventEstimate per_trial_subset_simulation(
           const std::size_t j = parents[rng.below(m)];
           std::copy_n(gen.zs.data() + j * dim, dim, cur);
           double cur_score = gen.scores[j];
-          for (std::size_t step = 0; step < cfg.mcmc_steps; ++step) {
+          for (std::size_t step = 0; step < eng::kMcmcSteps; ++step) {
             rng.normal_fill(prop, dim);
             for (std::size_t d = 0; d < dim; ++d) {
               prop[d] = rho * cur[d] + beta * prop[d];
@@ -457,7 +307,7 @@ eng::RareEventEstimate per_trial_subset_simulation(
           acc.zs.insert(acc.zs.end(), cur, cur + dim);
           acc.scores.push_back(cur_score);
         });
-    evals += dN * static_cast<double>(cfg.mcmc_steps);
+    evals += dN * static_cast<double>(eng::kMcmcSteps);
   };
   const auto count_hits = [&] {
     return static_cast<std::size_t>(
@@ -469,66 +319,39 @@ eng::RareEventEstimate per_trial_subset_simulation(
     delta2 += (first ? 1.0 : 3.0) * (1.0 - phat) / (dN * phat);
     est.level_probabilities.push_back(phat);
   };
-  if (cfg.levels.empty()) {
-    const std::size_t m = std::max<std::size_t>(
-        1, static_cast<std::size_t>(cfg.level_p0 * dN));
-    double prev_level = -std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0;; ++k) {
-      const std::size_t hits = count_hits();
-      if (hits >= m) {
+  const std::size_t m = std::max<std::size_t>(
+      1, static_cast<std::size_t>(eng::kLevelP0 * dN));
+  double prev_level = -std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0;; ++k) {
+    const std::size_t hits = count_hits();
+    if (hits >= m) {
+      record_level(static_cast<double>(hits) / dN, k == 0);
+      est.ess = static_cast<double>(hits);
+      break;
+    }
+    std::vector<std::size_t> order(N);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                if (gen.scores[a] != gen.scores[b]) {
+                  return gen.scores[a] > gen.scores[b];
+                }
+                return a < b;
+              });
+    const double level = gen.scores[order[m - 1]];
+    if (k >= eng::kMaxLevels || level <= prev_level) {
+      if (hits > 0) {
         record_level(static_cast<double>(hits) / dN, k == 0);
         est.ess = static_cast<double>(hits);
-        break;
-      }
-      std::vector<std::size_t> order(N);
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (gen.scores[a] != gen.scores[b]) {
-                    return gen.scores[a] > gen.scores[b];
-                  }
-                  return a < b;
-                });
-      const double level = gen.scores[order[m - 1]];
-      if (k >= cfg.max_levels || level <= prev_level) {
-        if (hits > 0) {
-          record_level(static_cast<double>(hits) / dN, k == 0);
-          est.ess = static_cast<double>(hits);
-        } else {
-          dead = true;
-        }
-        break;
-      }
-      prev_level = level;
-      record_level(static_cast<double>(m) / dN, k == 0);
-      order.resize(m);
-      resample(order, level, k + 1);
-    }
-  } else {
-    bool first = true;
-    std::size_t tag = 1;
-    for (double level : cfg.levels) {
-      std::vector<std::size_t> survivors;
-      for (std::size_t i = 0; i < N; ++i) {
-        if (gen.scores[i] >= level) survivors.push_back(i);
-      }
-      if (survivors.empty()) {
-        dead = true;
-        break;
-      }
-      record_level(static_cast<double>(survivors.size()) / dN, first);
-      first = false;
-      resample(survivors, level, tag++);
-    }
-    if (!dead) {
-      const std::size_t hits = count_hits();
-      if (hits == 0) {
-        dead = true;
       } else {
-        record_level(static_cast<double>(hits) / dN, first);
-        est.ess = static_cast<double>(hits);
+        dead = true;
       }
+      break;
     }
+    prev_level = level;
+    record_level(static_cast<double>(m) / dN, k == 0);
+    order.resize(m);
+    resample(order, level, k + 1);
   }
   est.simulated_trials = evals;
   est.probability = dead ? 0.0 : std::exp(log_p);
@@ -553,39 +376,32 @@ TEST(RareEvent, LockstepSubsetSimulationMatchesPerTrialReferenceBitwise) {
   std::size_t tie_runs = 0;
   for (const Shape shape : {Shape{600, 64}, Shape{600, 7}, Shape{5000, 100}}) {
     for (const unsigned threads : {1u, 3u}) {
-      for (const bool explicit_levels : {false, true}) {
-        for (const Scalar* score : {&gaussian, &quantised}) {
-          const std::string where =
-              "n=" + std::to_string(shape.n) +
-              " chunk_size=" + std::to_string(shape.chunk_size) +
-              " threads=" + std::to_string(threads) +
-              (explicit_levels ? " explicit" : " adaptive") +
-              (score == &gaussian ? " gaussian" : " quantised");
-          eng::RareEventConfig cfg;
-          cfg.method = eng::RareEventMethod::kSplitting;
-          if (explicit_levels) cfg.levels = {-2.5, -1.5, -0.75};
-          eng::MonteCarloRunner runner(
-              eng::RunnerConfig{threads, shape.chunk_size});
-          const auto want = per_trial_subset_simulation(runner, 2, shape.n,
-                                                        41, cfg, *score);
-          const auto got = eng::subset_simulation(
-              runner, 2, shape.n, 41, cfg,
-              [score](std::size_t n, const double* zs, double* out) {
-                for (std::size_t l = 0; l < n; ++l) {
-                  out[l] = (*score)(zs + 2 * l);
-                }
-              });
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.probability),
-                    std::bit_cast<std::uint64_t>(want.probability))
-              << where;
-          EXPECT_EQ(got.level_probabilities, want.level_probabilities)
-              << where;
-          EXPECT_EQ(got.ess, want.ess) << where;
-          EXPECT_EQ(got.simulated_trials, want.simulated_trials) << where;
-          EXPECT_GT(want.probability, 0.0) << where;
-          EXPECT_GE(want.level_probabilities.size(), 3u) << where;
-          if (score == &quantised && !explicit_levels) ++tie_runs;
-        }
+      for (const Scalar* score : {&gaussian, &quantised}) {
+        const std::string where =
+            "n=" + std::to_string(shape.n) +
+            " chunk_size=" + std::to_string(shape.chunk_size) +
+            " threads=" + std::to_string(threads) +
+            (score == &gaussian ? " gaussian" : " quantised");
+        eng::MonteCarloRunner runner(
+            eng::RunnerConfig{threads, shape.chunk_size});
+        const auto want =
+            per_trial_subset_simulation(runner, 2, shape.n, 41, *score);
+        const auto got = eng::subset_simulation(
+            runner, 2, shape.n, 41,
+            [score](std::size_t n, const double* zs, double* out) {
+              for (std::size_t l = 0; l < n; ++l) {
+                out[l] = (*score)(zs + 2 * l);
+              }
+            });
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.probability),
+                  std::bit_cast<std::uint64_t>(want.probability))
+            << where;
+        EXPECT_EQ(got.level_probabilities, want.level_probabilities) << where;
+        EXPECT_EQ(got.ess, want.ess) << where;
+        EXPECT_EQ(got.simulated_trials, want.simulated_trials) << where;
+        EXPECT_GT(want.probability, 0.0) << where;
+        EXPECT_GE(want.level_probabilities.size(), 3u) << where;
+        if (score == &quantised) ++tie_runs;
       }
     }
   }
@@ -596,8 +412,6 @@ TEST(RareEvent, SubsetSimulationRejectsNaNScores) {
   // NaN breaks the strict weak ordering of the level comparator (undefined
   // behaviour in any sort), so a NaN score is refused, naming the level.
   eng::MonteCarloRunner runner(eng::RunnerConfig{2, 64});
-  eng::RareEventConfig cfg;
-  cfg.method = eng::RareEventMethod::kSplitting;
   const auto nan_above_one = [](std::size_t n, const double* zs,
                                 double* out) {
     for (std::size_t l = 0; l < n; ++l) {
@@ -605,17 +419,12 @@ TEST(RareEvent, SubsetSimulationRejectsNaNScores) {
                            : zs[l] - 4.0;
     }
   };
-  for (const bool explicit_levels : {false, true}) {
-    cfg.levels.clear();
-    if (explicit_levels) cfg.levels = {-2.0};
-    try {
-      eng::subset_simulation(runner, 1, 400, 5, cfg, nan_above_one);
-      ADD_FAILURE() << "a NaN score was accepted";
-    } catch (const util::ContractViolation& e) {
-      EXPECT_NE(std::string(e.what()).find("NaN at level 0"),
-                std::string::npos)
-          << e.what();
-    }
+  try {
+    eng::subset_simulation(runner, 1, 400, 5, nan_above_one);
+    ADD_FAILURE() << "a NaN score was accepted";
+  } catch (const util::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("NaN at level 0"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -969,67 +778,6 @@ TEST(RareEventDeterminism, RerDriversAreThreadCountInvariant) {
         },
         &rdo::RerResult::rer);
   }
-}
-
-rdo::ReadDisturbConfig fast_disturb_config() {
-  rdo::ReadDisturbConfig cfg;
-  cfg.device.delta0 = 14.0;  // thermally active: cheap trajectories
-  cfg.path.v_read = 0.14;
-  cfg.path.bitline.rows = 16;
-  cfg.duration = 3e-9;
-  cfg.dt = 2e-12;
-  cfg.trials = 48;
-  cfg.hz_stray = dev::MtjDevice(cfg.device).intra_stray_field();
-  return cfg;
-}
-
-TEST(RareEventDeterminism, ReadDisturbDriversAreThreadCountInvariant) {
-  auto cfg = fast_disturb_config();
-  for (auto method : {eng::RareEventMethod::kImportanceSampling,
-                      eng::RareEventMethod::kSplitting}) {
-    cfg.rare.method = method;
-    expect_thread_invariant<rdo::ReadDisturbConfig, rdo::ReadDisturbResult>(
-        cfg,
-        [](const rdo::ReadDisturbConfig& c, util::Rng& rng,
-           eng::MonteCarloRunner& runner) {
-          return rdo::measure_read_disturb(c, rng, runner);
-        },
-        &rdo::ReadDisturbResult::rate);
-  }
-}
-
-// Read-disturb importance sampling and splitting run in no scenario, so no
-// seeded CSV covers them. These pin their results to values recorded while
-// measure_read_disturb still carried a per-trial MacrospinSim path that the
-// batched kernel matched bit for bit.
-
-TEST(RareEventDeterminism, ReadDisturbImportanceMatchesPinnedEstimate) {
-  auto cfg = fast_disturb_config();
-  cfg.rare.method = eng::RareEventMethod::kImportanceSampling;
-  eng::MonteCarloRunner runner;
-  util::Rng rng(55);
-  const auto r = rdo::measure_read_disturb(cfg, rng, runner);
-  EXPECT_EQ(r.rate, 0x1.2509eee1cbd3p-220);
-  EXPECT_EQ(r.rare.rel_error, 0x1.5d97c4ece6731p-1);
-  EXPECT_TRUE(r.rare.level_probabilities.empty());
-  // The tilt makes disturbs common enough to estimate from 48-trial rounds.
-  EXPECT_GT(r.rare.ess, 0.0);
-}
-
-TEST(RareEventDeterminism, ReadDisturbSplittingMatchesPinnedEstimate) {
-  auto cfg = fast_disturb_config();
-  cfg.rare.method = eng::RareEventMethod::kSplitting;
-  eng::MonteCarloRunner runner;
-  util::Rng rng(56);
-  const auto r = rdo::measure_read_disturb(cfg, rng, runner);
-  EXPECT_EQ(r.rate, 0x1.5484a6aa06525p-4);
-  EXPECT_EQ(r.rare.rel_error, 0x1.addcb4123abf8p-2);
-  const std::vector<double> levels = {
-      0x1.eaaaaaaaaaaabp-1, 0x1p+0, 0x1.ep-1, 0x1.aaaaaaaaaaaabp-1,
-      0x1.8aaaaaaaaaaabp-1, 0x1.8aaaaaaaaaaabp-1, 0x1.8p-1,
-      0x1.6aaaaaaaaaaabp-1, 0x1.ap-1, 0x1.7555555555555p-1,
-      0x1.9555555555555p-1, 0x1.8p-1};
-  EXPECT_EQ(r.rare.level_probabilities, levels);
 }
 
 }  // namespace
