@@ -31,6 +31,8 @@ const char* counter_name(Counter c) {
     case Counter::kRareSplitLevels: return "rare.split.levels";
     case Counter::kRareMcmcProposals: return "rare.mcmc.proposals";
     case Counter::kRareMcmcAccepts: return "rare.mcmc.accepts";
+    case Counter::kReadoutLadderSolves: return "readout.ladder_solves";
+    case Counter::kReadoutLadderNanos: return "readout.ladder_ns";
     case Counter::kSweepPoints: return "sweep.points";
     case Counter::kTraceSpansDropped: return "trace.spans_dropped";
     case Counter::kCount: break;

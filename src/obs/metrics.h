@@ -68,6 +68,8 @@ enum class Counter : std::uint16_t {
   kRareSplitLevels,      ///< subset-simulation levels resolved
   kRareMcmcProposals,    ///< pCN MCMC proposals made
   kRareMcmcAccepts,      ///< pCN MCMC proposals accepted
+  kReadoutLadderSolves,  ///< bitline ladder solves (BitlinePath::port)
+  kReadoutLadderNanos,   ///< summed wall time of those solves
   kSweepPoints,          ///< sweep grid points evaluated
   kTraceSpansDropped,    ///< trace spans discarded by the per-thread cap
   kCount
@@ -383,6 +385,36 @@ class ScopedHist {
   Hist hist_;
   bool armed_;
   Stopwatch sw_;
+};
+
+/// Scoped event count plus wall time from any context: on destruction adds
+/// 1 to `events` and the elapsed nanoseconds to `nanos` through
+/// counter_add. Reads the clock only when a block or a registry is
+/// installed, so the disabled path costs counter_add's two pointer loads.
+/// Meant for spans of ~10 us and longer, where two clock reads are noise.
+class ScopedCount {
+ public:
+  ScopedCount(Counter events, Counter nanos)
+      : events_(events),
+        nanos_(nanos),
+        armed_(detail::tl_block != nullptr || metrics_enabled()) {
+    if (armed_) start_ = Stopwatch::clock::now();
+  }
+  ~ScopedCount() {
+    if (!armed_) return;
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        Stopwatch::clock::now() - start_);
+    counter_add(events_);
+    counter_add(nanos_, static_cast<std::uint64_t>(ns.count()));
+  }
+  ScopedCount(const ScopedCount&) = delete;
+  ScopedCount& operator=(const ScopedCount&) = delete;
+
+ private:
+  Counter events_;
+  Counter nanos_;
+  bool armed_;
+  Stopwatch::clock::time_point start_{};
 };
 
 /// Installs `block` as the executing thread's accumulation target for the

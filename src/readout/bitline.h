@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "device/electrical.h"
@@ -28,7 +29,10 @@
 // (every node has a path to the supply or the sink), so plain Gaussian
 // elimination without pivoting is stable and the solve is deterministic --
 // no randomness, identical on every thread. Its bandwidth is N (node i
-// couples to i +- 1 and i +- N), and the elimination is bounded to it.
+// couples to i +- 1 and i +- N), and the elimination is bounded to it. The
+// solve runs in a per-thread workspace (no allocation once it has grown to
+// the column size) and is vectorized AVX-512F/AVX2 at run time, with the
+// same bits at every instruction-set level.
 
 namespace mram::rdo {
 
@@ -79,7 +83,26 @@ class BitlinePath {
   ReadPort port(std::size_t row, double v_read,
                 const std::vector<int>& column_data) const;
 
+  /// Instruction-set level of the ladder solve. Every level produces the
+  /// same bits; only the speed differs. port() always takes the widest
+  /// level this build and CPU support, picked once at load time.
+  enum class SolveLevel { kPortable, kAvx2, kAvx512 };
+
+  /// Whether this build and CPU can run `level` (kPortable always can).
+  static bool solve_level_supported(SolveLevel level);
+
+  /// port() with the ladder solve at an explicit level, so tests can check
+  /// each level the host supports. Precondition:
+  /// solve_level_supported(level).
+  ReadPort port(SolveLevel level, std::size_t row, double v_read,
+                const std::vector<int>& column_data) const;
+
  private:
+  /// port() at `level`, or through the load-time dispatch when empty.
+  ReadPort solve_port(std::optional<SolveLevel> level, std::size_t row,
+                      double v_read,
+                      const std::vector<int>& column_data) const;
+
   BitlineParams params_;
   double r_leak_p_;   ///< r_leak + R_P of an off cell [Ohm]
   double r_leak_ap_;  ///< r_leak + R_AP(0) of an off cell [Ohm]

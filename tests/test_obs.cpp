@@ -810,6 +810,28 @@ TEST(ObsRun, MetricsFileMatchesTheSchemaAndTheTrialCounts) {
   EXPECT_DOUBLE_EQ(pair->snapshot.gauges.at("engine.threads"), 4.0);
 }
 
+TEST(ObsRun, LadderSolvesCountEveryOperatingPointAndKeepCsvByteIdentical) {
+  // sense_margin_ir_drop takes one operating point, one ladder solve each,
+  // per (grid row, column pattern) -- 5 x 3 -- and per (row, device) of
+  // its margin distribution -- 2 x 100 at trial scale 0.25.
+  const auto& registry = ScenarioRegistry::global();
+  auto plain = base_options({"sense_margin_ir_drop"}, 2);
+  plain.trial_scale = 0.25;
+  const std::string reference = run_csv(registry, plain);
+
+  const fs::path dir = make_temp_dir("ladder");
+  auto opt = plain;
+  opt.metrics_file = (dir / "metrics.json").string();
+  EXPECT_EQ(run_csv(registry, opt), reference);
+
+  const auto doc = obs::MetricsDoc::load(opt.metrics_file);
+  const auto* s = find_scenario(doc, "sense_margin_ir_drop");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(counter_of(*s, "engine.trials"), 200u);
+  EXPECT_EQ(counter_of(*s, "readout.ladder_solves"), 5u * 3u + 2u * 100u);
+  EXPECT_GT(counter_of(*s, "readout.ladder_ns"), 0u);
+}
+
 TEST(ObsRun, TraceFileHoldsScenarioAndChunkSpans) {
   const auto registry = mc_registry();
   const fs::path dir = make_temp_dir("trace");

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "dynamics/llg.h"
@@ -161,10 +162,24 @@ ReadPort dense_reference_port(const BitlineParams& params,
   return {rhs[row] - rhs[n_rows + row], rhs[n + row] - rhs[n + n_rows + row]};
 }
 
+/// The solve levels this host can run.
+std::vector<BitlinePath::SolveLevel> supported_levels() {
+  std::vector<BitlinePath::SolveLevel> out;
+  for (const auto level :
+       {BitlinePath::SolveLevel::kPortable, BitlinePath::SolveLevel::kAvx2,
+        BitlinePath::SolveLevel::kAvx512}) {
+    if (BitlinePath::solve_level_supported(level)) out.push_back(level);
+  }
+  return out;
+}
+
 TEST(Bitline, BandLimitedSolveMatchesDenseEliminationBitwise) {
+  // Row counts around the 8-double blocks (vector heads and tails) and the
+  // band edge; every level the host supports, and the dispatched port().
   const auto cell = nominal_cell();
-  for (const std::size_t rows : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{3}, std::size_t{64}}) {
+  const auto levels = supported_levels();
+  ASSERT_FALSE(levels.empty());
+  for (const std::size_t rows : {1, 2, 3, 7, 8, 9, 17, 63, 64, 65}) {
     for (const double r_segment : {4.0, 0.0}) {  // 0: the 1e12 strong tie
       BitlineParams params;
       params.rows = rows;
@@ -178,18 +193,61 @@ TEST(Bitline, BandLimitedSolveMatchesDenseEliminationBitwise) {
       for (std::size_t i = 0; i < rows; ++i) columns[2][i] = i % 2;
       for (std::size_t k = 0; k < columns.size(); ++k) {
         for (std::size_t row = 0; row < rows; ++row) {
-          const ReadPort got = path.port(row, 0.2, columns[k]);
           const ReadPort want =
               dense_reference_port(params, cell, row, 0.2, columns[k]);
-          EXPECT_EQ(bits(got.v_thevenin), bits(want.v_thevenin))
-              << "rows " << rows << " r_seg " << r_segment << " pattern " << k
-              << " row " << row;
-          EXPECT_EQ(bits(got.r_thevenin), bits(want.r_thevenin))
-              << "rows " << rows << " r_seg " << r_segment << " pattern " << k
-              << " row " << row;
+          std::vector<ReadPort> got{path.port(row, 0.2, columns[k])};
+          for (const auto level : levels) {
+            got.push_back(path.port(level, row, 0.2, columns[k]));
+          }
+          for (std::size_t g = 0; g < got.size(); ++g) {
+            const bool ok = bits(got[g].v_thevenin) == bits(want.v_thevenin) &&
+                            bits(got[g].r_thevenin) == bits(want.r_thevenin);
+            ASSERT_TRUE(ok) << "rows " << rows << " r_seg " << r_segment
+                            << " pattern " << k << " row " << row << " "
+                            << (g == 0 ? "dispatched" : "level ")
+                            << (g == 0 ? 0 : static_cast<int>(levels[g - 1]));
+          }
         }
       }
     }
+  }
+}
+
+TEST(Bitline, WorkspaceReuseKeepsBits) {
+  // One thread solves columns of changing size back to back, so each solve
+  // finds the previous one's fill at other offsets of its row layout; each
+  // must give the bits a thread with a fresh workspace gives, so nothing a
+  // previous solve left in the workspace can leak into the next. (The
+  // 9-row solve leaves nonzero values where the 63- and 65-row solves need
+  // +0 past a pivot's band: zeroing too short a range per row fails here.)
+  struct Solve {
+    std::size_t rows;
+    std::size_t row;
+    int pattern;  // 0 all-P, 1 all-AP, 2 checkerboard, 3 every third AP
+  };
+  const std::vector<Solve> solves{
+      {64, 63, 1}, {3, 1, 2},  {65, 0, 3},  {64, 17, 0},
+      {9, 4, 2},   {63, 62, 1}, {65, 64, 0}};
+  const auto cell = nominal_cell();
+  auto solve = [&](const Solve& s) {
+    BitlineParams params;
+    params.rows = s.rows;
+    std::vector<int> column(s.rows);
+    for (std::size_t i = 0; i < s.rows; ++i) {
+      column[i] = s.pattern == 1 || (s.pattern == 2 && i % 2 == 1) ||
+                  (s.pattern == 3 && i % 3 == 0);
+    }
+    return BitlinePath(params, cell).port(s.row, 0.2, column);
+  };
+
+  for (const auto& s : solves) {
+    ReadPort fresh;
+    std::thread([&] { fresh = solve(s); }).join();
+    const ReadPort reused = solve(s);
+    EXPECT_EQ(bits(reused.v_thevenin), bits(fresh.v_thevenin))
+        << "rows " << s.rows << " row " << s.row;
+    EXPECT_EQ(bits(reused.r_thevenin), bits(fresh.r_thevenin))
+        << "rows " << s.rows << " row " << s.row;
   }
 }
 
