@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
             << " ns)\n\n";
 
   util::Rng rng(2718);
-  eng::MonteCarloRunner runner(cfg.runner);  // one pool for every bisection
+  eng::MonteCarloRunner runner;  // one pool for every bisection
   util::Table t({"background", "pulse for WER<=1e-2 (ns)",
                  "pulse / tw_intra", "analytic pulse (ns)"});
   for (auto kind : {arr::PatternKind::kAllZero, arr::PatternKind::kCheckerboard,

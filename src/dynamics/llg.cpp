@@ -37,7 +37,7 @@ namespace {
 
 /// Projects solver stage inputs back onto the unit sphere so that every RHS
 /// evaluation sees a unit magnetization (the renormalized RK of the seed
-/// implementation, expressed as an RHS wrapper around the solver policies).
+/// implementation, expressed as an RHS wrapper for num::Rk4Solver).
 struct ProjectedRhs {
   const LlgRhs& f;
   Vec3 operator()(double t, const Vec3& m) const {

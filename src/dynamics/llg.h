@@ -48,8 +48,8 @@ struct TrajectoryPoint {
 };
 
 /// Allocation-free LLG right-hand side with all parameter-derived constants
-/// (gamma', a_j) precomputed. Passing this functor to the templated solver
-/// policies in numerics/solvers.h inlines the whole stage evaluation -- no
+/// (gamma', a_j) precomputed. Passing this functor to num::Rk4Solver
+/// (numerics/solvers.h) inlines the whole stage evaluation -- no
 /// std::function indirection in the Monte Carlo hot loops. The field `h`
 /// holds applied + stray (+ thermal, for the stochastic paths) [A/m].
 struct LlgRhs {

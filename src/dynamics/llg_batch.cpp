@@ -209,6 +209,7 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
                  "m0 must be a unit vector");
   }
   obs::counter_add(obs::Counter::kLlgLanesEntered, n);
+  obs::tag_kernel(obs::KernelTag::kLlg);
 
   const std::size_t cap = std::min(n, preferred_lanes());  // slot count
   mx_.resize(cap);
@@ -303,7 +304,6 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
       constexpr bool kT = decltype(torque)::value;
       if (n_active == kDefaultLanes) {
         obs::counter_add(obs::Counter::kLlgBlocksW8);
-        obs::tag_kernel(obs::KernelTag::kLlgW8);
         return step_lanes_block_w8<kT>(remaining, h_stride, mx_.data(),
                                        my_.data(), mz_.data(), hxm, hym, hzm,
                                        sign_.data(), crossed_.data(), coeffs,
@@ -311,14 +311,12 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
       }
       if (n_active == kAvx512Lanes) {
         obs::counter_add(obs::Counter::kLlgBlocksW16);
-        obs::tag_kernel(obs::KernelTag::kLlgW16);
         return step_lanes_block_w16<kT>(remaining, h_stride, mx_.data(),
                                         my_.data(), mz_.data(), hxm, hym, hzm,
                                         sign_.data(), crossed_.data(), coeffs,
                                         mz_stop);
       }
       obs::counter_add(obs::Counter::kLlgBlocksGeneric);
-      obs::tag_kernel(obs::KernelTag::kLlgGeneric);
       return step_lanes_block<kT>(n_active, remaining, h_stride, mx_.data(),
                                   my_.data(), mz_.data(), hxm, hym, hzm,
                                   sign_.data(), crossed_.data(), coeffs,

@@ -45,31 +45,6 @@ LlgParams llg_from_device(const dev::MtjDevice& device, SwitchDirection dir,
       temperature);
 }
 
-SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
-                                   SwitchDirection dir, double vp,
-                                   double hz_stray, std::size_t trials,
-                                   util::Rng& rng, double duration, double dt,
-                                   double temperature,
-                                   const eng::RunnerConfig& runner_config) {
-  eng::MonteCarloRunner runner(runner_config);
-  return llg_switching_stats(device, dir, vp, hz_stray, trials, rng, duration,
-                             dt, temperature, runner);
-}
-
-namespace {
-
-struct SwitchPartial {
-  util::RunningStats times;
-  std::size_t switched = 0;
-
-  void merge(const SwitchPartial& o) {
-    times.merge(o.times);
-    switched += o.switched;
-  }
-};
-
-}  // namespace
-
 Vec3 thermal_initial_tilt(util::Rng& rng, double delta, double mz0) {
   const double u = std::max(rng.uniform(), 1e-300);
   const double theta =
@@ -80,16 +55,43 @@ Vec3 thermal_initial_tilt(util::Rng& rng, double delta, double mz0) {
                           mz0 * std::cos(theta)});
 }
 
-const SwitchResult* ThermalLlgSpan::run(util::Rng* rngs, std::size_t n,
-                                         double delta, double mz0,
-                                         double duration, double dt) {
-  m0.resize(n);
-  out.resize(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    m0[l] = thermal_initial_tilt(rngs[l], delta, mz0);
-  }
-  sim.run_until_switch(n, m0.data(), rngs, duration, dt, out.data());
-  return out.data();
+namespace {
+
+/// Runner context of run_thermal_llg: the kernel plus span-sized start and
+/// result buffers, reused by every span the context runs.
+struct ThermalLlgSpan {
+  explicit ThermalLlgSpan(const LlgParams& llg) : sim(llg) {}
+
+  BatchMacrospinSim sim;
+  std::vector<Vec3> m0;
+  std::vector<SwitchResult> out;
+};
+
+}  // namespace
+
+ThermalLlgTally run_thermal_llg(eng::MonteCarloRunner& runner,
+                                const LlgParams& llg, std::size_t trials,
+                                std::uint64_t seed, double delta, double mz0,
+                                double duration, double dt) {
+  return runner.run_batched<ThermalLlgTally>(
+      trials, seed, [&] { return ThermalLlgSpan(llg); },
+      [&](ThermalLlgSpan& span, util::Rng* rngs, std::size_t first,
+          std::size_t n, const auto& acc_of) {
+        span.m0.resize(n);
+        span.out.resize(n);
+        for (std::size_t l = 0; l < n; ++l) {
+          span.m0[l] = thermal_initial_tilt(rngs[l], delta, mz0);
+        }
+        span.sim.run_until_switch(n, span.m0.data(), rngs, duration, dt,
+                                  span.out.data());
+        for (std::size_t l = 0; l < n; ++l) {
+          if (span.out[l].switched) {
+            ThermalLlgTally& acc = acc_of(first + l);
+            ++acc.switched;
+            acc.times.add(span.out[l].time);
+          }
+        }
+      });
 }
 
 SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
@@ -104,11 +106,6 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
       device.delta(initial_state(dir), hz_stray, temperature);
   const double mz0 = (initial_state(dir) == MtjState::kParallel) ? 1.0 : -1.0;
 
-  // Each trial integrates thousands of stochastic LLG steps -- the heaviest
-  // trial body in the repo. The batched path runs each runner span through
-  // one refilling kernel call; folding results in trial order keeps the
-  // accumulation order of one trial at a time, so the result is
-  // bit-identical for the same (seed, trials) at any thread count.
   // Report echo for the efficiency section: which documented flop constant
   // the llg.flops counter is accumulating under (serial context, once per
   // runner call -- never from inside a chunk).
@@ -117,27 +114,14 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
                      ? static_cast<double>(detail::kHeunStepFlopsTorque)
                      : static_cast<double>(detail::kHeunStepFlops));
   const std::uint64_t seed = rng();
-  const auto partial = runner.run_batched<SwitchPartial>(
-      trials, seed,
-      [&] { return ThermalLlgSpan(llg); },
-      [&](ThermalLlgSpan& span, util::Rng* rngs, std::size_t first,
-          std::size_t n, const auto& acc_of) {
-        const SwitchResult* result =
-            span.run(rngs, n, delta, mz0, duration, dt);
-        for (std::size_t l = 0; l < n; ++l) {
-          if (result[l].switched) {
-            SwitchPartial& acc = acc_of(first + l);
-            ++acc.switched;
-            acc.times.add(result[l].time);
-          }
-        }
-      });
+  const ThermalLlgTally tally =
+      run_thermal_llg(runner, llg, trials, seed, delta, mz0, duration, dt);
   SwitchingStats stats;
   stats.trials = trials;
-  stats.switched = partial.switched;
-  if (partial.switched > 0) {
-    stats.mean_time = partial.times.mean();
-    stats.stddev_time = partial.times.stddev();
+  stats.switched = tally.switched;
+  if (tally.switched > 0) {
+    stats.mean_time = tally.times.mean();
+    stats.stddev_time = tally.times.stddev();
   }
   return stats;
 }

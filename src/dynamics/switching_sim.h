@@ -2,8 +2,8 @@
 
 #include "device/mtj_device.h"
 #include "dynamics/llg.h"
-#include "dynamics/llg_batch.h"
 #include "engine/monte_carlo.h"
+#include "util/stats.h"
 
 // Bridges the device model and the LLG solver: builds a MacrospinSim from
 // MtjParams so the same calibrated device can be simulated dynamically, and
@@ -36,22 +36,30 @@ LlgParams llg_from_device_current(const dev::MtjDevice& device,
 /// their stream consumption stays identical.
 num::Vec3 thermal_initial_tilt(util::Rng& rng, double delta, double mz0);
 
-/// Runner context of the batched stochastic-LLG ensembles (switching stats
-/// and read disturb): the kernel plus span-sized start and result buffers,
-/// reused by every span the context runs.
-struct ThermalLlgSpan {
-  explicit ThermalLlgSpan(const LlgParams& llg) : sim(llg) {}
+/// Switched count and crossing times [s] of a thermal-LLG ensemble; also
+/// the runner partial of run_thermal_llg.
+struct ThermalLlgTally {
+  std::size_t switched = 0;
+  util::RunningStats times;  ///< crossing times of the switched trials
 
-  /// Trial l of the span draws its thermal_initial_tilt(rngs[l], delta,
-  /// mz0), then all n trials run through one refilling kernel call.
-  /// Returns the n results, valid until the next call.
-  const SwitchResult* run(util::Rng* rngs, std::size_t n, double delta,
-                          double mz0, double duration, double dt);
-
-  BatchMacrospinSim sim;
-  std::vector<num::Vec3> m0;
-  std::vector<SwitchResult> out;
+  void merge(const ThermalLlgTally& o) {
+    switched += o.switched;
+    times.merge(o.times);
+  }
 };
+
+/// Batched thermal-LLG ensemble, the body of both stochastic-LLG drivers
+/// (llg_switching_stats and rdo::measure_read_disturb): trial i draws
+/// thermal_initial_tilt(Rng::stream(seed, i), delta, mz0), then integrates
+/// `llg` for up to `duration` in steps of `dt` until mz crosses 0. Each
+/// runner span runs through one refilling BatchMacrospinSim call, so every
+/// trial equals one MacrospinSim::run_until_switch trial bit for bit, and
+/// results fold in trial order: the tally is bit-identical for the same
+/// (seed, trials) at any thread count.
+ThermalLlgTally run_thermal_llg(eng::MonteCarloRunner& runner,
+                                const LlgParams& llg, std::size_t trials,
+                                std::uint64_t seed, double delta, double mz0,
+                                double duration, double dt);
 
 struct SwitchingStats {
   double mean_time = 0.0;    ///< [s] over switched trials
@@ -61,21 +69,9 @@ struct SwitchingStats {
 };
 
 /// Monte Carlo switching-time statistics from repeated stochastic LLG runs
-/// starting near the initial state of `dir` (thermal initial tilt). Runs on
-/// the engine runner's batched path: each runner span goes through one
-/// BatchMacrospinSim call, each trial bit-identical to one
-/// MacrospinSim::run_until_switch trial for the same (seed, trials) at any
-/// thread count. The overload taking a
-/// MonteCarloRunner reuses its thread pool across calls (sweeps should
-/// hoist one runner).
-SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
-                                   dev::SwitchDirection dir, double vp,
-                                   double hz_stray, std::size_t trials,
-                                   util::Rng& rng, double duration = 60e-9,
-                                   double dt = 1e-12,
-                                   double temperature = 300.0,
-                                   const eng::RunnerConfig& runner = {});
-
+/// starting near the initial state of `dir` (thermal initial tilt), on
+/// run_thermal_llg. Sweeps pass one runner so they pay thread creation
+/// once.
 SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
                                    dev::SwitchDirection dir, double vp,
                                    double hz_stray, std::size_t trials,

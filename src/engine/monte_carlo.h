@@ -26,7 +26,7 @@
 //     are merged in chunk-index order after the pool drains.
 //
 // Because the chunking, the per-trial streams and the merge order depend
-// only on (trials, seed, chunk_size) -- never on the thread count or the
+// only on (trials, seed) -- never on the thread count or the
 // scheduling interleaving -- a run is bit-identical on 1 thread and on 64.
 // The batched path fans out spans of whole chunks instead of single chunks
 // (so a SIMD kernel sees many trials at once), but each trial still folds
@@ -44,43 +44,29 @@
 namespace mram::eng {
 
 struct RunnerConfig {
-  unsigned threads = 0;         ///< worker threads; 0 = hardware concurrency
-  std::size_t chunk_size = 64;  ///< maximum trials per chunk. The runner
-                                ///< subdivides further for small runs (see
-                                ///< effective_chunk) so a 16-trial batch of
-                                ///< heavy trials still spreads over the pool.
-
-  void validate() const {
-    if (chunk_size == 0) {
-      throw util::ConfigError("runner chunk size must be positive");
-    }
-  }
+  unsigned threads = 0;  ///< worker threads; 0 = hardware concurrency
 };
 
 class MonteCarloRunner {
  public:
   explicit MonteCarloRunner(RunnerConfig config = {})
-      : config_(config), pool_((config.validate(), config.threads)) {}
-
-  const RunnerConfig& config() const { return config_; }
+      : pool_(config.threads) {}
 
   /// Total worker threads (pool + caller).
   unsigned threads() const { return pool_.size(); }
 
-  /// Runs `trials` independent trials and returns the merged accumulator.
-  /// MakeContext: () -> Ctx, invoked once per chunk on the executing worker.
-  /// TrialFn: (Ctx&, util::Rng&, std::size_t trial_index, Partial&) -> void.
-  /// Chunk actually used for `trials`: config.chunk_size capped so that a
-  /// run always splits into ~kTargetChunks pieces. Depends only on
-  /// (trials, chunk_size) -- never on the thread count -- so the
-  /// determinism contract holds while small heavy batches (e.g. 16
-  /// stochastic-LLG trials) still fan out across the pool.
-  std::size_t effective_chunk(std::size_t trials) const {
+  /// Maximum trials per chunk. effective_chunk subdivides further for small
+  /// runs, so a 16-trial batch of heavy trials still spreads over the pool.
+  static constexpr std::size_t kChunkSize = 64;
+
+  /// Chunk actually used for `trials`: kChunkSize capped so that a run
+  /// always splits into ~kTargetChunks pieces. Depends only on `trials` --
+  /// never on the thread count -- so the determinism contract holds while
+  /// small heavy batches (e.g. 16 stochastic-LLG trials) still fan out
+  /// across the pool.
+  static std::size_t effective_chunk(std::size_t trials) {
     const std::size_t target = (trials + kTargetChunks - 1) / kTargetChunks;
-    const std::size_t chunk =
-        std::max<std::size_t>(std::min(config_.chunk_size, target), 1);
-    MRAM_ENSURES(chunk > 0, "effective chunk must be positive");
-    return chunk;
+    return std::max<std::size_t>(std::min(kChunkSize, target), 1);
   }
 
   /// The widest block a batch body hands to a lane-parallel score at once
@@ -90,6 +76,9 @@ class MonteCarloRunner {
   /// refilled for many trials.
   static constexpr std::size_t kMaxLaneWidth = 64;
 
+  /// Runs `trials` independent trials and returns the merged accumulator.
+  /// MakeContext: () -> Ctx, invoked once per chunk on the executing worker.
+  /// TrialFn: (Ctx&, util::Rng&, std::size_t trial_index, Partial&) -> void.
   template <class Partial, class MakeContext, class TrialFn>
   Partial run(std::size_t trials, std::uint64_t seed,
               MakeContext&& make_context, TrialFn&& trial) {
@@ -143,8 +132,8 @@ class MonteCarloRunner {
   /// order.
   ///
   /// Spans group execution only. Chunks, per-trial streams, partials and
-  /// the chunk-order merge are run()'s -- they depend on (trials,
-  /// chunk_size), never on the span size or the thread count -- so a batch
+  /// the chunk-order merge are run()'s -- they depend on the trial count,
+  /// never on the span size or the thread count -- so a batch
   /// functor that folds each trial into its own chunk's partial in trial
   /// order reproduces run() bit for bit at any thread count.
   template <class Partial, class MakeContext, class BatchFn>
@@ -183,21 +172,6 @@ class MonteCarloRunner {
         });
   }
 
-  /// Context-free convenience overload of run_batched().
-  /// BatchFn: (util::Rng* rngs, std::size_t first_trial, std::size_t n,
-  ///           const AccOf& acc_of) -> void.
-  template <class Partial, class BatchFn>
-  Partial run_batched(std::size_t trials, std::uint64_t seed,
-                      BatchFn&& batch) {
-    struct NoContext {};
-    return run_batched<Partial>(
-        trials, seed, [] { return NoContext{}; },
-        [&batch](NoContext&, util::Rng* rngs, std::size_t first,
-                 std::size_t n, const auto& acc_of) {
-          batch(rngs, first, n, acc_of);
-        });
-  }
-
  private:
   static constexpr std::size_t kTargetChunks = 64;
 
@@ -228,12 +202,12 @@ class MonteCarloRunner {
       obs::gauge_set(obs::Gauge::kEngineChunkSize,
                      static_cast<double>(chunk));
       obs::progress_begin_call(trials);
-      if (armed_) sw_.reset();
+      if (armed_) start_ = obs::Stopwatch::clock::now();
     }
 
     ~CallObserver() {
       if (armed_) {
-        const std::uint64_t ns = sw_.nanos();
+        const std::uint64_t ns = obs::Stopwatch::nanos_since(start_);
         obs::counter_add(obs::Counter::kEngineWallNanos, ns);
         obs::hist_record(obs::Hist::kEngineCallNanos, ns);
       }
@@ -245,7 +219,7 @@ class MonteCarloRunner {
    private:
     bool armed_;
     obs::TraceSpan span_;
-    obs::Stopwatch sw_;
+    obs::Stopwatch::clock::time_point start_{};
   };
 
   /// Accumulation target for fan-out task ti (a chunk of run(), a span of
@@ -283,7 +257,6 @@ class MonteCarloRunner {
     return total;
   }
 
-  RunnerConfig config_;
   ThreadPool pool_;
   /// Per-task metric blocks of the fan-out in flight, indexed by task.
   /// Sized on the caller thread before the pool starts, each element

@@ -68,12 +68,6 @@ double max_scrub_interval(const MramArray& array,
 }
 
 RetentionEnsembleResult measure_retention_faults(
-    const RetentionEnsembleConfig& config, util::Rng& rng) {
-  eng::MonteCarloRunner runner(config.runner);
-  return measure_retention_faults(config, rng, runner);
-}
-
-RetentionEnsembleResult measure_retention_faults(
     const RetentionEnsembleConfig& config, util::Rng& rng,
     eng::MonteCarloRunner& runner) {
   MRAM_EXPECTS(config.trials > 0, "need at least one trial");

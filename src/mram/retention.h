@@ -37,14 +37,14 @@ WorstPattern worst_retention_pattern(const ArrayConfig& config,
 
 /// Monte Carlo retention-fault ensemble: repeated independent holds of the
 /// same pattern, each trial drawing its own thermal history. Runs on the
-/// engine runner (parallel, bit-identical across thread counts for a fixed
-/// seed).
+/// caller's runner (parallel, bit-identical across thread counts for a
+/// fixed seed); sweeps over hold times or patterns pass one runner so they
+/// pay thread creation once.
 struct RetentionEnsembleConfig {
   ArrayConfig array;
   arr::PatternKind pattern = arr::PatternKind::kAllZero;
   double hold = 1.0;          ///< dwell per trial [s]
   std::size_t trials = 1000;
-  eng::RunnerConfig runner;
   /// Rare-event driver selection (default: brute force, the legacy loop).
   /// Importance sampling inflates the per-cell flip probabilities and
   /// carries exact product-Bernoulli likelihood ratios; splitting runs
@@ -68,12 +68,6 @@ struct RetentionEnsembleResult {
   eng::RareEventEstimate rare;    ///< estimator quality (all methods)
 };
 
-RetentionEnsembleResult measure_retention_faults(
-    const RetentionEnsembleConfig& config, util::Rng& rng);
-
-/// Same, reusing an existing runner (and its thread pool) instead of
-/// building one from config.runner -- sweeps over hold times or patterns
-/// use this so the whole sweep pays thread creation once.
 RetentionEnsembleResult measure_retention_faults(
     const RetentionEnsembleConfig& config, util::Rng& rng,
     eng::MonteCarloRunner& runner);

@@ -22,11 +22,6 @@ struct WerPartial {
 
 }  // namespace
 
-WerResult measure_wer(const WerConfig& config, util::Rng& rng) {
-  eng::MonteCarloRunner runner(config.runner);
-  return measure_wer(config, rng, runner);
-}
-
 WerResult measure_wer(const WerConfig& config, util::Rng& rng,
                       eng::MonteCarloRunner& runner) {
   MRAM_EXPECTS(config.trials > 0, "need at least one trial");

@@ -11,9 +11,9 @@
 // margin. The victim is the center cell; the background pattern sets the
 // neighborhood (NP8 = 0 corresponds to kAllZero, the worst case for AP->P).
 //
-// Trials run on the engine's MonteCarloRunner: parallel across the
-// configured worker threads, with per-trial counter-based RNG streams, so
-// results for a given seed are bit-identical at any thread count.
+// Trials run on the caller's MonteCarloRunner: parallel across its worker
+// threads, with per-trial counter-based RNG streams, so results for a given
+// seed are bit-identical at any thread count.
 
 namespace mram::mem {
 
@@ -23,7 +23,6 @@ struct WerConfig {
   WritePulse pulse;
   dev::SwitchDirection direction = dev::SwitchDirection::kApToP;
   std::size_t trials = 1000;
-  eng::RunnerConfig runner;  ///< thread pool + chunking for the trial loop
   /// Rare-event driver selection. Brute force (default) runs the legacy
   /// trial loop unchanged; importance sampling tilts the latent write-noise
   /// variable toward failure, splitting runs subset simulation on the
@@ -43,12 +42,7 @@ struct WerResult {
 
 /// Repeatedly initializes the array to `background` with the victim in the
 /// direction's initial state, fires one write pulse at the victim, and
-/// counts failures.
-WerResult measure_wer(const WerConfig& config, util::Rng& rng);
-
-/// Same, reusing an existing runner (and its thread pool) instead of
-/// building one from config.runner -- the sweep entry points use this so a
-/// whole sweep pays thread creation once.
+/// counts failures. Sweeps pass one runner so they pay thread creation once.
 WerResult measure_wer(const WerConfig& config, util::Rng& rng,
                       eng::MonteCarloRunner& runner);
 

@@ -65,12 +65,6 @@ struct WvwPartial {
 
 }  // namespace
 
-SchemeComparison measure_wvw(const WvwEnsembleConfig& config,
-                             util::Rng& rng) {
-  eng::MonteCarloRunner runner(config.runner);
-  return measure_wvw(config, rng, runner);
-}
-
 SchemeComparison measure_wvw(const WvwEnsembleConfig& config, util::Rng& rng,
                              eng::MonteCarloRunner& runner) {
   MRAM_EXPECTS(config.trials > 0, "need at least one trial");

@@ -46,7 +46,7 @@ struct SchemeComparison {
   double single_energy = 0.0;     ///< [J] (one pulse, always)
 };
 
-/// Monte Carlo single-pulse vs WVW ensemble on the engine runner: each trial
+/// Monte Carlo single-pulse vs WVW ensemble on the caller's runner: each trial
 /// fires one single pulse and one full WVW sequence at the worst-case victim
 /// (center cell, AP->P, all-P background) from its own counter-based stream,
 /// so results are bit-identical at any thread count for a fixed seed.
@@ -57,10 +57,8 @@ struct WvwEnsembleConfig {
   ArrayConfig array;
   WvwConfig wvw;
   std::size_t trials = 1000;
-  eng::RunnerConfig runner;
 };
 
-SchemeComparison measure_wvw(const WvwEnsembleConfig& config, util::Rng& rng);
 SchemeComparison measure_wvw(const WvwEnsembleConfig& config, util::Rng& rng,
                              eng::MonteCarloRunner& runner);
 

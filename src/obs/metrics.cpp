@@ -79,9 +79,7 @@ const char* perf_event_name(PerfEvent e) {
 const char* kernel_tag_name(KernelTag t) {
   switch (t) {
     case KernelTag::kUntagged: return "untagged";
-    case KernelTag::kLlgW8: return "llg_w8";
-    case KernelTag::kLlgW16: return "llg_w16";
-    case KernelTag::kLlgGeneric: return "llg_generic";
+    case KernelTag::kLlg: return "llg";
     case KernelTag::kReadout: return "readout";
     case KernelTag::kRare: return "rare";
     case KernelTag::kMixed: return "mixed";

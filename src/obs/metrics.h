@@ -140,21 +140,20 @@ struct PerfSample {
 /// Kernel attribution for a chunk's perf delta. Trial bodies stamp the tag
 /// of the kernel they dispatch into (tag_kernel below); a chunk that runs
 /// more than one distinct kernel degrades to kMixed rather than guessing.
-/// Chunks are kernel-homogeneous for every current workload, so in practice
-/// kMixed stays empty.
+/// The batched LLG kernel stamps one kLlg per call whatever body widths it
+/// runs (the width split is in the llg.blocks_* counters), so the chunks of
+/// every current workload are kernel-homogeneous.
 enum class KernelTag : std::uint8_t {
-  kUntagged,    ///< no trial body stamped a tag
-  kLlgW8,       ///< batched LLG through the fixed 8-lane body
-  kLlgW16,      ///< batched LLG through the fixed 16-lane (AVX-512) body
-  kLlgGeneric,  ///< batched LLG through the variable-width body
-  kReadout,     ///< read-path sampling (sense + disturb)
-  kRare,        ///< rare-event MCMC resampling
-  kMixed,       ///< chunk touched more than one kernel
+  kUntagged,  ///< no trial body stamped a tag
+  kLlg,       ///< batched LLG kernel (any body width)
+  kReadout,   ///< read-path sampling (sense + disturb)
+  kRare,      ///< rare-event MCMC resampling
+  kMixed,     ///< chunk touched more than one kernel
   kCount
 };
 
-/// Stable snake-case tag name ("llg_w8", "readout", ...), used as the
-/// counter-key infix in the metrics JSON ("perf.llg_w8.cycles").
+/// Stable snake-case tag name ("llg", "readout", ...), used as the
+/// counter-key infix in the metrics JSON ("perf.llg.cycles").
 const char* kernel_tag_name(KernelTag t);
 
 /// Exact unsigned fold of chunk perf deltas, kept per KernelTag in the
@@ -373,10 +372,10 @@ inline void series_append(const std::string& name, double x, double y) {
 class ScopedHist {
  public:
   explicit ScopedHist(Hist h) : hist_(h), armed_(metrics_enabled()) {
-    if (armed_) sw_.reset();
+    if (armed_) start_ = Stopwatch::clock::now();
   }
   ~ScopedHist() {
-    if (armed_) hist_record(hist_, sw_.nanos());
+    if (armed_) hist_record(hist_, Stopwatch::nanos_since(start_));
   }
   ScopedHist(const ScopedHist&) = delete;
   ScopedHist& operator=(const ScopedHist&) = delete;
@@ -384,7 +383,7 @@ class ScopedHist {
  private:
   Hist hist_;
   bool armed_;
-  Stopwatch sw_;
+  Stopwatch::clock::time_point start_{};
 };
 
 /// Scoped event count plus wall time from any context: on destruction adds
@@ -402,10 +401,8 @@ class ScopedCount {
   }
   ~ScopedCount() {
     if (!armed_) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        Stopwatch::clock::now() - start_);
     counter_add(events_);
-    counter_add(nanos_, static_cast<std::uint64_t>(ns.count()));
+    counter_add(nanos_, Stopwatch::nanos_since(start_));
   }
   ScopedCount(const ScopedCount&) = delete;
   ScopedCount& operator=(const ScopedCount&) = delete;
@@ -428,7 +425,7 @@ class ChunkScope {
     if (block_) {
       prev_ = detail::tl_block;
       detail::tl_block = block_;
-      sw_.reset();
+      start_ = Stopwatch::clock::now();
       // Perf reads bracket the chunk body *inside* the wall-clock window,
       // so the hardware window is never wider than chunk_nanos. Guarded by
       // the profiling switch: a plain --metrics run never touches perf fds.
@@ -441,7 +438,7 @@ class ChunkScope {
   void finish(std::uint64_t trials) {
     if (!block_) return;
     if (block_->perf_begin.valid) perf_thread_sample(block_->perf_end);
-    block_->chunk_nanos = sw_.nanos();
+    block_->chunk_nanos = Stopwatch::nanos_since(start_);
     block_->add(Counter::kEngineChunks, 1);
     block_->add(Counter::kEngineTrials, trials);
   }
@@ -456,7 +453,7 @@ class ChunkScope {
  private:
   MetricsBlock* block_;
   MetricsBlock* prev_ = nullptr;
-  Stopwatch sw_;
+  Stopwatch::clock::time_point start_{};
 };
 
 }  // namespace mram::obs

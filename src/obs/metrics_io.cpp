@@ -14,8 +14,7 @@ namespace {
 
 std::string u64_str(std::uint64_t v) { return std::to_string(v); }
 
-/// Shortest round-trip double formatting (%.17g is exact; trim via %g
-/// first and fall back when it does not round-trip).
+/// Round-trip double formatting: %.17g, exact but not the shortest form.
 std::string dbl_str(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -219,16 +218,14 @@ std::map<std::string, double> derived_metrics(const Snapshot& s) {
         running_ns >= enabled_ns ? 0.0 : 1.0 - running_ns / enabled_ns;
   }
 
-  // Estimated flops/cycle for the batched LLG kernels: the llg.flops
+  // Estimated flops/cycle for the batched LLG kernel: the llg.flops
   // counter (executed lane-steps times the documented per-step flop count,
   // accumulated lock-free next to the occupancy counters) over the cycles
-  // attributed to the LLG tags. An estimate -- llg.flops spans all batched
-  // LLG work while the tag split is per-chunk -- but exact enough to read
-  // SIMD occupancy off.
+  // of the chunks tagged llg. An estimate -- the chunk cycles also cover
+  // the span's set-up and fold -- but exact enough to read SIMD occupancy
+  // off.
   const double flops = counter("llg.flops");
-  const double llg_cycles = counter("perf.llg_w8.cycles") +
-                            counter("perf.llg_w16.cycles") +
-                            counter("perf.llg_generic.cycles");
+  const double llg_cycles = counter("perf.llg.cycles");
   if (flops > 0.0 && llg_cycles > 0.0) {
     d["llg.est_flops_per_cycle"] = flops / llg_cycles;
   }

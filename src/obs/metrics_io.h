@@ -21,7 +21,7 @@
 //     "scenarios": [
 //       { "name": "wer_deep",
 //         "counters":   { "engine.trials": 131072,
-//                         "perf.cycles": N, "perf.llg_w8.cycles": N, ... },
+//                         "perf.cycles": N, "perf.llg.cycles": N, ... },
 //         "gauges":     { "engine.threads": 4.0, "perf.active": 1, ... },
 //         "histograms": { "engine.chunk_ns": {
 //             "count": N, "total": T, "min": m, "max": M,

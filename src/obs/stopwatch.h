@@ -31,10 +31,15 @@ class Stopwatch {
   /// Elapsed wall time in integer nanoseconds -- the unit every metrics
   /// counter and histogram stores, because integer nanoseconds merge
   /// exactly (no floating-point reassociation) in any fold order.
-  std::uint64_t nanos() const {
+  std::uint64_t nanos() const { return nanos_since(start_); }
+
+  /// Elapsed integer nanoseconds since `start`. Scoped timers that read the
+  /// clock only when armed keep a bare time_point and call this, since a
+  /// Stopwatch member would read the clock on construction.
+  static std::uint64_t nanos_since(clock::time_point start) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
-                                                             start_)
+                                                             start)
             .count());
   }
 

@@ -44,11 +44,6 @@ struct RerPartial {
 
 }  // namespace
 
-RerResult measure_rer(const RerConfig& config, util::Rng& rng) {
-  eng::MonteCarloRunner runner(config.runner);
-  return measure_rer(config, rng, runner);
-}
-
 RerResult measure_rer(const RerConfig& config, util::Rng& rng,
                       eng::MonteCarloRunner& runner) {
   MRAM_EXPECTS(config.trials > 0, "need at least one trial");
@@ -176,26 +171,6 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
 
 // --- measure_read_disturb --------------------------------------------------
 
-namespace {
-
-struct DisturbPartial {
-  std::size_t disturbed = 0;
-  util::RunningStats times;
-
-  void merge(const DisturbPartial& o) {
-    disturbed += o.disturbed;
-    times.merge(o.times);
-  }
-};
-
-}  // namespace
-
-ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
-                                       util::Rng& rng) {
-  eng::MonteCarloRunner runner(config.runner);
-  return measure_read_disturb(config, rng, runner);
-}
-
 ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
                                        util::Rng& rng,
                                        eng::MonteCarloRunner& runner) {
@@ -223,34 +198,16 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
   const double mz0 = dev::state_direction(config.stored);
 
   const std::uint64_t seed = rng();
-
-  // Each trial draws the thermal tilt (two uniforms), then the stochastic
-  // Heun integration; the batched kernel's per-lane arithmetic is the
-  // inline stochastic_heun_step MacrospinSim executes, so every lane equals
-  // a scalar run_until_switch bit for bit.
-  const auto partial = runner.run_batched<DisturbPartial>(
-      config.trials, seed,
-      [&] { return dyn::ThermalLlgSpan(llg); },
-      [&](dyn::ThermalLlgSpan& span, util::Rng* rngs, std::size_t first,
-          std::size_t n, const auto& acc_of) {
-        const dyn::SwitchResult* result =
-            span.run(rngs, n, delta, mz0, duration, config.dt);
-        for (std::size_t l = 0; l < n; ++l) {
-          if (result[l].switched) {
-            DisturbPartial& acc = acc_of(first + l);
-            ++acc.disturbed;
-            acc.times.add(result[l].time);
-          }
-        }
-      });
+  const dyn::ThermalLlgTally tally = dyn::run_thermal_llg(
+      runner, llg, config.trials, seed, delta, mz0, duration, config.dt);
 
   ReadDisturbResult result;
   result.trials = config.trials;
-  result.disturbed = partial.disturbed;
+  result.disturbed = tally.switched;
   result.rate = static_cast<double>(result.disturbed) /
                 static_cast<double>(result.trials);
   result.confidence = util::wilson_interval(result.disturbed, result.trials);
-  if (partial.disturbed > 0) result.mean_switch_time = partial.times.mean();
+  if (tally.switched > 0) result.mean_switch_time = tally.times.mean();
   result.analytic_probability = model.disturb_probability(
       config.stored, i_read, duration, config.hz_stray, config.temperature);
   result.i_read = i_read;

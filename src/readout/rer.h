@@ -7,17 +7,18 @@
 #include "util/stats.h"
 
 // Monte Carlo read-path workloads, mirroring the write side's measure_wer
-// structure: every driver runs on eng::MonteCarloRunner with per-trial
-// counter-based streams (bit-identical across thread counts) and exposes an
-// eng::RunnerConfig.
+// structure: every driver runs on the caller's eng::MonteCarloRunner with
+// per-trial counter-based streams (bit-identical across thread counts).
 //
 //   measure_rer          -- read error rate of one cell: decision errors,
 //                           transient-blocked strobes and analytic-model
-//                           read disturbs, per sampled read.
+//                           read disturbs, per sampled read; brute force,
+//                           importance sampling or splitting (config.rare).
 //   measure_read_disturb -- stochastic-LLG read disturb: integrates the
-//                           actual read-current torque on the batched
+//                           actual read-current torque on
+//                           dyn::run_thermal_llg (the batched
 //                           BatchMacrospinSim kernel, lane for lane equal
-//                           to the scalar MacrospinSim. Plain Monte Carlo
+//                           to the scalar MacrospinSim). Plain Monte Carlo
 //                           only: the deep read-error rates come from
 //                           measure_rer's rare-event drivers.
 
@@ -35,7 +36,6 @@ struct RerConfig {
   double hz_stray = 0.0;      ///< stray field at the victim [A/m, at Tref]
   double temperature = 300.0; ///< [K]
   std::size_t trials = 1000;
-  eng::RunnerConfig runner;
   /// Rare-event driver selection. The accelerated paths estimate the read
   /// error probability (wrong decision OR metastable strobe, i.e. the
   /// noise margin landing below the metastable band) over the three
@@ -65,7 +65,6 @@ struct RerResult {
 
 /// Repeatedly reads one cell storing `stored` at the configured row and
 /// column pattern, sampling the full read path per trial.
-RerResult measure_rer(const RerConfig& config, util::Rng& rng);
 RerResult measure_rer(const RerConfig& config, util::Rng& rng,
                       eng::MonteCarloRunner& runner);
 
@@ -80,7 +79,6 @@ struct ReadDisturbConfig {
   double duration = 0.0;  ///< read pulse [s]; 0 = path.t_read
   double dt = 1e-12;      ///< LLG step [s]
   std::size_t trials = 256;
-  eng::RunnerConfig runner;
 };
 
 struct ReadDisturbResult {
@@ -97,8 +95,6 @@ struct ReadDisturbResult {
 /// Stochastic-LLG read disturb: each trial tilts the stored state thermally
 /// and integrates the read-current torque for the pulse duration; a crossing
 /// of the mz = 0 plane is a disturb.
-ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
-                                       util::Rng& rng);
 ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
                                        util::Rng& rng,
                                        eng::MonteCarloRunner& runner);

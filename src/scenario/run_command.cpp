@@ -66,9 +66,8 @@ int run_scenarios(const ScenarioRegistry& registry,
   // document (pipeable into json.tool without temp files).
   const bool json_on_out = opt.metrics_file == "-" || opt.trace_file == "-";
 
-  eng::RunnerConfig runner_cfg;
-  runner_cfg.threads = opt.threads;
-  eng::MonteCarloRunner runner(runner_cfg);  // one pool for the whole run
+  // One pool for the whole run.
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = opt.threads});
 
   // Observability sinks. The progress gate is always installed -- it is the
   // single serialized writer for every stderr diagnostic, so the summary,

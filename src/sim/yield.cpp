@@ -40,16 +40,7 @@ struct YieldPartial {
 YieldResult estimate_yield(const dev::MtjParams& nominal,
                            const VariationModel& variation, double pitch,
                            const YieldSpec& spec, std::size_t samples,
-                           util::Rng& rng, const eng::RunnerConfig& runner) {
-  eng::MonteCarloRunner engine(runner);
-  return estimate_yield(nominal, variation, pitch, spec, samples, rng,
-                        engine);
-}
-
-YieldResult estimate_yield(const dev::MtjParams& nominal,
-                           const VariationModel& variation, double pitch,
-                           const YieldSpec& spec, std::size_t samples,
-                           util::Rng& rng, eng::MonteCarloRunner& engine) {
+                           util::Rng& rng, eng::MonteCarloRunner& runner) {
   MRAM_EXPECTS(samples > 0, "need at least one sample");
   spec.validate();
 
@@ -57,7 +48,7 @@ YieldResult estimate_yield(const dev::MtjParams& nominal,
   // with the sampled geometry), which makes the trial expensive -- exactly
   // the shape the parallel runner is for.
   const std::uint64_t seed = rng();
-  const auto partial = engine.run<YieldPartial>(
+  const auto partial = runner.run<YieldPartial>(
       samples, seed,
       [&](util::Rng& trial_rng, std::size_t, YieldPartial& acc) {
         const auto params = variation.sample(nominal, trial_rng);
@@ -92,22 +83,6 @@ YieldResult estimate_yield(const dev::MtjParams& nominal,
   result.yield = static_cast<double>(result.pass_both) /
                  static_cast<double>(result.sampled);
   return result;
-}
-
-std::vector<YieldPoint> yield_vs_pitch(const dev::MtjParams& nominal,
-                                       const VariationModel& variation,
-                                       const std::vector<double>& pitches,
-                                       const YieldSpec& spec,
-                                       std::size_t samples, util::Rng& rng,
-                                       const eng::RunnerConfig& runner) {
-  std::vector<YieldPoint> out;
-  out.reserve(pitches.size());
-  eng::MonteCarloRunner engine(runner);  // one pool for the whole sweep
-  for (double pitch : pitches) {
-    out.push_back({pitch, estimate_yield(nominal, variation, pitch, spec,
-                                         samples, rng, engine)});
-  }
-  return out;
 }
 
 }  // namespace mram::sim

@@ -33,31 +33,12 @@ struct YieldResult {
 
 /// Monte Carlo yield at one pitch. Each sample re-derives its own intra-cell
 /// field and its own inter-cell worst case (fields scale with the sampled
-/// Ms*t and size). Samples run on the engine runner: `rng` seeds the
-/// per-sample streams, `runner` sets the thread pool and chunking.
-YieldResult estimate_yield(const dev::MtjParams& nominal,
-                           const VariationModel& variation, double pitch,
-                           const YieldSpec& spec, std::size_t samples,
-                           util::Rng& rng,
-                           const eng::RunnerConfig& runner = {});
-
-/// Same, reusing an existing runner (and its thread pool); yield_vs_pitch
-/// uses this so the whole sweep pays thread creation once.
+/// Ms*t and size). Samples run on the caller's runner: `rng` seeds the
+/// per-sample streams; a pitch sweep passes one runner so it pays thread
+/// creation once.
 YieldResult estimate_yield(const dev::MtjParams& nominal,
                            const VariationModel& variation, double pitch,
                            const YieldSpec& spec, std::size_t samples,
                            util::Rng& rng, eng::MonteCarloRunner& runner);
-
-/// Yield vs. pitch sweep.
-struct YieldPoint {
-  double pitch = 0.0;
-  YieldResult result;
-};
-std::vector<YieldPoint> yield_vs_pitch(const dev::MtjParams& nominal,
-                                       const VariationModel& variation,
-                                       const std::vector<double>& pitches,
-                                       const YieldSpec& spec,
-                                       std::size_t samples, util::Rng& rng,
-                                       const eng::RunnerConfig& runner = {});
 
 }  // namespace mram::sim

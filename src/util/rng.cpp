@@ -696,8 +696,6 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-Rng Rng::split() { return Rng(next()); }
-
 Rng Rng::stream(std::uint64_t seed, std::uint64_t index) {
   // Two rounds of splitmix64 over a golden-ratio combination of seed and
   // index decorrelate neighboring indices; reseed() then expands the result

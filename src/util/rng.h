@@ -112,15 +112,11 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
-  /// Splits off an independent stream (jump-free: reseeds a child from the
-  /// parent's output, sufficient decorrelation for our Monte Carlo usage).
-  Rng split();
-
   /// Counter-based split: the `index`-th independent stream of a master
-  /// `seed`. Unlike split(), this needs no shared parent state, so parallel
-  /// trial i can derive its stream directly from (seed, i) -- the engine's
-  /// Monte Carlo runner uses this to make results independent of the thread
-  /// count and the scheduling order.
+  /// `seed`. It needs no shared parent state, so parallel trial i can
+  /// derive its stream directly from (seed, i) -- the engine's Monte Carlo
+  /// runner uses this to make results independent of the thread count and
+  /// the scheduling order.
   static Rng stream(std::uint64_t seed, std::uint64_t index);
 
  private:

@@ -14,6 +14,7 @@
 #include "dynamics/llg_batch.h"
 #include "dynamics/switching_sim.h"
 #include "engine/monte_carlo.h"
+#include "obs/metrics.h"
 #include "util/constants.h"
 #include "util/error.h"
 #include "util/stats.h"
@@ -307,6 +308,36 @@ TEST(BatchLlg, BitIdenticalAtLaneFillShapes) {
   expect_batch_matches_scalar(p, 40, 3e-9, 2e-13, 6200, /*mz_stop=*/-0.5);
 }
 
+TEST(BatchLlg, KernelCallTagsItsChunkLlgWhateverBodiesRun) {
+  // 40 trials outnumber the slots: the fixed-width body runs while the
+  // queue refills, the generic body once compaction starts. The chunk
+  // still carries the one kLlg tag its perf delta is attributed to; the
+  // width split lives in the llg.blocks_* counters.
+  constexpr std::size_t kTrials = 40;
+  BatchMacrospinSim batch(thermal_driven_params());
+  const auto m0 = tilted_starts(kTrials, 77);
+  std::vector<util::Rng> rngs;
+  for (std::size_t l = 0; l < kTrials; ++l) {
+    rngs.push_back(util::Rng::stream(77, l));
+  }
+  std::vector<SwitchResult> out(kTrials);
+  obs::MetricsBlock block;
+  {
+    obs::ChunkScope scope(&block);
+    batch.run_until_switch(kTrials, m0.data(), rngs.data(), 3e-9, 2e-13,
+                           out.data());
+    scope.finish(kTrials);
+  }
+  const auto count = [&block](obs::Counter c) {
+    return block.counters[static_cast<std::size_t>(c)];
+  };
+  EXPECT_GT(count(obs::Counter::kLlgBlocksW8) +
+                count(obs::Counter::kLlgBlocksW16),
+            0u);
+  EXPECT_GT(count(obs::Counter::kLlgBlocksGeneric), 0u);
+  EXPECT_EQ(block.tag, obs::KernelTag::kLlg);
+}
+
 TEST(BatchLlg, PreferredLanesIsASupportedWidth) {
   const std::size_t lanes = BatchMacrospinSim::preferred_lanes();
   EXPECT_TRUE(lanes == BatchMacrospinSim::kDefaultLanes ||
@@ -393,9 +424,7 @@ TEST(BatchLlg, SwitchingStatsBatchedMatchesScalarAcrossThreads) {
   {
     const MacrospinSim sim(llg_from_device(device, dir, vp, 0.0, 300.0));
     const double delta = device.delta(dev::initial_state(dir), 0.0, 300.0);
-    eng::RunnerConfig cfg;
-    cfg.threads = 1;
-    eng::MonteCarloRunner runner(cfg);
+    eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
     util::Rng rng(404);
     ref = runner.run<Tally>(
         21, rng(), [&](util::Rng& trial_rng, std::size_t, Tally& acc) {
@@ -409,9 +438,7 @@ TEST(BatchLlg, SwitchingStatsBatchedMatchesScalarAcrossThreads) {
   }
   EXPECT_GT(ref.switched, 0u);
   for (unsigned threads : {1u, 4u}) {
-    eng::RunnerConfig cfg;
-    cfg.threads = threads;
-    eng::MonteCarloRunner runner(cfg);
+    eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
     util::Rng rng(404);
     const auto batched = llg_switching_stats(device, dir, vp, 0.0, 21, rng,
                                              30e-9, 1e-12, 300.0, runner);
@@ -454,8 +481,10 @@ TEST(SwitchingSim, LlgSwitchingStatisticsReasonable) {
   const dev::MtjDevice device(MtjParams::reference_device(35e-9));
   util::Rng rng(17);
   const double vp = 1.2;
+  eng::MonteCarloRunner runner;
   const auto stats = llg_switching_stats(device, SwitchDirection::kApToP, vp,
-                                         0.0, 24, rng, 80e-9, 1e-12);
+                                         0.0, 24, rng, 80e-9, 1e-12, 300.0,
+                                         runner);
   EXPECT_EQ(stats.trials, 24u);
   EXPECT_GE(stats.switched, 22u);
   const double tw_sun =

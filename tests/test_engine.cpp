@@ -1,8 +1,8 @@
-// Tests for the unified Monte Carlo engine: static-dispatch solver policies
-// (observed convergence orders), the cached coupling kernel (agreement with
-// the direct dipole sum), per-trial RNG streams, the thread pool, and the
-// determinism contract of MonteCarloRunner (bit-identical results across
-// thread counts and chunk sizes for a fixed seed).
+// Tests for the unified Monte Carlo engine: the RK4 stepper (observed
+// convergence order), the cached coupling kernel (agreement with the direct
+// dipole sum), per-trial RNG streams, the thread pool, and the determinism
+// contract of MonteCarloRunner (bit-identical results across thread counts
+// and chunk shapes for a fixed seed).
 
 #include <gtest/gtest.h>
 
@@ -34,36 +34,28 @@ namespace {
 
 using num::Vec3;
 
-// --- solver policies: observed convergence order ----------------------------
+// --- RK4 stepper: observed convergence order --------------------------------
 
 double observed_order(double coarse_error, double fine_error) {
   return std::log2(coarse_error / fine_error);
 }
 
 TEST(Solvers, Rk4ObservedFourthOrder) {
-  // dm/dt = -m, m(1) = m0 * exp(-1).
+  // dm/dt = -m, m(1) = m0 * exp(-1), in `steps` fixed steps.
   auto f = [](double, const Vec3& m) { return -m; };
-  auto error_for = [&](double dt) {
-    const Vec3 m = num::integrate_fixed<num::Rk4Solver>(f, {1.0, 0.0, 0.0},
-                                                        0.0, 1.0, dt);
+  auto error_for = [&](int steps) {
+    const double dt = 1.0 / steps;
+    Vec3 m{1.0, 0.0, 0.0};
+    for (int k = 0; k < steps; ++k) {
+      m = num::Rk4Solver::step(f, k * dt, m, dt);
+    }
     return std::abs(m.x - std::exp(-1.0));
   };
-  const double p = observed_order(error_for(0.1), error_for(0.05));
+  const double p = observed_order(error_for(10), error_for(20));
   EXPECT_NEAR(p, 4.0, 0.3);
 }
 
-TEST(Solvers, HeunObservedSecondOrder) {
-  auto f = [](double, const Vec3& m) { return -m; };
-  auto error_for = [&](double dt) {
-    const Vec3 m = num::integrate_fixed<num::HeunSolver>(f, {1.0, 0.0, 0.0},
-                                                         0.0, 1.0, dt);
-    return std::abs(m.x - std::exp(-1.0));
-  };
-  const double p = observed_order(error_for(0.1), error_for(0.05));
-  EXPECT_NEAR(p, 2.0, 0.2);
-}
-
-// --- LLG on the policies ----------------------------------------------------
+// --- LLG on the RK4 stepper -------------------------------------------------
 
 TEST(LlgEngine, TrajectoryIncludesFinalPoint) {
   // 10 steps recorded every 3: the seed implementation dropped the final
@@ -90,9 +82,10 @@ TEST(LlgEngine, HeunSwitchingProbabilityMatchesSunModel) {
 
   util::Rng rng(99);
   const std::size_t trials = 30;
+  eng::MonteCarloRunner runner;
   const auto stats = dyn::llg_switching_stats(
       device, dev::SwitchDirection::kApToP, vp, 0.0, trials, rng, 6.0 * tw,
-      1e-12);
+      1e-12, 300.0, runner);
   const double p_llg =
       static_cast<double>(stats.switched) / static_cast<double>(stats.trials);
   const double p_sun = device.write_success_probability(
@@ -300,12 +293,9 @@ struct CountPartial {
   }
 };
 
-CountPartial run_counting(unsigned threads, std::size_t chunk,
-                          std::size_t trials = 999) {
-  eng::RunnerConfig cfg;
-  cfg.threads = threads;
-  cfg.chunk_size = chunk;
-  eng::MonteCarloRunner runner(cfg);
+/// 999 trials run in chunks of 16.
+CountPartial run_counting(unsigned threads, std::size_t trials = 999) {
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
   return runner.run<CountPartial>(
       trials, 1234, [](util::Rng& rng, std::size_t, CountPartial& acc) {
         const double u = rng.uniform();
@@ -315,9 +305,9 @@ CountPartial run_counting(unsigned threads, std::size_t chunk,
 }
 
 TEST(MonteCarloRunner, BitIdenticalAcrossThreadCounts) {
-  const auto serial = run_counting(1, 64);
+  const auto serial = run_counting(1);
   for (unsigned threads : {2u, 4u, 8u}) {
-    const auto parallel = run_counting(threads, 64);
+    const auto parallel = run_counting(threads);
     EXPECT_EQ(parallel.hits, serial.hits);
     EXPECT_EQ(parallel.values.count(), serial.values.count());
     // Bit-identical, not merely close: merge order is fixed by chunk index.
@@ -326,31 +316,44 @@ TEST(MonteCarloRunner, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(MonteCarloRunner, CountsInvariantUnderChunkSize) {
-  // Per-trial streams do not depend on the chunking, so integer statistics
-  // are identical for any chunk size (float reductions may differ in ulps).
-  const auto a = run_counting(4, 1);
-  const auto b = run_counting(4, 64);
-  const auto c = run_counting(4, 1024);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(b.hits, c.hits);
+TEST(MonteCarloRunner, TrialStreamsInvariantUnderChunking) {
+  // Trial i draws from Rng::stream(seed, i) whatever chunk it lands in: the
+  // first 40 trials draw the same values in calls of 40 trials (chunks of
+  // 1), 999 (chunks of 16) and 5000 (chunks of 64).
+  struct FirstDraws {
+    std::vector<double> u;  ///< draws of trials 0..39, in trial order
+    void merge(const FirstDraws& o) {
+      u.insert(u.end(), o.u.begin(), o.u.end());
+    }
+  };
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 4});
+  const auto first_draws = [&](std::size_t trials) {
+    return runner
+        .run<FirstDraws>(trials, 1234,
+                         [](util::Rng& rng, std::size_t i, FirstDraws& acc) {
+                           const double u = rng.uniform();
+                           if (i < 40) acc.u.push_back(u);
+                         })
+        .u;
+  };
+  const auto reference = first_draws(40);
+  ASSERT_EQ(reference.size(), 40u);
+  EXPECT_EQ(first_draws(999), reference);
+  EXPECT_EQ(first_draws(5000), reference);
 }
 
 TEST(MonteCarloRunner, SmallHeavyBatchesStillFanOut) {
-  // 16 trials with the default chunk_size must split into 16 single-trial
-  // chunks, not one serial chunk -- small batches of heavy trials (e.g.
-  // stochastic LLG) are exactly where parallelism matters most.
-  eng::MonteCarloRunner runner;
-  EXPECT_EQ(runner.effective_chunk(16), 1u);
-  EXPECT_EQ(runner.effective_chunk(128), 2u);
-  EXPECT_EQ(runner.effective_chunk(20000), 64u);
+  // 16 trials must split into 16 single-trial chunks, not one serial chunk
+  // -- small batches of heavy trials (e.g. stochastic LLG) are exactly
+  // where parallelism matters most.
+  EXPECT_EQ(eng::MonteCarloRunner::effective_chunk(16), 1u);
+  EXPECT_EQ(eng::MonteCarloRunner::effective_chunk(128), 2u);
+  EXPECT_EQ(eng::MonteCarloRunner::effective_chunk(20000),
+            eng::MonteCarloRunner::kChunkSize);
 }
 
 TEST(MonteCarloRunner, ContextBuiltPerChunk) {
-  eng::RunnerConfig cfg;
-  cfg.threads = 2;
-  cfg.chunk_size = 10;
-  eng::MonteCarloRunner runner(cfg);
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 2});
   std::atomic<int> contexts{0};
   struct Sum {
     std::size_t n = 0;
@@ -360,26 +363,16 @@ TEST(MonteCarloRunner, ContextBuiltPerChunk) {
       95, 1, [&] { ++contexts; return 0; },
       [](int&, util::Rng&, std::size_t, Sum& acc) { ++acc.n; });
   EXPECT_EQ(total.n, 95u);
-  // effective chunk = min(chunk_size, ceil(95 / 64)) = 2 -> ceil(95/2)
-  // chunks, one context each.
+  // effective chunk = ceil(95 / 64) = 2 -> ceil(95/2) chunks, one context
+  // each.
   EXPECT_EQ(contexts.load(), 48);
-}
-
-TEST(MonteCarloRunner, RejectsInvalidConfig) {
-  eng::RunnerConfig cfg;
-  cfg.chunk_size = 0;
-  EXPECT_THROW(eng::MonteCarloRunner{cfg}, util::ConfigError);
 }
 
 // --- batched runner path ----------------------------------------------------
 
-CountPartial run_counting_batched(unsigned threads, std::size_t chunk,
-                                  std::size_t trials,
+CountPartial run_counting_batched(unsigned threads, std::size_t trials,
                                   std::atomic<int>* spans = nullptr) {
-  eng::RunnerConfig cfg;
-  cfg.threads = threads;
-  cfg.chunk_size = chunk;
-  eng::MonteCarloRunner runner(cfg);
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
   return runner.run_batched<CountPartial>(
       trials, 1234,
       [spans] {
@@ -400,24 +393,21 @@ CountPartial run_counting_batched(unsigned threads, std::size_t chunk,
 TEST(MonteCarloRunner, BatchedBitIdenticalToUnbatched) {
   // Same chunking, same per-trial streams, each trial folded into its own
   // chunk's partial in trial order: any span geometry must reproduce run()
-  // bit for bit. Of 999 trials, chunk sizes 5 and 12 (effective 5 and 12)
-  // make 65- and 72-trial spans that cross chunk boundaries, with short
-  // last spans; chunk size 64 gives the effective 16. Of 40 trials (chunks
-  // of one), the thread count caps the span: one 40-trial span on 1
-  // thread, 20 on 2, 13 with a 1-trial tail on 3, 10 on 4.
-  for (std::size_t trials : {std::size_t{999}, std::size_t{40}}) {
-    for (std::size_t chunk :
-         {std::size_t{5}, std::size_t{12}, std::size_t{64}}) {
-      const auto reference = run_counting(1, chunk, trials);
-      for (unsigned threads : {1u, 2u, 3u, 4u}) {
-        const auto batched = run_counting_batched(threads, chunk, trials);
-        SCOPED_TRACE(testing::Message() << "trials=" << trials << " chunk="
-                                        << chunk << " threads=" << threads);
-        EXPECT_EQ(batched.hits, reference.hits);
-        EXPECT_EQ(batched.values.count(), reference.values.count());
-        EXPECT_EQ(batched.values.mean(), reference.values.mean());
-        EXPECT_EQ(batched.values.variance(), reference.values.variance());
-      }
+  // bit for bit. 300 and 740 trials run in chunks of 5 and 12, whose 65-
+  // and 72-trial spans cross chunk boundaries, with short last spans; 999
+  // trials run in chunks of 16. Of 40 trials (chunks of one), the thread
+  // count caps the span: one 40-trial span on 1 thread, 20 on 2, 13 with a
+  // 1-trial tail on 3, 10 on 4.
+  for (std::size_t trials : {300u, 740u, 999u, 40u}) {
+    const auto reference = run_counting(1, trials);
+    for (unsigned threads : {1u, 2u, 3u, 4u}) {
+      const auto batched = run_counting_batched(threads, trials);
+      SCOPED_TRACE(testing::Message() << "trials=" << trials
+                                      << " threads=" << threads);
+      EXPECT_EQ(batched.hits, reference.hits);
+      EXPECT_EQ(batched.values.count(), reference.values.count());
+      EXPECT_EQ(batched.values.mean(), reference.values.mean());
+      EXPECT_EQ(batched.values.variance(), reference.values.variance());
     }
   }
 }
@@ -429,14 +419,14 @@ TEST(MonteCarloRunner, BatchedSmallCallSpreadsOverPool) {
   const std::pair<unsigned, int> cases[] = {{1u, 1}, {2u, 2}, {4u, 4}};
   for (const auto& [threads, expected] : cases) {
     std::atomic<int> spans{0};
-    const auto total = run_counting_batched(threads, 64, 16, &spans);
+    const auto total = run_counting_batched(threads, 16, &spans);
     EXPECT_EQ(total.values.count(), 16u);
     EXPECT_EQ(spans.load(), expected) << "threads=" << threads;
   }
   // Enough chunks to fill 64-trial spans on every thread: 999 trials in
   // chunks of 16 make 63 chunks, 4 per span.
   std::atomic<int> spans{0};
-  run_counting_batched(4, 64, 999, &spans);
+  run_counting_batched(4, 999, &spans);
   EXPECT_EQ(spans.load(), 16);
 }
 
@@ -455,16 +445,16 @@ mem::WerConfig engine_wer_config() {
 }
 
 TEST(MonteCarloRunner, SeededWerBitIdenticalAcrossThreadCounts) {
-  auto cfg = engine_wer_config();
-  cfg.runner.threads = 1;
+  const auto cfg = engine_wer_config();
+  eng::MonteCarloRunner serial_runner(eng::RunnerConfig{.threads = 1});
   util::Rng rng_serial(2024);
-  const auto serial = mem::measure_wer(cfg, rng_serial);
+  const auto serial = mem::measure_wer(cfg, rng_serial, serial_runner);
 
   for (unsigned threads : {2u, 4u, 8u}) {
     SCOPED_TRACE(threads);
-    cfg.runner.threads = threads;
+    eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
     util::Rng rng_parallel(2024);
-    const auto parallel = mem::measure_wer(cfg, rng_parallel);
+    const auto parallel = mem::measure_wer(cfg, rng_parallel, runner);
 
     EXPECT_EQ(parallel.errors, serial.errors);
     EXPECT_EQ(parallel.wer, serial.wer);
@@ -502,9 +492,7 @@ TrialTally reference_wer(const mem::WerConfig& cfg, util::Rng& rng) {
   background.set(vr, vc,
                  dev::state_to_bit(dev::initial_state(cfg.direction)));
   const std::uint64_t seed = rng();
-  eng::RunnerConfig rc;
-  rc.threads = 1;
-  eng::MonteCarloRunner runner(rc);
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
   return runner.run<TrialTally>(
       cfg.trials, seed, [&] { return mem::MramArray(prototype); },
       [&](mem::MramArray& array, util::Rng& trial_rng, std::size_t,
@@ -529,10 +517,9 @@ TEST(MonteCarloRunner, BatchedWerBitIdenticalToScalarPath) {
   EXPECT_GT(ref.hits, 0u);
 
   for (unsigned threads : {1u, 4u}) {
-    auto cfg = engine_wer_config();
-    cfg.runner.threads = threads;
+    eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
     util::Rng rng(2024);
-    const auto wer = mem::measure_wer(cfg, rng);
+    const auto wer = mem::measure_wer(engine_wer_config(), rng, runner);
     EXPECT_EQ(wer.errors, ref.hits) << threads << " threads";
     EXPECT_EQ(wer.mean_success_probability, ref.values.mean())
         << threads << " threads";
@@ -559,9 +546,7 @@ TEST(RetentionEnsemble, BatchedBitIdenticalToScalarPath) {
     const mem::MramArray prototype(cfg.array);
     const auto pattern = arr::make_pattern(cfg.pattern, cfg.array.rows,
                                            cfg.array.cols, rng);
-    eng::RunnerConfig rc;
-    rc.threads = 1;
-    eng::MonteCarloRunner runner(rc);
+    eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
     ref = runner.run<TrialTally>(
         cfg.trials, rng(), [&] { return mem::MramArray(prototype); },
         [&](mem::MramArray& array, util::Rng& trial_rng, std::size_t,
@@ -576,9 +561,9 @@ TEST(RetentionEnsemble, BatchedBitIdenticalToScalarPath) {
   EXPECT_GT(ref.hits, 0u);
 
   for (unsigned threads : {1u, 4u}) {
-    cfg.runner.threads = threads;
+    eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
     util::Rng rng(5);
-    const auto r = mem::measure_retention_faults(cfg, rng);
+    const auto r = mem::measure_retention_faults(cfg, rng, runner);
     EXPECT_EQ(r.faulty_trials, ref.hits) << threads << " threads";
     EXPECT_EQ(r.total_flips, ref.total);
     EXPECT_EQ(r.mean_flips, ref.values.mean());
@@ -595,16 +580,17 @@ TEST(RetentionEnsemble, HotArrayFaultsAndIsThreadCountInvariant) {
   cfg.hold = 1.0;
   cfg.trials = 200;
 
-  cfg.runner.threads = 1;
+  eng::MonteCarloRunner serial_runner(eng::RunnerConfig{.threads = 1});
   util::Rng rng_a(5);
-  const auto serial = mem::measure_retention_faults(cfg, rng_a);
+  const auto serial = mem::measure_retention_faults(cfg, rng_a, serial_runner);
   EXPECT_GT(serial.faulty_trials, 0u);
   EXPECT_LE(serial.confidence.lo, serial.fault_probability);
   EXPECT_GE(serial.confidence.hi, serial.fault_probability);
 
-  cfg.runner.threads = 4;
+  eng::MonteCarloRunner parallel_runner(eng::RunnerConfig{.threads = 4});
   util::Rng rng_b(5);
-  const auto parallel = mem::measure_retention_faults(cfg, rng_b);
+  const auto parallel =
+      mem::measure_retention_faults(cfg, rng_b, parallel_runner);
   EXPECT_EQ(parallel.faulty_trials, serial.faulty_trials);
   EXPECT_EQ(parallel.total_flips, serial.total_flips);
 }

@@ -225,7 +225,7 @@ TEST(Wer, LongerPulseLowersErrorRate) {
   util::Rng rng(11);
 
   const double tw = MramArray(cfg.array).cell_switching_time(2, 2, 0, 0.9);
-  eng::MonteCarloRunner runner(cfg.runner);
+  eng::MonteCarloRunner runner;
   std::vector<double> wer;
   for (const double scale : {0.8, 1.0, 1.5, 3.0}) {
     cfg.pulse.width = scale * tw;
@@ -256,10 +256,11 @@ TEST(Wer, WorstCaseBackgroundIsAllZeroForApToP) {
   cfg.pulse.width = 0.5 * (tw_worst + tw_best);
 
   util::Rng rng(12);
+  eng::MonteCarloRunner runner;
   cfg.background = PatternKind::kAllZero;
-  const auto worst = measure_wer(cfg, rng);
+  const auto worst = measure_wer(cfg, rng, runner);
   cfg.background = PatternKind::kAllOne;
-  const auto best = measure_wer(cfg, rng);
+  const auto best = measure_wer(cfg, rng, runner);
   EXPECT_GT(worst.wer, best.wer);
   EXPECT_GT(worst.trials, 0u);
   EXPECT_LE(worst.confidence.lo, worst.wer);
@@ -416,7 +417,8 @@ TEST(Wvw, ComparisonFavorsWvw) {
   ensemble.wvw = cfg;
   ensemble.trials = 400;
   util::Rng rng(24);
-  const auto cmp = measure_wvw(ensemble, rng);
+  eng::MonteCarloRunner runner;
+  const auto cmp = measure_wvw(ensemble, rng, runner);
   EXPECT_GT(cmp.single_pulse_wer, 0.3);
   EXPECT_LT(cmp.wvw_wer, cmp.single_pulse_wer);
   EXPECT_GT(cmp.wvw_mean_attempts, 1.0);

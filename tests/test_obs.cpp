@@ -243,11 +243,11 @@ TEST(ObsRegistry, KernelTagFirstWinsAndConflictDegradesToMixed) {
   obs::MetricsBlock homogeneous;
   {
     obs::ChunkScope scope(&homogeneous);
-    obs::tag_kernel(obs::KernelTag::kLlgW8);
-    obs::tag_kernel(obs::KernelTag::kLlgW8);  // re-stamping the tag is fine
+    obs::tag_kernel(obs::KernelTag::kLlg);
+    obs::tag_kernel(obs::KernelTag::kLlg);  // re-stamping the tag is fine
     scope.finish(3);
   }
-  EXPECT_EQ(homogeneous.tag, obs::KernelTag::kLlgW8);
+  EXPECT_EQ(homogeneous.tag, obs::KernelTag::kLlg);
 
   obs::MetricsBlock mixed;
   {
@@ -265,7 +265,7 @@ TEST(ObsPerf, RegistryFoldsChunkDeltasUnderTheKernelTag) {
   // Synthetic samples exercise the fold exactly like a PMU would feed it,
   // so the attribution machinery is testable on hosts with no PMU at all.
   obs::MetricsBlock block;
-  block.tag = obs::KernelTag::kLlgW8;
+  block.tag = obs::KernelTag::kLlg;
   block.perf_begin.valid = true;
   block.perf_begin.value = {100, 200, 30, 4, 5, 60};
   block.perf_begin.time_enabled = 1000;
@@ -279,9 +279,9 @@ TEST(ObsPerf, RegistryFoldsChunkDeltasUnderTheKernelTag) {
   reg.merge_block(block);
   const obs::Snapshot snap = reg.snapshot();
   // Per-tag keys and the cross-tag totals, all exact u64 deltas.
-  EXPECT_EQ(snap.counters.at("perf.llg_w8.chunks"), 1u);
-  EXPECT_EQ(snap.counters.at("perf.llg_w8.cycles"), 1000u);
-  EXPECT_EQ(snap.counters.at("perf.llg_w8.instructions"), 2000u);
+  EXPECT_EQ(snap.counters.at("perf.llg.chunks"), 1u);
+  EXPECT_EQ(snap.counters.at("perf.llg.cycles"), 1000u);
+  EXPECT_EQ(snap.counters.at("perf.llg.instructions"), 2000u);
   EXPECT_EQ(snap.counters.at("perf.cycles"), 1000u);
   EXPECT_EQ(snap.counters.at("perf.cache_refs"), 100u);
   EXPECT_EQ(snap.counters.at("perf.cache_misses"), 25u);
@@ -357,7 +357,7 @@ TEST(ObsDerived, RatiosComeFromFoldedTotals) {
   s.counters["perf.time_enabled_ns"] = 1000;
   s.counters["perf.time_running_ns"] = 500;
   s.counters["llg.flops"] = 40000;
-  s.counters["perf.llg_w8.cycles"] = 4000;
+  s.counters["perf.llg.cycles"] = 4000;
 
   const auto d = obs::derived_metrics(s);
   EXPECT_DOUBLE_EQ(d.at("perf.ipc"), 2.0);
@@ -668,9 +668,7 @@ TEST(ObsProgress, RunAnnouncesTheWholeCallAndEndsFull) {
   obs::ScopedProgress guard(&progress);
   progress.begin_scenario("probe", 0, 1);
 
-  eng::RunnerConfig cfg;
-  cfg.threads = 2;
-  eng::MonteCarloRunner runner(cfg);
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 2});
   const auto trial = [](util::Rng& rng, std::size_t,
                         util::RunningStats& acc) { acc.add(rng.normal()); };
   constexpr std::uint64_t kTrials = 1000;

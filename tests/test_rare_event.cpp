@@ -211,9 +211,7 @@ TEST(RareEvent, SubsetSimulationEstimatesAGaussianTail) {
 TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
   const double beta = 3.8;
   auto run_both = [&](unsigned threads) {
-    eng::RunnerConfig rc;
-    rc.threads = threads;
-    eng::MonteCarloRunner runner(rc);
+    eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
     const double tilt[1] = {beta};
     const auto is =
         eng::importance_rounds(500, 21, [&](std::uint64_t round_seed) {
@@ -369,25 +367,19 @@ TEST(RareEvent, LockstepSubsetSimulationMatchesPerTrialReferenceBitwise) {
   const Scalar quantised = [](const double* z) {
     return std::floor(4.0 * (z[0] + z[1])) / 4.0 - 4.0;
   };
-  struct Shape {
-    std::size_t n;
-    std::size_t chunk_size;  // effective chunks 10, 7 and 79 trials
-  };
   std::size_t tie_runs = 0;
-  for (const Shape shape : {Shape{600, 64}, Shape{600, 7}, Shape{5000, 100}}) {
+  // Effective chunks of 7, 10 and 64 trials.
+  for (const std::size_t n : {420u, 600u, 5000u}) {
     for (const unsigned threads : {1u, 3u}) {
       for (const Scalar* score : {&gaussian, &quantised}) {
         const std::string where =
-            "n=" + std::to_string(shape.n) +
-            " chunk_size=" + std::to_string(shape.chunk_size) +
-            " threads=" + std::to_string(threads) +
+            "n=" + std::to_string(n) + " threads=" + std::to_string(threads) +
             (score == &gaussian ? " gaussian" : " quantised");
-        eng::MonteCarloRunner runner(
-            eng::RunnerConfig{threads, shape.chunk_size});
+        eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
         const auto want =
-            per_trial_subset_simulation(runner, 2, shape.n, 41, *score);
+            per_trial_subset_simulation(runner, 2, n, 41, *score);
         const auto got = eng::subset_simulation(
-            runner, 2, shape.n, 41,
+            runner, 2, n, 41,
             [score](std::size_t n, const double* zs, double* out) {
               for (std::size_t l = 0; l < n; ++l) {
                 out[l] = (*score)(zs + 2 * l);
@@ -411,7 +403,7 @@ TEST(RareEvent, LockstepSubsetSimulationMatchesPerTrialReferenceBitwise) {
 TEST(RareEvent, SubsetSimulationRejectsNaNScores) {
   // NaN breaks the strict weak ordering of the level comparator (undefined
   // behaviour in any sort), so a NaN score is refused, naming the level.
-  eng::MonteCarloRunner runner(eng::RunnerConfig{2, 64});
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 2});
   const auto nan_above_one = [](std::size_t n, const double* zs,
                                 double* out) {
     for (std::size_t l = 0; l < n; ++l) {
@@ -707,9 +699,7 @@ void expect_thread_invariant(Config cfg, Measure measure,
                              double Result::*probability) {
   Result ref;
   for (unsigned threads : {1u, 4u}) {
-    eng::RunnerConfig rc;
-    rc.threads = threads;
-    eng::MonteCarloRunner runner(rc);
+    eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
     util::Rng rng(1234);
     const Result r = measure(cfg, rng, runner);
     if (threads == 1) {

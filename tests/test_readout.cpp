@@ -421,9 +421,7 @@ TEST(MeasureRer, BatchedMatchesScalarBitwise) {
   const auto column =
       make_column_data(cfg.column_pattern, cfg.path.bitline.rows, rng_ref);
   const std::size_t row = resolve_row(cfg.row, cfg.path.bitline);
-  eng::RunnerConfig rc;
-  rc.threads = 1;
-  eng::MonteCarloRunner runner(rc);
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
   const auto ref = runner.run<RerTally>(
       cfg.trials, rng_ref(),
       [&](util::Rng& trial_rng, std::size_t, RerTally& acc) {
@@ -438,9 +436,9 @@ TEST(MeasureRer, BatchedMatchesScalarBitwise) {
   EXPECT_GT(ref.decision_errors + ref.blocked, 0u);
 
   for (unsigned threads : {1u, 4u}) {
-    cfg.runner.threads = threads;
+    eng::MonteCarloRunner threaded(eng::RunnerConfig{.threads = threads});
     util::Rng rng(11);
-    const auto r = measure_rer(cfg, rng);
+    const auto r = measure_rer(cfg, rng, threaded);
     EXPECT_EQ(r.decision_errors, ref.decision_errors) << threads;
     EXPECT_EQ(r.blocked, ref.blocked) << threads;
     EXPECT_EQ(r.disturbs, ref.disturbs) << threads;
@@ -450,13 +448,13 @@ TEST(MeasureRer, BatchedMatchesScalarBitwise) {
 }
 
 TEST(MeasureRer, BitIdenticalAcrossThreadCounts) {
-  auto cfg = rer_config();
-  cfg.runner.threads = 1;
+  const auto cfg = rer_config();
+  eng::MonteCarloRunner serial_runner(eng::RunnerConfig{.threads = 1});
   util::Rng rng_a(12);
-  const auto serial = measure_rer(cfg, rng_a);
-  cfg.runner.threads = 4;
+  const auto serial = measure_rer(cfg, rng_a, serial_runner);
+  eng::MonteCarloRunner parallel_runner(eng::RunnerConfig{.threads = 4});
   util::Rng rng_b(12);
-  const auto parallel = measure_rer(cfg, rng_b);
+  const auto parallel = measure_rer(cfg, rng_b, parallel_runner);
   EXPECT_EQ(serial.read_errors, parallel.read_errors);
   EXPECT_EQ(serial.disturbs, parallel.disturbs);
   EXPECT_EQ(serial.mean_margin, parallel.mean_margin);
@@ -465,9 +463,10 @@ TEST(MeasureRer, BitIdenticalAcrossThreadCounts) {
 TEST(MeasureRer, MoreReadVoltageFewerDecisionErrors) {
   auto cfg = rer_config();
   util::Rng rng(13);
-  const auto starved = measure_rer(cfg, rng);
+  eng::MonteCarloRunner runner;
+  const auto starved = measure_rer(cfg, rng, runner);
   cfg.path.v_read = 0.2;
-  const auto healthy = measure_rer(cfg, rng);
+  const auto healthy = measure_rer(cfg, rng, runner);
   EXPECT_GT(starved.rer, healthy.rer);
   EXPECT_EQ(healthy.read_errors, 0u);
   EXPECT_GT(starved.op.margin, 0.0);
@@ -515,9 +514,7 @@ DisturbTally reference_read_disturb(const ReadDisturbConfig& cfg,
       model.device().delta(cfg.stored, cfg.hz_stray, cfg.temperature);
   const double mz0 = dev::state_direction(cfg.stored);
   const double duration = cfg.duration > 0.0 ? cfg.duration : cfg.path.t_read;
-  eng::RunnerConfig rc;
-  rc.threads = 1;
-  eng::MonteCarloRunner runner(rc);
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
   const dyn::MacrospinSim sim(llg);
   return runner.run<DisturbTally>(
       cfg.trials, rng(),
@@ -536,6 +533,7 @@ TEST(MeasureReadDisturb, BatchedMatchesScalarBitwise) {
   // switch decisions AND switch times must agree bitwise. Odd trial counts
   // leave remainder lane-blocks; 1100 trials put 18 in a chunk, i.e. more
   // than one lane-block per chunk at every preferred width.
+  eng::MonteCarloRunner runner;
   for (const std::size_t trials : {std::size_t{37}, std::size_t{1100}}) {
     auto cfg = disturb_config();
     cfg.trials = trials;
@@ -544,7 +542,7 @@ TEST(MeasureReadDisturb, BatchedMatchesScalarBitwise) {
     const auto ref = reference_read_disturb(cfg, rng_ref);
     EXPECT_GT(ref.disturbed, 0u) << trials;
     util::Rng rng(21);
-    const auto r = measure_read_disturb(cfg, rng);
+    const auto r = measure_read_disturb(cfg, rng, runner);
     EXPECT_EQ(r.disturbed, ref.disturbed) << trials;
     EXPECT_EQ(r.mean_switch_time, ref.times.mean()) << trials;
   }
@@ -553,12 +551,12 @@ TEST(MeasureReadDisturb, BatchedMatchesScalarBitwise) {
 TEST(MeasureReadDisturb, BitIdenticalAcrossThreadCounts) {
   auto cfg = disturb_config();
   cfg.trials = 64;
-  cfg.runner.threads = 1;
+  eng::MonteCarloRunner serial_runner(eng::RunnerConfig{.threads = 1});
   util::Rng rng_a(22);
-  const auto serial = measure_read_disturb(cfg, rng_a);
-  cfg.runner.threads = 4;
+  const auto serial = measure_read_disturb(cfg, rng_a, serial_runner);
+  eng::MonteCarloRunner parallel_runner(eng::RunnerConfig{.threads = 4});
   util::Rng rng_b(22);
-  const auto parallel = measure_read_disturb(cfg, rng_b);
+  const auto parallel = measure_read_disturb(cfg, rng_b, parallel_runner);
   EXPECT_EQ(serial.disturbed, parallel.disturbed);
   EXPECT_EQ(serial.mean_switch_time, parallel.mean_switch_time);
 }
@@ -567,10 +565,11 @@ TEST(MeasureReadDisturb, LongerStrobesDisturbMore) {
   auto cfg = disturb_config();
   cfg.trials = 150;
   util::Rng rng(23);
+  eng::MonteCarloRunner runner;
   cfg.duration = 5e-9;
-  const auto brief = measure_read_disturb(cfg, rng);
+  const auto brief = measure_read_disturb(cfg, rng, runner);
   cfg.duration = 60e-9;
-  const auto lingering = measure_read_disturb(cfg, rng);
+  const auto lingering = measure_read_disturb(cfg, rng, runner);
   EXPECT_GT(lingering.rate, brief.rate);
 }
 
@@ -579,7 +578,8 @@ TEST(MeasureReadDisturb, StoredParallelIsStabilized) {
   cfg.stored = MtjState::kParallel;
   cfg.trials = 100;
   util::Rng rng(24);
-  const auto r = measure_read_disturb(cfg, rng);
+  eng::MonteCarloRunner runner;
+  const auto r = measure_read_disturb(cfg, rng, runner);
   EXPECT_EQ(r.disturbed, 0u);
   EXPECT_LT(r.analytic_probability, 1e-9);
 }
@@ -593,11 +593,12 @@ TEST(MeasureReadDisturb, AnalyticModelTracksTheLlgEnsemble) {
   // by 1-2 orders of magnitude and fails this bound.
   auto cfg = disturb_config();
   cfg.trials = 400;
+  eng::MonteCarloRunner runner;
   for (const double v_read : {0.10, 0.12, 0.14}) {
     cfg.path = small_path(v_read);
     cfg.path.t_read = 30e-9;
     util::Rng rng(25);
-    const auto r = measure_read_disturb(cfg, rng);
+    const auto r = measure_read_disturb(cfg, rng, runner);
     ASSERT_GT(r.disturbed, 5u) << v_read;
     ASSERT_LT(r.disturbed, cfg.trials) << v_read;
     EXPECT_GT(r.analytic_probability, r.rate / 3.0) << v_read;

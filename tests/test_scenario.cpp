@@ -141,7 +141,7 @@ TEST(Grid, EmptyRangeYieldsEmptyGrid) {
   EXPECT_EQ(half_empty.size(), 0u);
 
   // Sweeping an empty grid produces a well-formed table with no rows.
-  eng::MonteCarloRunner runner(eng::RunnerConfig{1, 64});
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
   SweepDriver driver(runner, 1);
   const auto table = driver.sweep(
       "empty", "empty", {"x"}, empty,
@@ -165,7 +165,7 @@ TEST(Grid, TwoDimensionalRowMajorOrder) {
 }
 
 TEST(SweepDriver, PointSeedsAreDeterministicAndDistinct) {
-  eng::MonteCarloRunner runner(eng::RunnerConfig{1, 64});
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
   const SweepDriver a(runner, 99), b(runner, 99), c(runner, 100);
   EXPECT_EQ(a.point_seed(0), b.point_seed(0));
   EXPECT_EQ(a.point_seed(7), b.point_seed(7));
@@ -256,7 +256,7 @@ TEST(ResultSink, StreamSinksEmitEveryTable) {
 // --- scaled trials ----------------------------------------------------------
 
 TEST(ScenarioContext, ScaledTrialsFloorsAtOne) {
-  eng::MonteCarloRunner runner(eng::RunnerConfig{1, 64});
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
   ScenarioContext ctx{runner};
   EXPECT_EQ(ctx.scaled_trials(100), 100u);
   ctx.trial_scale = 0.25;
@@ -272,7 +272,7 @@ TEST(ScenarioContext, AnchorsFallBackOnlyWhenTheFileIsMissing) {
   const fs::path dir = fs::temp_directory_path() / "mram_scenario_anchors";
   fs::remove_all(dir);
   fs::create_directories(dir);
-  eng::MonteCarloRunner runner(eng::RunnerConfig{1, 64});
+  eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = 1});
   ScenarioContext ctx{runner};
   ctx.data_dir = dir.string();
 

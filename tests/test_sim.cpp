@@ -97,8 +97,9 @@ TEST(Yield, NominalDevicePassesDefaultSpec) {
   none.sigma_ecd_rel = none.sigma_hk_rel = none.sigma_ms_t_rel =
       none.sigma_tmr_rel = none.sigma_delta0_rel = 0.0;
   util::Rng rng(50);
-  const auto result =
-      estimate_yield(nominal, none, 2.0 * 35e-9, YieldSpec{}, 10, rng);
+  eng::MonteCarloRunner runner;
+  const auto result = estimate_yield(nominal, none, 2.0 * 35e-9, YieldSpec{},
+                                     10, rng, runner);
   EXPECT_EQ(result.pass_both, 10u);
   EXPECT_DOUBLE_EQ(result.yield, 1.0);
 }
@@ -109,7 +110,9 @@ TEST(Yield, TightSpecFailsEveryone) {
   util::Rng rng(51);
   YieldSpec spec;
   spec.min_delta = 1000.0;  // unreachable
-  const auto result = estimate_yield(nominal, v, 2.0 * 35e-9, spec, 20, rng);
+  eng::MonteCarloRunner runner;
+  const auto result =
+      estimate_yield(nominal, v, 2.0 * 35e-9, spec, 20, rng, runner);
   EXPECT_EQ(result.pass_retention, 0u);
   EXPECT_DOUBLE_EQ(result.yield, 0.0);
 }
@@ -120,11 +123,12 @@ TEST(Yield, CouplingPenaltyAtAggressivePitch) {
   const auto nominal = MtjParams::reference_device(35e-9);
   VariationModel v;
   util::Rng rng(52);
-  const auto points = yield_vs_pitch(nominal, v,
-                                     {1.5 * 35e-9, 3.0 * 35e-9}, YieldSpec{},
-                                     800, rng);
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_LT(points[0].result.yield, points[1].result.yield);
+  eng::MonteCarloRunner runner;
+  const auto aggressive =
+      estimate_yield(nominal, v, 1.5 * 35e-9, YieldSpec{}, 800, rng, runner);
+  const auto relaxed =
+      estimate_yield(nominal, v, 3.0 * 35e-9, YieldSpec{}, 800, rng, runner);
+  EXPECT_LT(aggressive.yield, relaxed.yield);
 }
 
 }  // namespace

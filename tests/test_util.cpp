@@ -340,16 +340,6 @@ TEST(Rng, NormalFillMomentsAndTails) {
   EXPECT_LT(beyond_3sigma, 700u);
 }
 
-TEST(Rng, SplitProducesDecorrelatedStream) {
-  Rng parent(21);
-  Rng child = parent.split();
-  RunningStats corr;
-  // Crude decorrelation check: child and parent outputs should not be equal.
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (parent() == child());
-  EXPECT_EQ(same, 0);
-}
-
 // --- statistics -------------------------------------------------------------
 
 TEST(Stats, RunningStatsBasics) {
