@@ -1,6 +1,7 @@
 #include "array/intercell.h"
 
 #include <cmath>
+#include <vector>
 
 #include "util/error.h"
 
@@ -20,30 +21,47 @@ InterCellSolver::InterCellSolver(const dev::StackGeometry& stack, double pitch,
   MRAM_EXPECTS(method != mag::FieldMethod::kBiotSavart,
                "InterCellSolver supports the exact and dipole methods only");
 
-  // The z-field of each layer of the cell at `o` (FL in the P state), seen
-  // from the victim FL mid-plane at the origin.
-  struct CellField {
-    double rl, hl, fl_p;
-  };
-  auto cell_field = [&](const NeighborOffset& o) {
-    const Vec3 cell{o.dx * pitch_, o.dy * pitch_, 0.0};
-    auto hz = [&](Layer layer) {
-      return mag::disk_field(stack_.source_for(layer, cell), Vec3{}, method).z;
-    };
-    return CellField{hz(Layer::kReferenceLayer), hz(Layer::kHardLayer),
-                     hz(Layer::kFreeLayer)};
-  };
+  // hz[r][l]: the z-field at the victim FL mid-plane (the origin) of layer
+  // kLayers[l] of ring r's first cell, FL in the P state. Disk d = 3r + l.
   const auto& offsets = neighbor_offsets();
-  const CellField direct = cell_field(offsets[0]);
-  const CellField diagonal = cell_field(offsets[4]);
+  constexpr Layer kLayers[3] = {Layer::kReferenceLayer, Layer::kHardLayer,
+                                Layer::kFreeLayer};
+  auto source = [&](int d) {
+    const NeighborOffset& o = offsets[d < 3 ? 0 : 4];
+    return stack_.source_for(kLayers[d % 3],
+                             Vec3{o.dx * pitch_, o.dy * pitch_, 0.0});
+  };
+  double hz[2][3];
+  if (method == mag::FieldMethod::kExact) {
+    // Both rings' loops in one batch: disk d owns loops [begin[d],
+    // begin[d + 1]), and its field is their sum from zero, bottom to top,
+    // as disk_field adds them.
+    std::vector<mag::CurrentLoop> loops;
+    std::size_t begin[7] = {};
+    for (int d = 0; d < 6; ++d) {
+      mag::append_disk_loops(source(d), loops);
+      begin[d + 1] = loops.size();
+    }
+    std::vector<Vec3> fields(loops.size());
+    mag::loop_fields_exact(loops.size(), loops.data(), Vec3{}, fields.data());
+    for (int d = 0; d < 6; ++d) {
+      Vec3 h{};
+      for (std::size_t i = begin[d]; i < begin[d + 1]; ++i) h += fields[i];
+      hz[d / 3][d % 3] = h.z;
+    }
+  } else {
+    for (int d = 0; d < 6; ++d) {
+      hz[d / 3][d % 3] = mag::disk_field(source(d), Vec3{}, method).z;
+    }
+  }
 
   // Replay the per-cell sum in paper order so the rounding sequence is that
   // of eight separate evaluations.
   fixed_ = 0.0;
   for (int i = 0; i < 8; ++i) {
-    const CellField& f = offsets[i].diagonal ? diagonal : direct;
-    fixed_ += f.rl + f.hl;
-    fl_unit_[i] = f.fl_p;
+    const double* f = hz[offsets[i].diagonal ? 1 : 0];
+    fixed_ += f[0] + f[1];
+    fl_unit_[i] = f[2];
   }
 }
 

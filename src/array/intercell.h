@@ -29,6 +29,11 @@
 // fl_unit_field() are bitwise what eight separate evaluations give. This
 // holds for FieldMethod::kExact and kDipole; a kBiotSavart polygon is not
 // rotation-invariant bit for bit, so the constructor rejects that method.
+//
+// With kExact the six disks' 6 x sub_loops bound-current loops (24 at the
+// default 4 sub-loops) go to mag::loop_fields_exact as one batch, so their
+// elliptic integrals run in 8-lane blocks; each disk's field is then its
+// loops' sum in disk_field's order, bitwise what disk_field returns.
 
 namespace mram::arr {
 

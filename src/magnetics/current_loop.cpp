@@ -1,8 +1,10 @@
 #include "magnetics/current_loop.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "numerics/elliptic.h"
+#include "obs/metrics.h"
 #include "util/constants.h"
 #include "util/error.h"
 
@@ -44,36 +46,69 @@ num::Vec3 loop_field_biot_savart(const CurrentLoop& loop, const Vec3& p,
   return h * (loop.current / (4.0 * util::kPi));
 }
 
-num::Vec3 loop_field_exact(const CurrentLoop& loop, const Vec3& p) {
-  MRAM_EXPECTS(loop.radius > 0.0, "loop radius must be positive");
+void loop_fields_exact(std::size_t n, const CurrentLoop* loops, const Vec3& p,
+                       Vec3* out) {
+  // What a loop needs after its K and E: a, the offsets and the squared
+  // distances to the nearest and farthest point of the wire.
+  struct OffAxis {
+    std::size_t index;
+    double a, dx, dy, z, rho, d_outer, d_inner;
+  };
+  for (std::size_t first = 0; first < n; first += kLoopBatch) {
+    const std::size_t count = std::min(kLoopBatch, n - first);
+    OffAxis off[kLoopBatch];
+    double m[kLoopBatch], kk[kLoopBatch], ee[kLoopBatch];
+    std::size_t n_off = 0;
+    for (std::size_t i = first; i < first + count; ++i) {
+      const CurrentLoop& loop = loops[i];
+      MRAM_EXPECTS(loop.radius > 0.0, "loop radius must be positive");
 
-  const double a = loop.radius;
-  const double dx = p.x - loop.center.x;
-  const double dy = p.y - loop.center.y;
-  const double z = p.z - loop.center.z;
-  const double rho = std::sqrt(dx * dx + dy * dy);
+      const double a = loop.radius;
+      const double dx = p.x - loop.center.x;
+      const double dy = p.y - loop.center.y;
+      const double z = p.z - loop.center.z;
+      const double rho = std::sqrt(dx * dx + dy * dy);
 
-  const double d_outer = (a + rho) * (a + rho) + z * z;
-  const double d_inner = (a - rho) * (a - rho) + z * z;
-  MRAM_EXPECTS(d_inner > 0.0, "field point lies on the wire");
+      const double d_outer = (a + rho) * (a + rho) + z * z;
+      const double d_inner = (a - rho) * (a - rho) + z * z;
+      MRAM_EXPECTS(d_inner > 0.0, "field point lies on the wire");
 
-  // On-axis: closed form, avoids 0/0 in the radial term.
-  if (rho < 1e-15 * a) {
-    return {0.0, 0.0, loop_field_on_axis(loop, z)};
+      // On-axis: closed form, avoids 0/0 in the radial term.
+      if (rho < 1e-15 * a) {
+        out[i] = {0.0, 0.0, loop_field_on_axis(loop, z)};
+        continue;
+      }
+      off[n_off] = {i, a, dx, dy, z, rho, d_outer, d_inner};
+      m[n_off] = 4.0 * a * rho / d_outer;  // elliptic parameter k^2
+      ++n_off;
+    }
+    if (n_off == 0) continue;
+    num::ellint_ke_n(n_off, m, kk, ee);
+    obs::counter_add(obs::Counter::kMagneticsKeValues, n_off);
+    obs::counter_add(obs::Counter::kMagneticsKeLaneSlots,
+                     n_off / num::kKeLanes * num::kKeLanes);
+
+    for (std::size_t j = 0; j < n_off; ++j) {
+      const OffAxis& o = off[j];
+      const double current = loops[o.index].current;
+      const double sqrt_outer = std::sqrt(o.d_outer);
+      const double hz =
+          current / (2.0 * util::kPi * sqrt_outer) *
+          (kk[j] + ee[j] * (o.a * o.a - o.rho * o.rho - o.z * o.z) / o.d_inner);
+      const double hrho =
+          current * o.z / (2.0 * util::kPi * o.rho * sqrt_outer) *
+          (-kk[j] + ee[j] * (o.a * o.a + o.rho * o.rho + o.z * o.z) / o.d_inner);
+
+      const double inv_rho = 1.0 / o.rho;
+      out[o.index] = {hrho * o.dx * inv_rho, hrho * o.dy * inv_rho, hz};
+    }
   }
+}
 
-  const double m = 4.0 * a * rho / d_outer;  // elliptic parameter k^2
-  const auto [kk, ee] = num::ellint_ke(m);
-  const double sqrt_outer = std::sqrt(d_outer);
-
-  const double hz = loop.current / (2.0 * util::kPi * sqrt_outer) *
-                    (kk + ee * (a * a - rho * rho - z * z) / d_inner);
-  const double hrho = loop.current * z /
-                      (2.0 * util::kPi * rho * sqrt_outer) *
-                      (-kk + ee * (a * a + rho * rho + z * z) / d_inner);
-
-  const double inv_rho = 1.0 / rho;
-  return {hrho * dx * inv_rho, hrho * dy * inv_rho, hz};
+num::Vec3 loop_field_exact(const CurrentLoop& loop, const Vec3& p) {
+  Vec3 h;
+  loop_fields_exact(1, &loop, p, &h);
+  return h;
 }
 
 double loop_field_on_axis(const CurrentLoop& loop, double z_from_center) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+
 #include "numerics/vec3.h"
 
 // Circular bound-current loop -- the paper's elementary stray-field source
@@ -9,10 +11,12 @@
 // Two evaluators are provided:
 //   * loop_field_biot_savart -- the paper's method: the loop is cut into N
 //     straight segments and the Biot--Savart contributions are summed.
-//   * loop_field_exact       -- closed form via complete elliptic integrals
-//     (valid for any field point off the wire). This is the ground truth the
-//     discretization converges to (see the abl_segments scenario) and the fast
-//     path used by the array solvers.
+//   * loop_fields_exact      -- closed form via complete elliptic integrals
+//     (valid for any field point off the wire), for many loops at one point:
+//     their K and E come from one batched ellint_ke_n call per block of
+//     kLoopBatch loops. This is the ground truth the discretization
+//     converges to (see the abl_segments scenario) and the fast path used by
+//     the array solvers; loop_field_exact is its one-loop case.
 //
 // Note on units: the paper's Eq. (1) carries a mu0/(4*pi) prefactor, which
 // produces B in tesla. We consistently return the H-field in A/m, i.e. the
@@ -34,8 +38,20 @@ struct CurrentLoop {
 num::Vec3 loop_field_biot_savart(const CurrentLoop& loop, const num::Vec3& p,
                                  int segments);
 
-/// Exact H-field [A/m] at point `p` via complete elliptic integrals.
-/// Precondition: `p` does not lie on the wire itself.
+/// Loops per batched elliptic-kernel call in loop_fields_exact (the size of
+/// its stack buffers).
+inline constexpr std::size_t kLoopBatch = 32;
+
+/// Exact H-field [A/m] of each of the `n` loops at point `p` into out[i],
+/// via complete elliptic integrals. A loop whose axis passes through `p`
+/// takes the on-axis closed form and never enters the elliptic kernel; the
+/// others get K and E from one num::ellint_ke_n call per kLoopBatch loops.
+/// Each out[i] is bitwise the same whatever the other loops of the call.
+/// Preconditions: every radius > 0, and `p` lies on no loop's wire.
+void loop_fields_exact(std::size_t n, const CurrentLoop* loops,
+                       const num::Vec3& p, num::Vec3* out);
+
+/// loop_fields_exact for one loop.
 num::Vec3 loop_field_exact(const CurrentLoop& loop, const num::Vec3& p);
 
 /// On-axis closed form Hz = I R^2 / (2 (R^2 + z^2)^(3/2)); used in tests and

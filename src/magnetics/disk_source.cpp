@@ -1,6 +1,7 @@
 #include "magnetics/disk_source.h"
 
 #include "magnetics/dipole.h"
+#include "numerics/elliptic.h"
 #include "util/constants.h"
 #include "util/error.h"
 
@@ -12,7 +13,7 @@ namespace {
 
 /// Validates `disk` and hands each of its bound-current sub-loops to
 /// `visit`, bottom to top. The one home of the sub-loop placement, so
-/// disk_loops and disk_field agree without disk_field allocating.
+/// append_disk_loops and disk_field agree without disk_field allocating.
 template <typename Visit>
 void for_each_loop(const DiskSource& disk, Visit&& visit) {
   MRAM_EXPECTS(disk.radius > 0.0, "disk radius must be positive");
@@ -38,10 +39,8 @@ void for_each_loop(const DiskSource& disk, Visit&& visit) {
 
 }  // namespace
 
-std::vector<CurrentLoop> disk_loops(const DiskSource& disk) {
-  std::vector<CurrentLoop> loops;
-  for_each_loop(disk, [&](const CurrentLoop& loop) { loops.push_back(loop); });
-  return loops;
+void append_disk_loops(const DiskSource& disk, std::vector<CurrentLoop>& out) {
+  for_each_loop(disk, [&](const CurrentLoop& loop) { out.push_back(loop); });
 }
 
 Vec3 disk_field(const DiskSource& disk, const Vec3& p, FieldMethod method,
@@ -50,11 +49,29 @@ Vec3 disk_field(const DiskSource& disk, const Vec3& p, FieldMethod method,
     return dipole_field_at(disk_moment(disk), disk.center, p);
   }
   Vec3 h{};
+  if (method == FieldMethod::kBiotSavart) {
+    for_each_loop(disk, [&](const CurrentLoop& loop) {
+      h += loop_field_biot_savart(loop, p, segments);
+    });
+    return h;
+  }
+  // Exact: the sub-loops go to the batched evaluator one kernel block
+  // (num::kKeLanes loops) at a time, and their fields are summed bottom to
+  // top, the order of a loop-by-loop sum. The buffers are that small
+  // because they are zeroed on every call, and most disks have 4 sub-loops.
+  CurrentLoop loops[num::kKeLanes];
+  Vec3 fields[num::kKeLanes];
+  std::size_t n = 0;
+  const auto flush = [&] {
+    loop_fields_exact(n, loops, p, fields);
+    for (std::size_t i = 0; i < n; ++i) h += fields[i];
+    n = 0;
+  };
   for_each_loop(disk, [&](const CurrentLoop& loop) {
-    h += (method == FieldMethod::kExact)
-             ? loop_field_exact(loop, p)
-             : loop_field_biot_savart(loop, p, segments);
+    loops[n++] = loop;
+    if (n == num::kKeLanes) flush();
   });
+  flush();
   return h;
 }
 

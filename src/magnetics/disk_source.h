@@ -30,8 +30,8 @@ struct DiskSource {
   int sub_loops = 1;     ///< thickness discretization (>= 1)
 };
 
-/// Decomposes the disk into its stack of bound-current loops.
-std::vector<CurrentLoop> disk_loops(const DiskSource& disk);
+/// Appends the disk's stack of bound-current loops to `out`, bottom to top.
+void append_disk_loops(const DiskSource& disk, std::vector<CurrentLoop>& out);
 
 /// H-field [A/m] of the disk at `p`.
 /// `segments` is only used with FieldMethod::kBiotSavart.

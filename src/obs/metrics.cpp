@@ -6,7 +6,7 @@ namespace mram::obs {
 
 namespace detail {
 std::atomic<Registry*> g_registry{nullptr};
-thread_local MetricsBlock* tl_block = nullptr;
+constinit thread_local MetricsBlock* tl_block = nullptr;
 }  // namespace detail
 
 const char* counter_name(Counter c) {
@@ -27,6 +27,8 @@ const char* counter_name(Counter c) {
     case Counter::kLlgBlocksW16: return "llg.blocks_w16";
     case Counter::kLlgBlocksGeneric: return "llg.blocks_generic";
     case Counter::kLlgFlops: return "llg.flops";
+    case Counter::kMagneticsKeValues: return "magnetics.ke_values";
+    case Counter::kMagneticsKeLaneSlots: return "magnetics.ke_lane_slots";
     case Counter::kRareIsRounds: return "rare.is.rounds";
     case Counter::kRareSplitLevels: return "rare.split.levels";
     case Counter::kRareMcmcProposals: return "rare.mcmc.proposals";

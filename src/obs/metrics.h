@@ -64,6 +64,8 @@ enum class Counter : std::uint16_t {
   kLlgBlocksW16,         ///< kernel calls through the fixed 16-lane body
   kLlgBlocksGeneric,     ///< kernel calls through the variable-width body
   kLlgFlops,             ///< est. flops executed (lane-steps x flops/step)
+  kMagneticsKeValues,    ///< K/E values through the batched elliptic kernel
+  kMagneticsKeLaneSlots, ///< of those, values in full 8-lane blocks
   kRareIsRounds,         ///< importance-sampling rounds run
   kRareSplitLevels,      ///< subset-simulation levels resolved
   kRareMcmcProposals,    ///< pCN MCMC proposals made
@@ -284,7 +286,12 @@ class Registry {
 
 namespace detail {
 extern std::atomic<Registry*> g_registry;
-extern thread_local MetricsBlock* tl_block;
+/// The executing chunk's block, or null. constinit: the extern declaration
+/// then promises no dynamic initializer, so no access calls (or tests for)
+/// a TLS-init function. Without it GCC 12 tests the thread-local's address
+/// with a `je` on the flags of an `add` that GNU ld relaxes into a
+/// flag-less `lea`, and optimized code under UBSan reported a null load.
+extern constinit thread_local MetricsBlock* tl_block;
 /// Process-wide hardware-profiling switch (perfctr.cpp owns the storage).
 extern std::atomic<bool> g_perf_profiling;
 }  // namespace detail

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "array/array_field.h"
 #include "array/coupling_factor.h"
@@ -15,8 +16,13 @@
 #include "array/neighborhood.h"
 #include "device/mtj_device.h"
 #include "magnetics/disk_source.h"
+#include "magnetics/current_loop.h"
 #include "magnetics/stray_field.h"
+#include "numerics/elliptic.h"
+#include "obs/metrics.h"
+#include "util/constants.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace mram::arr {
@@ -196,6 +202,143 @@ TEST(InterCellSolver, RingEvaluationMatchesPerCellSumBitwise) {
       }
     }
   }
+}
+
+// A scalar reference for the batched exact field, independent of the
+// batched elliptic kernel: the closed-form loop field with K and E from
+// ellint_k and ellint_e one value at a time, and a disk's field summed over
+// its loops from zero, bottom to top.
+num::Vec3 oracle_loop_field(const mag::CurrentLoop& loop, const num::Vec3& p) {
+  const double a = loop.radius;
+  const double dx = p.x - loop.center.x;
+  const double dy = p.y - loop.center.y;
+  const double z = p.z - loop.center.z;
+  const double rho = std::sqrt(dx * dx + dy * dy);
+  const double d_outer = (a + rho) * (a + rho) + z * z;
+  const double d_inner = (a - rho) * (a - rho) + z * z;
+  if (rho < 1e-15 * a) return {0.0, 0.0, mag::loop_field_on_axis(loop, z)};
+  const double m = 4.0 * a * rho / d_outer;
+  const double kk = num::ellint_k(m);
+  const double ee = num::ellint_e(m);
+  const double sqrt_outer = std::sqrt(d_outer);
+  const double hz = loop.current / (2.0 * util::kPi * sqrt_outer) *
+                    (kk + ee * (a * a - rho * rho - z * z) / d_inner);
+  const double hrho = loop.current * z /
+                      (2.0 * util::kPi * rho * sqrt_outer) *
+                      (-kk + ee * (a * a + rho * rho + z * z) / d_inner);
+  const double inv_rho = 1.0 / rho;
+  return {hrho * dx * inv_rho, hrho * dy * inv_rho, hz};
+}
+
+num::Vec3 oracle_disk_field(const mag::DiskSource& disk, const num::Vec3& p) {
+  std::vector<mag::CurrentLoop> loops;
+  mag::append_disk_loops(disk, loops);
+  num::Vec3 h{};
+  for (const auto& loop : loops) h += oracle_loop_field(loop, p);
+  return h;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+bool same_bits(const num::Vec3& a, const num::Vec3& b) {
+  return bits(a.x) == bits(b.x) && bits(a.y) == bits(b.y) &&
+         bits(a.z) == bits(b.z);
+}
+
+TEST(ExactField, BatchedLoopsMatchScalarOracleBitwise) {
+  // Off-axis loops of many radii and heights, with on-axis loops mixed in
+  // (they take the closed form and skip the kernel), in calls that span
+  // several kernel blocks and batches of mag::kLoopBatch.
+  util::Rng rng(4242);
+  const num::Vec3 p{3e-9, -2e-9, 1e-9};
+  std::vector<mag::CurrentLoop> loops;
+  for (int i = 0; i < 150; ++i) {
+    const bool on_axis = i % 11 == 3;
+    loops.push_back({{on_axis ? p.x : rng.uniform(-200e-9, 200e-9),
+                      on_axis ? p.y : rng.uniform(-200e-9, 200e-9),
+                      rng.uniform(-20e-9, 20e-9)},
+                     rng.uniform(5e-9, 90e-9),
+                     rng.uniform(-3e-3, 3e-3)});
+  }
+  for (const std::size_t n : {1, 7, 8, 9, 24, 31, 32, 33, 150}) {
+    std::vector<num::Vec3> out(n);
+    mag::loop_fields_exact(n, loops.data(), p, out.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bits(out[i], oracle_loop_field(loops[i], p)))
+          << "n = " << n << ", loop " << i;
+    }
+  }
+  EXPECT_TRUE(
+      same_bits(mag::loop_field_exact(loops[5], p),
+                oracle_loop_field(loops[5], p)));
+}
+
+TEST(InterCellSolver, MatchesScalarLoopOracleBitwise) {
+  // fixed_field(), every fl_unit_field(i) and disk_field(kExact) of every
+  // aggressor layer against the scalar oracle, summed per cell in paper
+  // order. 1, 3, 4, 7 and 40 sub-loops put 6, 18, 24, 42 and 240 loops in
+  // the solver's batch; the last two span several kernel calls, and 40
+  // takes disk_field past one batch too.
+  const auto& offsets = neighbor_offsets();
+  const num::Vec3 victim{};
+  for (const int sub_loops : {1, 3, 4, 7, 40}) {
+    for (const double ecd_nm : {20.0, 35.0, 55.0, 90.0, 120.0, 175.0}) {
+      dev::StackGeometry stack;
+      stack.ecd = ecd_nm * 1e-9;
+      stack.sub_loops = sub_loops;
+      for (const double ratio : {1.0, 1.1, 1.5, 2.0, 2.6, 3.3, 4.0}) {
+        const double pitch = ratio * stack.ecd;
+        const InterCellSolver solver(stack, pitch);
+        double fixed = 0.0;
+        for (int i = 0; i < 8; ++i) {
+          const num::Vec3 cell{offsets[i].dx * pitch, offsets[i].dy * pitch,
+                               0.0};
+          auto hz = [&](dev::Layer layer) {
+            const mag::DiskSource disk = stack.source_for(layer, cell);
+            const num::Vec3 want = oracle_disk_field(disk, victim);
+            EXPECT_TRUE(same_bits(mag::disk_field(disk, victim), want))
+                << sub_loops << " sub-loops, eCD " << ecd_nm
+                << " nm, pitch/eCD " << ratio << ", C" << i;
+            return want.z;
+          };
+          fixed += hz(dev::Layer::kReferenceLayer) +
+                   hz(dev::Layer::kHardLayer);
+          EXPECT_EQ(bits(solver.fl_unit_field(i)),
+                    bits(hz(dev::Layer::kFreeLayer)))
+              << sub_loops << " sub-loops, eCD " << ecd_nm
+              << " nm, pitch/eCD " << ratio << ", C" << i;
+        }
+        EXPECT_EQ(bits(solver.fixed_field()), bits(fixed))
+            << sub_loops << " sub-loops, eCD " << ecd_nm << " nm, pitch/eCD "
+            << ratio;
+      }
+    }
+  }
+}
+
+TEST(InterCellSolver, BuildCountsItsKeValuesOnceInFullLanes) {
+  // One default build: 2 rings x 3 layers x 4 sub-loops off-axis loops,
+  // three full 8-lane blocks in one kernel call.
+  obs::Registry reg;
+  {
+    obs::ScopedRegistry guard(&reg);
+    const InterCellSolver solver(stack55(), 90e-9);
+  }
+  const auto counters = reg.snapshot().counters;
+  EXPECT_EQ(counters.at("magnetics.ke_values"), 24u);
+  EXPECT_EQ(counters.at("magnetics.ke_lane_slots"), 24u);
+
+  // A lone disk's 4 off-axis sub-loops fit no full block.
+  reg.reset();
+  {
+    obs::ScopedRegistry guard(&reg);
+    mag::disk_field(stack55().source_for(dev::Layer::kFreeLayer,
+                                         {90e-9, 0.0, 0.0}),
+                    {});
+  }
+  const auto lone = reg.snapshot().counters;
+  EXPECT_EQ(lone.at("magnetics.ke_values"), 4u);
+  EXPECT_EQ(lone.count("magnetics.ke_lane_slots"), 0u);
 }
 
 TEST(InterCellSolver, RejectsBiotSavart) {

@@ -25,6 +25,12 @@ using util::ContractViolation;
 
 constexpr double kNm = 1e-9;
 
+std::vector<CurrentLoop> loops_of(const DiskSource& disk) {
+  std::vector<CurrentLoop> loops;
+  append_disk_loops(disk, loops);
+  return loops;
+}
+
 CurrentLoop reference_loop() {
   // A bound-current loop representative of the paper's devices:
   // R = 27.5 nm (eCD = 55 nm), Ib = 1 mA.
@@ -168,7 +174,7 @@ TEST(DiskSource, SingleSubLoopEqualsLoop) {
   disk.thickness = 0.0;
   disk.ms_t = 2e-3;
   disk.polarity = +1;
-  const auto loops = disk_loops(disk);
+  const auto loops = loops_of(disk);
   ASSERT_EQ(loops.size(), 1u);
   const Vec3 p{30.0 * kNm, 0.0, 5.0 * kNm};
   EXPECT_TRUE(num::almost_equal(disk_field(disk, p),
@@ -182,7 +188,7 @@ TEST(DiskSource, SubLoopCurrentsSumToMsT) {
   disk.ms_t = 3e-3;
   disk.polarity = -1;
   disk.sub_loops = 7;
-  const auto loops = disk_loops(disk);
+  const auto loops = loops_of(disk);
   ASSERT_EQ(loops.size(), 7u);
   double total = 0.0;
   for (const auto& l : loops) total += l.current;
@@ -230,8 +236,8 @@ TEST(DiskSource, DipoleMethodUsesTotalMoment) {
 }
 
 TEST(DiskSource, Validation) {
-  // disk_loops and the loop-based disk_field share one validation: each bad
-  // disk must be rejected by both.
+  // append_disk_loops and the loop-based disk_field share one validation:
+  // each bad disk must be rejected by both.
   DiskSource good;
   good.radius = 1e-8;
   good.ms_t = 1e-3;
@@ -244,10 +250,13 @@ TEST(DiskSource, Validation) {
   bad[3].sub_loops = 0;
   bad[4].thickness = -1e-9;
   const Vec3 p{0.0, 0.0, 5e-9};
-  EXPECT_EQ(disk_loops(good).size(), 3u);
+  EXPECT_EQ(loops_of(good).size(), 3u);
+  std::vector<CurrentLoop> appended = loops_of(good);
+  append_disk_loops(good, appended);  // appends, keeping what is there
+  EXPECT_EQ(appended.size(), 6u);
   EXPECT_NO_THROW(disk_field(good, p));
   for (std::size_t i = 0; i < bad.size(); ++i) {
-    EXPECT_THROW(disk_loops(bad[i]), ContractViolation) << i;
+    EXPECT_THROW(loops_of(bad[i]), ContractViolation) << i;
     EXPECT_THROW(disk_field(bad[i], p), ContractViolation) << i;
     EXPECT_THROW(disk_field(bad[i], p, FieldMethod::kBiotSavart, 16),
                  ContractViolation)

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "numerics/cel.h"
@@ -16,6 +21,7 @@
 #include "numerics/vec3.h"
 #include "util/constants.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace mram::num {
 namespace {
@@ -85,18 +91,82 @@ TEST(Elliptic, DomainChecks) {
   EXPECT_THROW(ellint_e(1.1), ContractViolation);
 }
 
-TEST(Elliptic, JointKEMatchesSeparateCallsBitwise) {
+TEST(Elliptic, BatchedKEMatchesSeparateCallsBitwise) {
+  // Every level the host runs, and the load-time dispatch, must give
+  // bitwise ellint_k and ellint_e. Calls of 1, 7, 8, 9, 24 and 25 values
+  // cover the 8-lane blocks, the one-lane tail and blocks whose lanes stop
+  // at different iterations (m near 1 takes the most duplications).
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  std::vector<double> grid{0.0, 1e-300, 1e-16, 1e-8, 1.0 - 1e-16,
-                           std::nextafter(1.0, 0.0)};
-  for (int i = 1; i < 1000; ++i) grid.push_back(i / 1000.0);
-  for (const double m : grid) {
-    const EllintKE ke = ellint_ke(m);
-    EXPECT_EQ(bits(ke.k), bits(ellint_k(m))) << "m = " << m;
-    EXPECT_EQ(bits(ke.e), bits(ellint_e(m))) << "m = " << m;
+  std::vector<double> m{0.0, 1e-300, 0.5, 1.0 - 1e-12,
+                        std::nextafter(1.0, 0.0)};
+  util::Rng rng(20201);
+  while (m.size() < 100'005) m.push_back(rng.uniform());
+  std::vector<double> want_k(m.size()), want_e(m.size());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    want_k[i] = ellint_k(m[i]);
+    want_e[i] = ellint_e(m[i]);
   }
-  EXPECT_THROW(ellint_ke(1.0), ContractViolation);
-  EXPECT_THROW(ellint_ke(-0.1), ContractViolation);
+
+  using Batch = std::function<void(std::size_t, const double*, double*,
+                                   double*)>;
+  std::vector<std::pair<std::string, Batch>> paths{
+      {"dispatch", [](std::size_t n, const double* mm, double* k, double* e) {
+         ellint_ke_n(n, mm, k, e);
+       }}};
+  for (const auto [level, name] :
+       {std::pair{KeLevel::kPortable, "portable"},
+        std::pair{KeLevel::kAvx2, "avx2"},
+        std::pair{KeLevel::kAvx512, "avx512"}}) {
+    if (!ke_level_supported(level)) continue;
+    paths.emplace_back(name, [level](std::size_t n, const double* mm,
+                                     double* k, double* e) {
+      ellint_ke_n(level, n, mm, k, e);
+    });
+  }
+  EXPECT_TRUE(ke_level_supported(KeLevel::kPortable));
+
+  // Each path covers every value once, in calls whose sizes cycle through
+  // kSizes, so every size meets every part of the input.
+  constexpr std::size_t kSizes[] = {1, 7, 8, 9, 24, 25};
+  std::vector<double> k(m.size(), -1.0), e(m.size(), -1.0);
+  for (const auto& [name, batch] : paths) {
+    std::size_t call = 0;
+    for (std::size_t i = 0; i < m.size(); ++call) {
+      const std::size_t c = std::min(kSizes[call % 6], m.size() - i);
+      batch(c, &m[i], &k[i], &e[i]);
+      i += c;
+    }
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (bits(k[i]) != bits(want_k[i]) || bits(e[i]) != bits(want_e[i])) {
+        if (++mismatches <= 3) ADD_FAILURE() << name << ": m = " << m[i];
+      }
+      k[i] = e[i] = -1.0;
+    }
+    EXPECT_EQ(mismatches, 0u) << name;
+  }
+}
+
+TEST(Elliptic, BatchedKERejectsOutOfDomainValues) {
+  // One bad value anywhere in a call is rejected, at every level.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-0.1, -1e-300, 1.0, 1.5, nan}) {
+    std::vector<double> m(9, 0.5);
+    m[8] = bad;
+    std::vector<double> k(9), e(9);
+    EXPECT_THROW(ellint_ke_n(9, m.data(), k.data(), e.data()),
+                 ContractViolation)
+        << bad;
+    EXPECT_THROW(ellint_ke_n(1, &m[8], k.data(), e.data()), ContractViolation)
+        << bad;
+    for (const auto level :
+         {KeLevel::kPortable, KeLevel::kAvx2, KeLevel::kAvx512}) {
+      if (!ke_level_supported(level)) continue;
+      EXPECT_THROW(ellint_ke_n(level, 9, m.data(), k.data(), e.data()),
+                   ContractViolation)
+          << bad;
+    }
+  }
 }
 
 TEST(Elliptic, LegendreRelation) {
