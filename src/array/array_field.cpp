@@ -1,7 +1,6 @@
 #include "array/array_field.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/error.h"
 
@@ -27,10 +26,6 @@ void DataGrid::set(std::size_t r, std::size_t c, int bit) {
   MRAM_EXPECTS(r < rows_ && c < cols_, "grid index out of range");
   MRAM_EXPECTS(bit == 0 || bit == 1, "bit must be 0 or 1");
   bits_[r * cols_ + c] = static_cast<std::uint8_t>(bit);
-}
-
-std::size_t DataGrid::popcount() const {
-  return std::accumulate(bits_.begin(), bits_.end(), std::size_t{0});
 }
 
 ArrayFieldModel::ArrayFieldModel(const dev::StackGeometry& stack, double pitch,
@@ -61,10 +56,6 @@ ArrayFieldModel::ArrayFieldModel(const dev::StackGeometry& stack, double pitch,
       kernel_fl_[k] = mag::disk_field(fl, victim, method).z;
     }
   }
-}
-
-double ArrayFieldModel::interior_fixed_field() const {
-  return std::accumulate(kernel_fixed_.begin(), kernel_fixed_.end(), 0.0);
 }
 
 std::vector<double> ArrayFieldModel::fixed_field_map(std::size_t rows,
@@ -126,17 +117,6 @@ double ArrayFieldModel::field_at(const DataGrid& grid, std::size_t r,
                                  std::size_t c) const {
   MRAM_EXPECTS(r < grid.rows() && c < grid.cols(), "cell index out of range");
   return field_at_unchecked(grid, r, c);
-}
-
-std::vector<double> ArrayFieldModel::field_map(const DataGrid& grid) const {
-  std::vector<double> out;
-  out.reserve(grid.rows() * grid.cols());
-  for (std::size_t r = 0; r < grid.rows(); ++r) {
-    for (std::size_t c = 0; c < grid.cols(); ++c) {
-      out.push_back(field_at_unchecked(grid, r, c));
-    }
-  }
-  return out;
 }
 
 }  // namespace mram::arr

@@ -39,9 +39,6 @@ class DataGrid {
   /// contract).
   const std::uint8_t* row(std::size_t r) const { return bits_.data() + r * cols_; }
 
-  /// Number of cells storing 1.
-  std::size_t popcount() const;
-
  private:
   std::size_t rows_;
   std::size_t cols_;
@@ -69,10 +66,6 @@ class ArrayFieldModel {
   const std::vector<double>& kernel_fixed() const { return kernel_fixed_; }
   const std::vector<double>& kernel_fl_unit() const { return kernel_fl_; }
 
-  /// Data-independent (HL+RL) field from the full truncated neighborhood of
-  /// an interior cell [A/m].
-  double interior_fixed_field() const;
-
   /// Edge-aware data-independent field for every cell of a rows x cols grid
   /// [A/m], row-major. Build once per grid shape and reuse: together with
   /// fl_field_at this splits field_at into a table lookup plus the
@@ -86,9 +79,6 @@ class ArrayFieldModel {
   /// Hz_s_inter at cell (r, c) of `grid` [A/m]. Edge cells see fewer
   /// aggressors (open boundary).
   double field_at(const DataGrid& grid, std::size_t r, std::size_t c) const;
-
-  /// Hz_s_inter at every cell, row-major.
-  std::vector<double> field_map(const DataGrid& grid) const;
 
  private:
   double field_at_unchecked(const DataGrid& grid, std::size_t r,

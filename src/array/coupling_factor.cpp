@@ -41,19 +41,6 @@ double coupling_factor(const dev::StackGeometry& stack, double pitch,
   return coupling_factor(InterCellSolver(stack, pitch), hc);
 }
 
-std::vector<PsiPoint> psi_vs_pitch(const dev::StackGeometry& stack,
-                                   double pitch_min, double pitch_max,
-                                   std::size_t count, double hc) {
-  MRAM_EXPECTS(pitch_min > 0.0 && pitch_max > pitch_min,
-               "invalid pitch range");
-  std::vector<PsiPoint> out;
-  out.reserve(count);
-  for (double p : num::linspace(pitch_min, pitch_max, count)) {
-    out.push_back({p, coupling_factor(stack, p, hc)});
-  }
-  return out;
-}
-
 double max_density_pitch(const dev::StackGeometry& stack, double threshold,
                          double hc, double pitch_min, double pitch_max) {
   MRAM_EXPECTS(threshold > 0.0, "threshold must be positive");

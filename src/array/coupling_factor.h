@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "array/intercell.h"
 
 // The inter-cell magnetic coupling factor Psi (paper Sec. IV-B):
@@ -34,17 +32,6 @@ double coupling_factor(const InterCellSolver& solver, double hc,
 /// Convenience: builds the solver internally.
 double coupling_factor(const dev::StackGeometry& stack, double pitch,
                        double hc);
-
-/// One point of the Fig. 4b sweep.
-struct PsiPoint {
-  double pitch;  ///< [m]
-  double psi;    ///< dimensionless
-};
-
-/// Psi vs. pitch over [pitch_min, pitch_max] in `count` points.
-std::vector<PsiPoint> psi_vs_pitch(const dev::StackGeometry& stack,
-                                   double pitch_min, double pitch_max,
-                                   std::size_t count, double hc);
 
 /// Smallest pitch (= max density) with Psi <= threshold, found by bisection
 /// over [pitch_min, pitch_max]. Psi decreases monotonically with pitch.

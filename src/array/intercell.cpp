@@ -97,36 +97,4 @@ double InterCellSolver::direct_step() const {
 
 double InterCellSolver::diagonal_step() const { return -2.0 * fl_unit_[4]; }
 
-num::Vec3 intercell_field_vector(const dev::StackGeometry& stack,
-                                 double pitch, Np8 np8,
-                                 mag::FieldMethod method) {
-  stack.validate();
-  MRAM_EXPECTS(pitch >= stack.ecd,
-               "pitch must be at least one device diameter");
-  const auto& offsets = neighbor_offsets();
-  Vec3 h{};
-  const Vec3 victim{};
-  for (int i = 0; i < 8; ++i) {
-    const Vec3 cell{offsets[i].dx * pitch, offsets[i].dy * pitch, 0.0};
-    h += mag::disk_field(stack.source_for(Layer::kReferenceLayer, cell),
-                         victim, method);
-    h += mag::disk_field(stack.source_for(Layer::kHardLayer, cell), victim,
-                         method);
-    h += mag::disk_field(
-        stack.source_for(Layer::kFreeLayer, cell,
-                         dev::bit_to_state(np8.bit(i))),
-        victim, method);
-  }
-  return h;
-}
-
-std::vector<ClassField> np8_class_fields(const InterCellSolver& solver) {
-  std::vector<ClassField> out;
-  out.reserve(25);
-  for (const auto& cls : all_np8_classes()) {
-    out.push_back({cls, solver.field_for(cls.representative())});
-  }
-  return out;
-}
-
 }  // namespace mram::arr

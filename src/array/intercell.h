@@ -1,6 +1,6 @@
 #pragma once
 
-#include <vector>
+#include <array>
 
 #include "array/neighborhood.h"
 #include "device/stack_geometry.h"
@@ -78,23 +78,5 @@ class InterCellSolver {
   double fixed_ = 0.0;
   std::array<double, 8> fl_unit_{};  // FL field of Ci in P state
 };
-
-/// Hz_s_inter for every (ones_direct, ones_diagonal) class: the 25 points of
-/// Fig. 4a (field values are identical within a class by symmetry).
-struct ClassField {
-  Np8Class cls;
-  double hz;  ///< [A/m]
-};
-std::vector<ClassField> np8_class_fields(const InterCellSolver& solver);
-
-/// Full 3-component inter-cell stray field at the victim FL center for one
-/// pattern, via explicit superposition of all 24 aggressor-layer sources.
-/// Slower than InterCellSolver::field_for (no caching); used to quantify the
-/// in-plane component the paper argues is marginal
-/// (the abl_inplane scenario).
-num::Vec3 intercell_field_vector(const dev::StackGeometry& stack,
-                                 double pitch, Np8 np8,
-                                 mag::FieldMethod method =
-                                     mag::FieldMethod::kExact);
 
 }  // namespace mram::arr

@@ -19,18 +19,6 @@ const std::array<NeighborOffset, 8>& neighbor_offsets() {
   return kOffsets;
 }
 
-int Np8::ones_direct() const {
-  int n = 0;
-  for (int i = 0; i < 4; ++i) n += bit(i);
-  return n;
-}
-
-int Np8::ones_diagonal() const {
-  int n = 0;
-  for (int i = 4; i < 8; ++i) n += bit(i);
-  return n;
-}
-
 Np8 Np8Class::representative() const {
   MRAM_EXPECTS(ones_direct >= 0 && ones_direct <= 4,
                "direct ones count must be 0..4");
@@ -40,23 +28,6 @@ Np8 Np8Class::representative() const {
   for (int i = 0; i < ones_direct; ++i) v |= 1 << i;
   for (int i = 0; i < ones_diagonal; ++i) v |= 1 << (4 + i);
   return Np8(v);
-}
-
-namespace {
-constexpr int kChoose4[] = {1, 4, 6, 4, 1};
-}
-
-int Np8Class::multiplicity() const {
-  return kChoose4[ones_direct] * kChoose4[ones_diagonal];
-}
-
-std::vector<Np8Class> all_np8_classes() {
-  std::vector<Np8Class> classes;
-  classes.reserve(25);
-  for (int d = 0; d <= 4; ++d) {
-    for (int g = 0; g <= 4; ++g) classes.push_back({d, g});
-  }
-  return classes;
 }
 
 std::vector<Np8> all_np8_patterns() {

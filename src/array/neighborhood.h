@@ -37,12 +37,6 @@ class Np8 {
   /// Data bit of aggressor Ci (0 = P, 1 = AP).
   constexpr int bit(int i) const { return (value_ >> i) & 1; }
 
-  /// Number of AP ('1') cells among the direct neighbors C0..C3.
-  int ones_direct() const;
-
-  /// Number of AP ('1') cells among the diagonal neighbors C4..C7.
-  int ones_diagonal() const;
-
   /// All-P and all-AP patterns.
   static constexpr Np8 all_parallel() { return Np8(0); }
   static constexpr Np8 all_antiparallel() { return Np8(255); }
@@ -60,13 +54,7 @@ struct Np8Class {
 
   /// A canonical representative pattern of this class.
   Np8 representative() const;
-
-  /// Number of patterns in this class: C(4,direct) * C(4,diagonal).
-  int multiplicity() const;
 };
-
-/// All 25 classes, ordered by (ones_direct, ones_diagonal).
-std::vector<Np8Class> all_np8_classes();
 
 /// All 256 patterns.
 std::vector<Np8> all_np8_patterns();

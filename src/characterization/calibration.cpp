@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "array/intercell.h"
 #include "magnetics/stray_field.h"
 #include "numerics/optimize.h"
 #include "util/csv.h"
@@ -103,18 +102,6 @@ FixedLayerFit fit_fixed_layer_ms_t(
   }
   fit.rms_error_oe = std::sqrt(sum2 / static_cast<double>(anchors.size()));
   return fit;
-}
-
-double fit_free_layer_ms_t(const dev::StackGeometry& geometry, double ecd,
-                           double pitch, double target_step) {
-  MRAM_EXPECTS(target_step > 0.0, "target step must be positive");
-  dev::StackGeometry g = geometry;
-  g.ecd = ecd;
-  g.ms_t_free = 1e-3;  // unit probe: 1 mA
-  const arr::InterCellSolver solver(g, pitch);
-  const double step_per_unit = solver.direct_step();
-  MRAM_ENSURES(step_per_unit > 0.0, "direct step must be positive");
-  return 1e-3 * target_step / step_per_unit;
 }
 
 }  // namespace mram::chr

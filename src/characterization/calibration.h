@@ -1,22 +1,27 @@
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "device/mtj_device.h"
 
 // Calibration of the magnetostatic model against the paper's published data
 // (the paper's own flow: measure -> calibrate intra-cell model -> extrapolate
-// to arrays). Two fits:
+// to arrays):
 //
-//   1. fit_fixed_layer_ms_t : (Ms*t)_RL and (Ms*t)_HL from the Hz_s_intra
-//      vs. eCD anchors digitized from Fig. 2b / Fig. 3d.
-//   2. fit_free_layer_ms_t  : (Ms*t)_FL from the Fig. 4a direct-neighbor
-//      step (+15 Oe per P->AP flip at eCD = 55 nm, pitch = 90 nm).
+//   - fit_fixed_layer_ms_t : (Ms*t)_RL and (Ms*t)_HL from the Hz_s_intra
+//     vs. eCD anchors digitized from Fig. 2b / Fig. 3d.
+//   - (Ms*t)_FL is set by the Fig. 4a direct-neighbor step (+15 Oe per
+//     P->AP flip at eCD = 55 nm, pitch = 90 nm). The step is linear in
+//     (Ms*t)_FL, so the shipped value is that target over the step of a
+//     unit-moment FL, once.
 //
 // The fitted values are baked into the defaults of StackGeometry/MtjParams;
-// tests/characterization asserts that re-running the fits reproduces them,
-// and that the shipped Sun-model prefactor gives the Fig. 5 switching-time
-// level (tw(AP->P) ~ 20 ns at Vp = 0.72 V with intra-cell stray field only).
+// tests/characterization asserts that re-running the fixed-layer fit
+// reproduces them, that the shipped (Ms*t)_FL gives the 15 Oe step
+// (arr::InterCellSolver::direct_step), and that the shipped Sun-model
+// prefactor gives the Fig. 5 switching-time level (tw(AP->P) ~ 20 ns at
+// Vp = 0.72 V with intra-cell stray field only).
 
 namespace mram::chr {
 
@@ -48,12 +53,6 @@ struct FixedLayerFit {
 FixedLayerFit fit_fixed_layer_ms_t(
     const dev::StackGeometry& geometry,
     const std::vector<IntraFieldAnchor>& anchors = fig2b_anchors());
-
-/// (Ms*t)_FL such that flipping one direct neighbor changes Hz_s_inter by
-/// `target_step` [A/m] at the given eCD and pitch (Fig. 4a: 15 Oe at
-/// eCD = 55 nm, pitch = 90 nm). Linear in Ms*t, so solved in closed form.
-double fit_free_layer_ms_t(const dev::StackGeometry& geometry,
-                           double ecd, double pitch, double target_step);
 
 /// Hz_s_intra at the FL center for `geometry` resized to `ecd` [A/m].
 double intra_field_for_ecd(const dev::StackGeometry& geometry, double ecd);

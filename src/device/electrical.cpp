@@ -23,8 +23,6 @@ ElectricalModel::ElectricalModel(const ElectricalParams& params, double area)
   rp_ = params_.ra / area;
 }
 
-double ElectricalModel::rap0() const { return rp_ * (1.0 + params_.tmr0); }
-
 double ElectricalModel::tmr(double v) const {
   const double x = v / params_.vh;
   return params_.tmr0 / (1.0 + x * x);

@@ -29,9 +29,6 @@ class ElectricalModel {
   /// Low (parallel) resistance [Ohm]; bias-independent in this model.
   double rp() const { return rp_; }
 
-  /// Zero-bias antiparallel resistance [Ohm].
-  double rap0() const;
-
   /// Bias-dependent TMR ratio at |V| volts.
   double tmr(double v) const;
 

@@ -15,39 +15,6 @@ namespace {
 /// Standard normal CDF.
 double phi(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
-/// Inverse CDF via Acklam's rational approximation (enough accuracy for
-/// sampling switching times).
-double phi_inv(double p) {
-  MRAM_EXPECTS(p > 0.0 && p < 1.0, "phi_inv requires p in (0,1)");
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  const double plow = 0.02425;
-  double q, r;
-  if (p < plow) {
-    q = std::sqrt(-2.0 * std::log(p));
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  if (p > 1.0 - plow) {
-    q = std::sqrt(-2.0 * std::log(1.0 - p));
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  q = p - 0.5;
-  r = q * q;
-  return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
-         (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-}
-
 }  // namespace
 
 MtjParams MtjParams::reference_device(double ecd) {
@@ -212,14 +179,6 @@ double MtjDevice::write_success_probability(SwitchDirection dir, double vp,
   return -std::expm1(-pulse * rate);
 }
 
-double MtjDevice::read_disturb_probability(MtjState state, double v_read,
-                                           double duration, double hz_stray,
-                                           double t) const {
-  MRAM_EXPECTS(v_read > 0.0, "read voltage must be positive");
-  return read_disturb_probability_at_current(
-      state, electrical_.current(state, v_read), duration, hz_stray, t);
-}
-
 double MtjDevice::read_disturb_probability_at_current(MtjState state,
                                                       double i_read,
                                                       double duration,
@@ -247,16 +206,6 @@ double MtjDevice::read_disturb_probability_at_current(MtjState state,
   const double eff = delta(state, hz_stray, t) * factor * factor;
   const double rate = std::exp(-eff) / params_.attempt_time;
   return -std::expm1(-duration * rate);
-}
-
-double MtjDevice::sample_switching_time(SwitchDirection dir, double vp,
-                                        double hz_stray, util::Rng& rng,
-                                        double t) const {
-  const double tw = switching_time(dir, vp, hz_stray, t);
-  if (!std::isfinite(tw)) return tw;
-  if (params_.tw_sigma_ln == 0.0) return tw;
-  const double u = std::clamp(rng.uniform(), 1e-12, 1.0 - 1e-12);
-  return tw * std::exp(params_.tw_sigma_ln * phi_inv(u));
 }
 
 }  // namespace mram::dev

@@ -4,7 +4,6 @@
 #include "device/stack_geometry.h"
 #include "device/switching.h"
 #include "device/thermal.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 // The MTJ device model: ties the stack geometry, electrical model and
@@ -119,26 +118,15 @@ class MtjDevice {
                                    double pulse, double hz_stray,
                                    double t = 300.0) const;
 
-  /// Draws a stochastic switching time [s] consistent with
-  /// write_success_probability's precessional model.
-  double sample_switching_time(SwitchDirection dir, double vp,
-                               double hz_stray, util::Rng& rng,
-                               double t = 300.0) const;
-
-  /// Probability that a read at `v_read` volts (positive bias drives the
-  /// AP->P direction, as the write path does) disturbs `state` within
+  /// Probability that a read with current `i_read` [A] (always of read
+  /// polarity: toward P, the AP->P write direction) disturbs `state` within
   /// `duration` seconds: thermally assisted reversal with the macrospin
   /// STT-activation barrier Delta * (1 -/+ I/Ic)^2 -- lowered for AP,
-  /// raised for P. Validated against the stochastic-LLG read-disturb
-  /// ensemble (rdo::measure_read_disturb) in tests/test_readout.cpp.
-  double read_disturb_probability(MtjState state, double v_read,
-                                  double duration, double hz_stray,
-                                  double t = 300.0) const;
-
-  /// Same model for an explicitly specified read current `i_read` [A]
-  /// (always of read polarity: toward P). The read path uses this: its
-  /// current comes from the bitline operating point (IR drop, divider,
-  /// per-read TMR variation), not from an ideal bias across the device.
+  /// raised for P. The read path's current comes from the bitline operating
+  /// point (IR drop, divider, per-read TMR variation), not from an ideal
+  /// bias across the device. Validated against the stochastic-LLG
+  /// read-disturb ensemble (rdo::measure_read_disturb) in
+  /// tests/test_readout.cpp.
   double read_disturb_probability_at_current(MtjState state, double i_read,
                                              double duration, double hz_stray,
                                              double t = 300.0) const;

@@ -44,9 +44,10 @@ struct StackGeometry {
   double t_spacer = 0.4e-9;      ///< SAF Ru spacer thickness [m]
   double t_hard = 2.4e-9;        ///< HL ([Co/Pt]x) thickness [m]
 
-  // Areal moments from the shipped calibration (characterization::
-  // fit_fixed_layer_ms_t / fit_free_layer_ms_t against the Fig. 2b/3d/4a
-  // anchors; tests/characterization asserts the fits reproduce these).
+  // Areal moments from the shipped calibration (characterization/
+  // calibration.h: fit_fixed_layer_ms_t against the Fig. 2b/3d anchors,
+  // and the FL moment that gives Fig. 4a's 15 Oe direct-neighbor step;
+  // tests/characterization asserts both reproduce these).
   double ms_t_free = 2.0619e-3;      ///< |Ms*t| of FL [A]
   double ms_t_reference = 0.4773e-3; ///< |Ms*t| of RL [A]
   double ms_t_hard = 1.7648e-3;      ///< |Ms*t| of HL [A]

@@ -9,9 +9,9 @@
 
 // Batched structure-of-arrays stochastic-LLG kernel.
 //
-// MacrospinSim::run_until_switch integrates one trial at a time: every Heun
-// stage is a serial dependency chain of ~100 flops, so a superscalar core
-// spends most of each step waiting on latencies. BatchMacrospinSim advances
+// A scalar integrator runs one trial at a time: every Heun stage is a
+// serial dependency chain of ~100 flops, so a superscalar core spends most
+// of each step waiting on latencies. BatchMacrospinSim advances
 // W *independent* trials in lockstep over SoA double arrays, one per slot.
 // The per-lane step is the canonical stochastic_heun_step shared with the
 // scalar path (llg_heun_step.h), inlined into a lane loop that the compiler
@@ -32,7 +32,8 @@
 // from its own stream, so each stream is consumed in the order of a solo
 // Rng::normal_fill, the sampler and order the scalar path uses -- and the
 // per-lane arithmetic is the same inline code, so every trial's
-// SwitchResult is bit-identical to MacrospinSim::run_until_switch on the
+// SwitchResult is bit-identical to the scalar reference
+// MacrospinSim::run_until_switch (tests/support/macrospin_sim.h) on the
 // same stream, at any n and any slot count -- tests/test_dynamics asserts
 // this, refills, remainders and n = 1 included.
 

@@ -5,12 +5,13 @@
 
 #include "dynamics/llg.h"
 
-// The one canonical stochastic Heun step, shared by the scalar reference
-// path (MacrospinSim::run_until_switch) and the batched SoA kernel
-// (BatchMacrospinSim). Both paths inline this exact straight-line code, so
-// their per-trial results are bit-identical *by construction*: the batch
-// kernel runs it once per lane over SoA arrays (where the independent lanes
-// auto-vectorize), the scalar loop runs it on three locals.
+// The one canonical stochastic Heun step, shared by the batched SoA kernel
+// (BatchMacrospinSim) and the tests' scalar reference
+// (MacrospinSim::run_until_switch, tests/support/macrospin_sim.h). Both
+// inline this exact straight-line code, so their per-trial results are
+// bit-identical *by construction*: the batch kernel runs it once per lane
+// over SoA arrays (where the independent lanes auto-vectorize), the scalar
+// loop runs it on three locals.
 //
 // Normalizations multiply by 1/sqrt(|q|^2) instead of dividing each
 // component: one division per projection instead of three, which matters

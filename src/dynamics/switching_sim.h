@@ -5,10 +5,10 @@
 #include "engine/monte_carlo.h"
 #include "util/stats.h"
 
-// Bridges the device model and the LLG solver: builds a MacrospinSim from
-// MtjParams so the same calibrated device can be simulated dynamically, and
-// provides Monte Carlo switching-time estimation used by
-// the abl_llg_vs_sun scenario.
+// Bridges the device model and the LLG solver: maps MtjParams to LlgParams
+// so the same calibrated device can be simulated dynamically, and provides
+// the batched Monte Carlo switching-time estimation used by the
+// abl_llg_vs_sun scenario.
 
 namespace mram::dyn {
 
@@ -31,9 +31,9 @@ LlgParams llg_from_device_current(const dev::MtjDevice& device,
 
 /// Thermal-equilibrium initial tilt about the easy axis: theta^2 ~
 /// Exp(1/Delta), uniform azimuth, FL along sign(mz0). Consumes exactly two
-/// uniforms from `rng` -- the shared trial prologue of every scalar and
-/// batched stochastic-LLG ensemble (switching stats and read disturb), so
-/// their stream consumption stays identical.
+/// uniforms from `rng` -- the shared trial prologue of every stochastic-LLG
+/// ensemble (switching stats and read disturb), so their stream consumption
+/// stays identical.
 num::Vec3 thermal_initial_tilt(util::Rng& rng, double delta, double mz0);
 
 /// Switched count and crossing times [s] of a thermal-LLG ensemble; also
@@ -53,7 +53,8 @@ struct ThermalLlgTally {
 /// thermal_initial_tilt(Rng::stream(seed, i), delta, mz0), then integrates
 /// `llg` for up to `duration` in steps of `dt` until mz crosses 0. Each
 /// runner span runs through one refilling BatchMacrospinSim call, so every
-/// trial equals one MacrospinSim::run_until_switch trial bit for bit, and
+/// trial equals one scalar MacrospinSim::run_until_switch trial
+/// (tests/support/macrospin_sim.h) bit for bit, and
 /// results fold in trial order: the tally is bit-identical for the same
 /// (seed, trials) at any thread count.
 ThermalLlgTally run_thermal_llg(eng::MonteCarloRunner& runner,

@@ -118,8 +118,4 @@ double loop_field_on_axis(const CurrentLoop& loop, double z_from_center) {
   return loop.current * a2 / (2.0 * denom);
 }
 
-double loop_moment(const CurrentLoop& loop) {
-  return loop.current * util::kPi * loop.radius * loop.radius;
-}
-
 }  // namespace mram::mag

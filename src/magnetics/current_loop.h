@@ -58,7 +58,4 @@ num::Vec3 loop_field_exact(const CurrentLoop& loop, const num::Vec3& p);
 /// for fast center-of-FL evaluations.
 double loop_field_on_axis(const CurrentLoop& loop, double z_from_center);
 
-/// Magnetic moment of the loop [A*m^2], along +z for positive current.
-double loop_moment(const CurrentLoop& loop);
-
 }  // namespace mram::mag

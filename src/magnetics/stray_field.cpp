@@ -13,34 +13,19 @@ std::size_t StrayFieldSolver::add_source(std::string name,
   return sources_.size() - 1;
 }
 
-const NamedSource& StrayFieldSolver::source(std::size_t i) const {
-  MRAM_EXPECTS(i < sources_.size(), "source index out of range");
-  return sources_[i];
-}
-
-void StrayFieldSolver::set_segments(int n) {
-  MRAM_EXPECTS(n >= 3, "segment count must be >= 3");
-  segments_ = n;
-}
-
 Vec3 StrayFieldSolver::field_at(const Vec3& p) const {
   Vec3 h{};
   for (const auto& s : sources_) {
-    h += disk_field(s.disk, p, method_, segments_);
+    h += disk_field(s.disk, p, method_);
   }
   return h;
-}
-
-Vec3 StrayFieldSolver::source_field_at(std::size_t i, const Vec3& p) const {
-  MRAM_EXPECTS(i < sources_.size(), "source index out of range");
-  return disk_field(sources_[i].disk, p, method_, segments_);
 }
 
 Vec3 StrayFieldSolver::named_field_at(const std::string& name,
                                       const Vec3& p) const {
   Vec3 h{};
   for (const auto& s : sources_) {
-    if (s.name == name) h += disk_field(s.disk, p, method_, segments_);
+    if (s.name == name) h += disk_field(s.disk, p, method_);
   }
   return h;
 }

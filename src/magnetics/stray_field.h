@@ -28,7 +28,6 @@ class StrayFieldSolver {
   std::size_t add_source(std::string name, const DiskSource& disk);
 
   std::size_t source_count() const { return sources_.size(); }
-  const NamedSource& source(std::size_t i) const;
 
   /// Removes all sources.
   void clear() { sources_.clear(); }
@@ -36,15 +35,8 @@ class StrayFieldSolver {
   void set_method(FieldMethod m) { method_ = m; }
   FieldMethod method() const { return method_; }
 
-  /// Segment count for the Biot--Savart method.
-  void set_segments(int n);
-  int segments() const { return segments_; }
-
   /// Total H-field [A/m] at `p` (superposition of all sources).
   num::Vec3 field_at(const num::Vec3& p) const;
-
-  /// Field of a single source by index.
-  num::Vec3 source_field_at(std::size_t i, const num::Vec3& p) const;
 
   /// Sum of fields of all sources whose name matches `name`.
   num::Vec3 named_field_at(const std::string& name, const num::Vec3& p) const;
@@ -52,7 +44,6 @@ class StrayFieldSolver {
  private:
   std::vector<NamedSource> sources_;
   FieldMethod method_ = FieldMethod::kExact;
-  int segments_ = 256;
 };
 
 }  // namespace mram::mag

@@ -26,34 +26,6 @@ bool is_read(MarchOp op) {
 
 }  // namespace
 
-std::string to_string(MarchOp op) {
-  switch (op) {
-    case MarchOp::kR0:
-      return "r0";
-    case MarchOp::kR1:
-      return "r1";
-    case MarchOp::kW0:
-      return "w0";
-    case MarchOp::kW1:
-      return "w1";
-  }
-  return "?";
-}
-
-const char* to_string(FaultClass cls) {
-  switch (cls) {
-    case FaultClass::kWriteFault:
-      return "write";
-    case FaultClass::kRetentionFault:
-      return "retention";
-    case FaultClass::kReadFault:
-      return "read";
-    case FaultClass::kReadDisturbFault:
-      return "read-disturb";
-  }
-  return "?";
-}
-
 std::size_t MarchResult::count(FaultClass cls) const {
   return static_cast<std::size_t>(
       std::count_if(faults.begin(), faults.end(),
@@ -85,10 +57,6 @@ bool contains(const std::vector<std::pair<std::size_t, std::size_t>>& cells,
 
 bool FaultInjection::is_stuck(std::size_t row, std::size_t col) const {
   return contains(stuck_cells, row, col);
-}
-
-bool FaultInjection::is_volatile(std::size_t row, std::size_t col) const {
-  return contains(volatile_cells, row, col);
 }
 
 MarchResult run_march(MramArray& array,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -73,7 +72,6 @@ struct FaultInjection {
   std::vector<std::pair<std::size_t, std::size_t>> volatile_cells;
 
   bool is_stuck(std::size_t row, std::size_t col) const;
-  bool is_volatile(std::size_t row, std::size_t col) const;
 };
 
 /// One observed read through a stochastic read path (see MarchReadHook).
@@ -109,8 +107,5 @@ MarchResult run_march(MramArray& array,
                       double hold_between_elements = 0.0,
                       const FaultInjection* injection = nullptr,
                       const MarchReadHook& read_hook = {});
-
-std::string to_string(MarchOp op);
-const char* to_string(FaultClass cls);
 
 }  // namespace mram::mem

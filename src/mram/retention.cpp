@@ -223,20 +223,4 @@ RetentionEnsembleResult measure_retention_faults(
   return result;
 }
 
-WorstPattern worst_retention_pattern(const ArrayConfig& config,
-                                     util::Rng& rng, double horizon) {
-  WorstPattern worst;
-  worst.min_delta = std::numeric_limits<double>::infinity();
-  MramArray array(config);
-  for (auto kind : arr::deterministic_patterns()) {
-    array.load(arr::make_pattern(kind, config.rows, config.cols, rng));
-    const auto report = analyze_retention(array, horizon);
-    if (report.min_delta < worst.min_delta) {
-      worst.min_delta = report.min_delta;
-      worst.pattern = kind;
-    }
-  }
-  return worst;
-}
-
 }  // namespace mram::mem

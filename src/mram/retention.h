@@ -25,16 +25,6 @@ struct RetentionReport {
 /// worst-case retention metrics over `horizon` seconds.
 RetentionReport analyze_retention(const MramArray& array, double horizon);
 
-/// Worst-case Delta across the deterministic background patterns; the
-/// returned pattern kind attains it. (The paper's worst case: victim P with
-/// NP8 = 0, i.e. the all-zero background.)
-struct WorstPattern {
-  arr::PatternKind pattern = arr::PatternKind::kAllZero;
-  double min_delta = 0.0;
-};
-WorstPattern worst_retention_pattern(const ArrayConfig& config,
-                                     util::Rng& rng, double horizon = 1.0);
-
 /// Monte Carlo retention-fault ensemble: repeated independent holds of the
 /// same pattern, each trial drawing its own thermal history. Runs on the
 /// caller's runner (parallel, bit-identical across thread counts for a

@@ -11,101 +11,22 @@
 namespace mram::num {
 
 namespace {
-// Duplication stops once every relative deviation from the mean is below
-// kTol, or after kMaxIter steps.
-constexpr double kTol = 1e-12;
-constexpr int kMaxIter = 200;
-}  // namespace
-
-double carlson_rf(double x, double y, double z) {
-  MRAM_EXPECTS(x >= 0.0 && y >= 0.0 && z >= 0.0,
-               "carlson_rf requires non-negative arguments");
-  MRAM_EXPECTS((x > 0.0) + (y > 0.0) + (z > 0.0) >= 2,
-               "carlson_rf allows at most one zero argument");
-  double xt = x, yt = y, zt = z;
-  double avg = 0.0, dx = 0.0, dy = 0.0, dz = 0.0;
-  for (int iter = 0; iter < kMaxIter; ++iter) {
-    const double sx = std::sqrt(xt);
-    const double sy = std::sqrt(yt);
-    const double sz = std::sqrt(zt);
-    const double lambda = sx * (sy + sz) + sy * sz;
-    xt = 0.25 * (xt + lambda);
-    yt = 0.25 * (yt + lambda);
-    zt = 0.25 * (zt + lambda);
-    avg = (xt + yt + zt) / 3.0;
-    dx = (avg - xt) / avg;
-    dy = (avg - yt) / avg;
-    dz = (avg - zt) / avg;
-    if (std::max({std::abs(dx), std::abs(dy), std::abs(dz)}) < kTol) break;
-  }
-  const double e2 = dx * dy - dz * dz;
-  const double e3 = dx * dy * dz;
-  return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) /
-         std::sqrt(avg);
-}
-
-double carlson_rd(double x, double y, double z) {
-  MRAM_EXPECTS(x >= 0.0 && y >= 0.0 && z > 0.0,
-               "carlson_rd requires x,y >= 0 and z > 0");
-  MRAM_EXPECTS(x + y > 0.0, "carlson_rd requires x + y > 0");
-  double xt = x, yt = y, zt = z;
-  double sum = 0.0;
-  double factor = 1.0;
-  double avg = 0.0, dx = 0.0, dy = 0.0, dz = 0.0;
-  for (int iter = 0; iter < kMaxIter; ++iter) {
-    const double sx = std::sqrt(xt);
-    const double sy = std::sqrt(yt);
-    const double sz = std::sqrt(zt);
-    const double lambda = sx * (sy + sz) + sy * sz;
-    sum += factor / (sz * (zt + lambda));
-    factor *= 0.25;
-    xt = 0.25 * (xt + lambda);
-    yt = 0.25 * (yt + lambda);
-    zt = 0.25 * (zt + lambda);
-    avg = (xt + yt + 3.0 * zt) / 5.0;
-    dx = (avg - xt) / avg;
-    dy = (avg - yt) / avg;
-    dz = (avg - zt) / avg;
-    if (std::max({std::abs(dx), std::abs(dy), std::abs(dz)}) < kTol) break;
-  }
-  const double ea = dx * dy;
-  const double eb = dz * dz;
-  const double ec = ea - eb;
-  const double ed = ea - 6.0 * eb;
-  const double ee = ed + ec + ec;
-  return 3.0 * sum +
-         factor *
-             (1.0 + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 4.5 / 26.0 * dz * ee) +
-              dz * (1.0 / 6.0 * ee + dz * (-9.0 / 22.0 * ec + 3.0 / 26.0 * dz * ea))) /
-             (avg * std::sqrt(avg));
-}
-
-double ellint_k(double m) {
-  MRAM_EXPECTS(m >= 0.0 && m < 1.0, "ellint_k requires m in [0,1)");
-  return carlson_rf(0.0, 1.0 - m, 1.0);
-}
-
-double ellint_e(double m) {
-  MRAM_EXPECTS(m >= 0.0 && m <= 1.0, "ellint_e requires m in [0,1]");
-  if (m == 1.0) return 1.0;
-  return carlson_rf(0.0, 1.0 - m, 1.0) -
-         m / 3.0 * carlson_rd(0.0, 1.0 - m, 1.0);
-}
-
-namespace {
 
 // --- batched K and E -----------------------------------------------------------
 //
-// carlson_rf(0, 1 - m, 1) and carlson_rd(0, 1 - m, 1) run the same
-// duplication sequence: the same square roots, lambda and (xt, yt, zt)
-// updates per iteration. They differ only in their averages, in R_D's
-// running sum, and in their stopping tests. One loop therefore steps both,
-// and each value's R_F state (avg, dx, dy, dz) and R_D state (sum, factor,
-// avg, dx, dy, dz) are taken exactly where the scalar loop would break, and
-// then held. Each value sees the operations of the scalar functions in
-// their order; a value whose R_F and R_D have both stopped keeps
-// duplicating until its block does, but nothing reads that. Lanes are
-// elementwise with fp contraction off, so the lane width cannot move a bit.
+// The scalar Carlson forms carlson_rf(0, 1 - m, 1) and
+// carlson_rd(0, 1 - m, 1) run the same duplication sequence: the same
+// square roots, lambda and (xt, yt, zt) updates per iteration. They differ
+// only in their averages, in R_D's running sum, and in their stopping
+// tests. One loop therefore steps both, and each value's R_F state (avg,
+// dx, dy, dz) and R_D state (sum, factor, avg, dx, dy, dz) are taken
+// exactly where the scalar loop would break, and then held. Each value sees
+// the operations of the scalar functions in their order; a value whose R_F
+// and R_D have both stopped keeps duplicating until its block does, but
+// nothing reads that. Lanes are elementwise with fp contraction off, so the
+// lane width cannot move a bit.
+// The scalar forms, and ellint_k/ellint_e on them, are the tests' reference
+// (tests/support/elliptic_ref.h).
 
 /// W doubles, and W 64-bit lane masks (all ones or zero), as GCC vectors:
 /// their arithmetic is elementwise, a comparison gives a mask and
@@ -140,8 +61,9 @@ template <typename V>
   }
 }
 
-/// Clears the lanes of `live` whose three deviations are all below kTol in
-/// magnitude: carlson_rf's and carlson_rd's stopping test, lane by lane.
+/// Clears the lanes of `live` whose three deviations are all below
+/// kCarlsonTol in magnitude: carlson_rf's and carlson_rd's stopping test,
+/// lane by lane.
 template <typename M, typename V>
 [[gnu::always_inline]] inline void stop_converged(M& live, const V& dx,
                                                   const V& dy, const V& dz) {
@@ -154,7 +76,7 @@ template <typename M, typename V>
   const V az = dz < zero ? -dz : dz;
   const V axy = ax < ay ? ay : ax;
   const V dev = axy < az ? az : axy;
-  live = dev < zero + kTol ? M{} : live;
+  live = dev < zero + kCarlsonTol ? M{} : live;
 }
 
 /// K and E for the W values at m, all W stepped in lockstep until every
@@ -176,7 +98,7 @@ template <std::size_t W>
   V d_factor = V{} + 1.0;
   M f_live = M{} - 1;
   M d_live = M{} - 1;
-  for (int iter = 0; iter < kMaxIter; ++iter) {
+  for (int iter = 0; iter < kCarlsonMaxIter; ++iter) {
     V sx = xt, sy = yt, sz = zt;
     sqrt_lanes(sx);
     sqrt_lanes(sy);

@@ -17,26 +17,19 @@
 
 namespace mram::num {
 
-/// Carlson's degenerate elliptic integral R_F(x, y, z).
-/// Preconditions: x, y, z >= 0 and at most one of them is zero.
-double carlson_rf(double x, double y, double z);
-
-/// Carlson's elliptic integral R_D(x, y, z).
-/// Preconditions: x, y >= 0, at most one zero, z > 0.
-double carlson_rd(double x, double y, double z);
-
-/// Complete elliptic integral of the first kind, K(m), m = k^2 in [0, 1).
-double ellint_k(double m);
-
-/// Complete elliptic integral of the second kind, E(m), m = k^2 in [0, 1].
-double ellint_e(double m);
+/// Carlson's duplication stops once every relative deviation from the mean
+/// is below kCarlsonTol, or after kCarlsonMaxIter steps.
+inline constexpr double kCarlsonTol = 1e-12;
+inline constexpr int kCarlsonMaxIter = 200;
 
 /// Values per lockstep block of ellint_ke_n: full blocks of this many
 /// values run in SIMD lanes, the remainder one value at a time.
 inline constexpr std::size_t kKeLanes = 8;
 
 /// K(m[i]) into k[i] and E(m[i]) into e[i] for i < n, each bitwise equal to
-/// ellint_k(m[i]) and ellint_e(m[i]). R_F and R_D of (0, 1 - m, 1) share one
+/// the scalar Carlson forms K = R_F(0, 1 - m, 1) and
+/// E = R_F - m/3 R_D(0, 1 - m, 1) (the tests' ellint_k and ellint_e,
+/// tests/support/elliptic_ref.h). R_F and R_D of (0, 1 - m, 1) share one
 /// duplication sequence, so one loop steps both, and each value freezes its
 /// R_F and its R_D state at its own stopping iteration. The outputs may
 /// be m itself (in place). Preconditions: every m[i] in [0, 1) (NaN is

@@ -1,24 +1,10 @@
 #include "numerics/interp.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
 
 namespace mram::num {
-
-double lerp_lookup(std::span<const double> xs, std::span<const double> ys,
-                   double x) {
-  MRAM_EXPECTS(xs.size() == ys.size(), "lerp_lookup size mismatch");
-  MRAM_EXPECTS(!xs.empty(), "lerp_lookup on empty series");
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const auto hi = static_cast<std::size_t>(it - xs.begin());
-  const auto lo = hi - 1;
-  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-  return ys[lo] + t * (ys[hi] - ys[lo]);
-}
 
 std::vector<double> linspace(double lo, double hi, std::size_t count) {
   MRAM_EXPECTS(count >= 1, "linspace requires count >= 1");

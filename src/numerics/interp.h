@@ -10,11 +10,6 @@
 
 namespace mram::num {
 
-/// Piecewise-linear interpolation of y(x) at `x`, with xs strictly
-/// increasing. Values outside the range are clamped to the end values.
-double lerp_lookup(std::span<const double> xs, std::span<const double> ys,
-                   double x);
-
 /// Generates `count` evenly spaced values over [lo, hi] inclusive.
 /// Precondition: count >= 2 (or count == 1, returning {lo}).
 std::vector<double> linspace(double lo, double hi, std::size_t count);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cmath>
-#include <iosfwd>
 
 // 3-component vector used for positions, magnetizations and fields.
 // Deliberately a plain aggregate with value semantics (Core Guidelines C.1):
@@ -72,7 +71,5 @@ inline bool almost_equal(const Vec3& a, const Vec3& b, double tol) {
   return std::abs(a.x - b.x) <= tol && std::abs(a.y - b.y) <= tol &&
          std::abs(a.z - b.z) <= tol;
 }
-
-std::ostream& operator<<(std::ostream& os, const Vec3& v);
 
 }  // namespace mram::num

@@ -9,11 +9,11 @@
 
 // Metrics snapshot persistence: the schema-versioned JSON document
 // `mram_scenarios run --metrics FILE` writes and the CI observability smoke
-// checks. The program only emits it; parse()/load() are the reference
-// reader the tests (tests/test_obs.cpp) check the emitted files against.
+// checks. The program only emits it; the reference reader the tests check
+// the emitted files against is tests/support/metrics_parse.h.
 //
 // Schema "mram.metrics/2" (a strict, additive superset of /1 -- readers of
-// /1 ignore the new keys; parse() accepts /2 only):
+// /1 ignore the new keys; the tests' reader accepts /2 only):
 //   {
 //     "schema": "mram.metrics/2",
 //     "tool": "mram_scenarios",
@@ -57,13 +57,6 @@ struct MetricsDoc {
 
   /// Renders the schema-versioned JSON document.
   std::string to_json() const;
-
-  /// Parses and schema-checks a document; throws util::ConfigError on a
-  /// malformed payload or a schema-version mismatch.
-  static MetricsDoc parse(const std::string& json_text);
-
-  /// Reads + parses a metrics file; errors name the path.
-  static MetricsDoc load(const std::string& path);
 };
 
 /// The derived efficiency report: pure function of a snapshot, emitted as

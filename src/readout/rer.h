@@ -18,9 +18,9 @@
 //                           actual read-current torque on
 //                           dyn::run_thermal_llg (the batched
 //                           BatchMacrospinSim kernel, lane for lane equal
-//                           to the scalar MacrospinSim). Plain Monte Carlo
-//                           only: the deep read-error rates come from
-//                           measure_rer's rare-event drivers.
+//                           to the tests' scalar MacrospinSim). Plain
+//                           Monte Carlo only: the deep read-error rates
+//                           come from measure_rer's rare-event drivers.
 
 namespace mram::rdo {
 

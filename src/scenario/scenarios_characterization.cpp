@@ -11,7 +11,6 @@
 #include "characterization/calibration.h"
 #include "characterization/extraction.h"
 #include "characterization/rh_loop.h"
-#include "magnetics/field_map.h"
 #include "magnetics/stray_field.h"
 #include "scenario/builtin.h"
 #include "scenario/sweep.h"

@@ -19,32 +19,11 @@ GridAxis GridAxis::step(std::string name, double start, double step,
   return axis;
 }
 
-GridAxis GridAxis::linspace(std::string name, double lo, double hi,
-                            std::size_t count) {
-  GridAxis axis;
-  axis.name = std::move(name);
-  axis.values.reserve(count);
-  if (count == 1) {
-    axis.values.push_back(lo);
-    return axis;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const double t = static_cast<double>(i) / static_cast<double>(count - 1);
-    axis.values.push_back(lo + t * (hi - lo));
-  }
-  return axis;
-}
-
 Grid::Grid(GridAxis axis) { axes_.push_back(std::move(axis)); }
 
 Grid::Grid(GridAxis outer, GridAxis inner) {
   axes_.push_back(std::move(outer));
   axes_.push_back(std::move(inner));
-}
-
-const GridAxis& Grid::axis(std::size_t d) const {
-  MRAM_EXPECTS(d < axes_.size(), "grid axis index out of range");
-  return axes_[d];
 }
 
 std::size_t Grid::size() const {

@@ -12,8 +12,8 @@
 // Parameter-grid expansion and the sweep driver.
 //
 // Grids are integer-indexed: an axis is an explicit vector of values, and
-// the generators compute point i as start + i * step (or the linspace
-// equivalent) instead of accumulating a floating-point loop variable. A
+// the generator computes point i as start + i * step instead of
+// accumulating a floating-point loop variable. A
 // sweep like `for (vp = 0.70; vp <= 1.205; vp += 0.05)` -- whose point
 // count depends on rounding of the accumulated sum -- becomes
 // GridAxis::step("Vp", 0.70, 0.05, 11): exactly 11 points on every
@@ -42,11 +42,6 @@ struct GridAxis {
   /// Each computed by index multiplication, never by accumulation.
   static GridAxis step(std::string name, double start, double step,
                        std::size_t count);
-
-  /// `count` points evenly spaced over [lo, hi] inclusive (count == 1
-  /// yields {lo}; count == 0 yields an empty axis).
-  static GridAxis linspace(std::string name, double lo, double hi,
-                           std::size_t count);
 };
 
 /// A 1-D or 2-D cross-product grid. 2-D grids iterate row-major: the outer
@@ -58,7 +53,6 @@ class Grid {
   Grid(GridAxis outer, GridAxis inner);
 
   std::size_t dims() const { return axes_.size(); }
-  const GridAxis& axis(std::size_t d) const;
   std::size_t size() const;
 
   struct Point {

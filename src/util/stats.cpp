@@ -9,12 +9,7 @@
 namespace mram::util {
 
 void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  min_ = (n_ == 0) ? x : std::min(min_, x);
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
@@ -34,7 +29,6 @@ void RunningStats::merge(const RunningStats& other) {
   m2_ += other.m2_ + delta * delta * (na * nb / n);
   mean_ += delta * (nb / n);
   min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
   n_ += other.n_;
 }
 
@@ -53,11 +47,6 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double RunningStats::min() const {
   MRAM_EXPECTS(n_ > 0, "min of empty sample");
   return min_;
-}
-
-double RunningStats::max() const {
-  MRAM_EXPECTS(n_ > 0, "max of empty sample");
-  return max_;
 }
 
 void WeightedStats::add(double value, double weight) {
@@ -178,46 +167,10 @@ double quantile_sorted(std::span<const double> sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-Summary summarize(std::span<const double> xs) {
-  MRAM_EXPECTS(!xs.empty(), "summarize of empty sample");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-
-  Summary s;
-  s.count = xs.size();
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = sorted.front();
-  s.q25 = quantile_sorted(sorted, 0.25);
-  s.median = quantile_sorted(sorted, 0.5);
-  s.q75 = quantile_sorted(sorted, 0.75);
-  s.max = sorted.back();
-  return s;
-}
-
 double median(std::vector<double> xs) {
   MRAM_EXPECTS(!xs.empty(), "median of empty sample");
   std::sort(xs.begin(), xs.end());
   return quantile_sorted(xs, 0.5);
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  MRAM_EXPECTS(xs.size() == ys.size(), "pearson requires equal-length samples");
-  MRAM_EXPECTS(xs.size() >= 2, "pearson requires at least two points");
-  RunningStats sx, sy;
-  for (double x : xs) sx.add(x);
-  for (double y : ys) sy.add(y);
-  double cov = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    cov += (xs[i] - sx.mean()) * (ys[i] - sy.mean());
-  }
-  cov /= static_cast<double>(xs.size() - 1);
-  const double denom = sx.stddev() * sy.stddev();
-  MRAM_EXPECTS(denom > 0.0, "pearson undefined for constant sample");
-  return cov / denom;
 }
 
 Interval wilson_interval(std::size_t successes, std::size_t trials, double z) {

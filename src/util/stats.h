@@ -9,7 +9,7 @@
 
 namespace mram::util {
 
-/// Streaming accumulator for mean / variance (Welford) and extrema.
+/// Streaming accumulator for mean / variance (Welford) and the minimum.
 class RunningStats {
  public:
   void add(double x);
@@ -33,14 +33,12 @@ class RunningStats {
   double stddev() const;
 
   double min() const;
-  double max() const;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Streaming accumulator for weighted samples, built for importance-sampled
@@ -95,32 +93,12 @@ class WeightedStats {
   double sum_w2_ = 0.0;
 };
 
-/// Summary of a sample: mean, stddev, extrema, quartiles and median.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double q25 = 0.0;
-  double median = 0.0;
-  double q75 = 0.0;
-  double max = 0.0;
-};
-
-/// Computes a full summary of `xs`. Throws ContractViolation (via
-/// MRAM_EXPECTS) on an empty sample -- never undefined behavior.
-Summary summarize(std::span<const double> xs);
-
 /// Linearly interpolated quantile q in [0,1] of `sorted` (ascending).
 /// Precondition: !sorted.empty(), 0 <= q <= 1.
 double quantile_sorted(std::span<const double> sorted, double q);
 
 /// Median helper that sorts a copy.
 double median(std::vector<double> xs);
-
-/// Pearson correlation of two equal-length samples. Precondition: sizes match
-/// and are >= 2.
-double pearson(std::span<const double> xs, std::span<const double> ys);
 
 /// Wilson score interval for a binomial proportion (successes/trials) at the
 /// given z (default 1.96 ~ 95%). Returns {lo, hi}. Used for write-error-rate

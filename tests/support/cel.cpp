@@ -1,4 +1,4 @@
-#include "numerics/cel.h"
+#include "support/cel.h"
 
 #include <cmath>
 

@@ -7,8 +7,8 @@
 //       ((cos^2 t + p sin^2 t) sqrt(cos^2 t + kc^2 sin^2 t)) dt,
 //
 // the workhorse of Derby & Olbert's closed-form field of a uniformly
-// magnetized cylinder (Am. J. Phys. 78, 229 (2010)), which src/magnetics
-// uses as an exact alternative to the stacked-loop disk discretization.
+// magnetized cylinder (Am. J. Phys. 78, 229 (2010)): the tests' exact
+// reference for the stacked-loop disk discretization (support/cylinder.h).
 
 namespace mram::num {
 

@@ -1,8 +1,8 @@
-#include "magnetics/cylinder.h"
+#include "support/cylinder.h"
 
 #include <cmath>
 
-#include "numerics/cel.h"
+#include "support/cel.h"
 #include "util/constants.h"
 #include "util/error.h"
 

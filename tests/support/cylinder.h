@@ -5,9 +5,9 @@
 
 // Closed-form H-field of a uniformly axially magnetized cylinder
 // (Derby & Olbert, Am. J. Phys. 78, 229 (2010)), expressed with Bulirsch's
-// cel function. This is the *exact* field of the DiskSource geometry: the
-// stacked-sub-loop discretization of disk_field converges to it as
-// sub_loops grows (tests/test_magnetics, scenario abl_segments). For a
+// cel function. This is the *exact* field of the DiskSource geometry, the
+// tests' reference: the stacked-sub-loop discretization of disk_field
+// converges to it as sub_loops grows (test_magnetics). For a
 // layer of thickness t and magnetization Ms, the surface current density is
 // Ms and the total bound current Ms*t, matching the disk's ms_t parameter.
 

@@ -2,10 +2,10 @@
 
 #include "numerics/vec3.h"
 
-// Fixed-step ODE stepper for the Vec3 state used by the macrospin dynamics
-// (dyn::MacrospinSim::run). The stepper is templated on the right-hand-side
-// callable, so a functor RHS inlines completely: the hot loops pay zero
-// type-erasure overhead and make zero allocations per step.
+// Fixed-step ODE stepper for the Vec3 state of the scalar reference
+// macrospin (support/macrospin_sim.h, MacrospinSim::run). The stepper is
+// templated on the right-hand-side callable, so a functor RHS inlines
+// completely and no step allocates.
 
 namespace mram::num {
 

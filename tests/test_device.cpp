@@ -131,7 +131,8 @@ TEST(Electrical, ResistanceByState) {
   const ElectricalModel em(ElectricalParams{}, g.area());
   EXPECT_DOUBLE_EQ(em.resistance(MtjState::kParallel, 0.5), em.rp());
   EXPECT_GT(em.resistance(MtjState::kAntiParallel, 0.1), em.rp());
-  EXPECT_NEAR(em.rap0(), 2.0 * em.rp(), 1e-9);  // TMR0 = 100 %
+  EXPECT_NEAR(em.resistance(MtjState::kAntiParallel, 0.0), 2.0 * em.rp(),
+              1e-9);  // TMR0 = 100 %
   // AP resistance falls with bias; P resistance does not.
   EXPECT_GT(em.resistance(MtjState::kAntiParallel, 0.1),
             em.resistance(MtjState::kAntiParallel, 1.0));
@@ -458,21 +459,6 @@ TEST(MtjDevice, HalfProbabilityNearAverageSwitchingTime) {
               0.5, 1e-9);
 }
 
-TEST(MtjDevice, SampledSwitchingTimesCenterOnTw) {
-  const MtjDevice dev(reference35());
-  util::Rng rng(99);
-  const double hz = dev.intra_stray_field();
-  const double tw = dev.switching_time(SwitchDirection::kApToP, 0.9, hz);
-  double log_sum = 0.0;
-  const int n = 4000;
-  for (int i = 0; i < n; ++i) {
-    log_sum += std::log(
-        dev.sample_switching_time(SwitchDirection::kApToP, 0.9, hz, rng));
-  }
-  // Median of the log-normal equals tw.
-  EXPECT_NEAR(std::exp(log_sum / n), tw, tw * 0.02);
-}
-
 TEST(MtjDevice, SubCriticalWriteSuccessIsTiny) {
   const MtjDevice dev(reference35());
   const double p = dev.write_success_probability(SwitchDirection::kApToP,
@@ -510,14 +496,21 @@ INSTANTIATE_TEST_SUITE_P(FieldSweep, StrayFieldProperty,
 
 // --- read disturb -------------------------------------------------------------
 
+/// Read-disturb probability at the current an ideal read bias `v_read`
+/// drives through `state`.
+double disturb_at_bias(const MtjDevice& dev, MtjState state, double v_read,
+                       double duration, double hz) {
+  return dev.read_disturb_probability_at_current(
+      state, dev.electrical().current(state, v_read), duration, hz);
+}
+
 TEST(MtjDevice, ReadDisturbTargetsApState) {
   // Positive read bias drives AP->P: the AP state is the vulnerable one.
   const MtjDevice dev(reference35());
   const double hz = dev.intra_stray_field();
-  const double p_ap = dev.read_disturb_probability(MtjState::kAntiParallel,
-                                                   0.3, 1e-6, hz);
-  const double p_p =
-      dev.read_disturb_probability(MtjState::kParallel, 0.3, 1e-6, hz);
+  const double p_ap =
+      disturb_at_bias(dev, MtjState::kAntiParallel, 0.3, 1e-6, hz);
+  const double p_p = disturb_at_bias(dev, MtjState::kParallel, 0.3, 1e-6, hz);
   EXPECT_GT(p_ap, p_p);
 }
 
@@ -525,9 +518,8 @@ TEST(MtjDevice, ReadDisturbNegligibleAtPaperReadVoltage) {
   // The paper reads at 20 mV; the disturb rate there must be negligible
   // even over a 1 ms loop dwell.
   const MtjDevice dev(reference35());
-  const double p = dev.read_disturb_probability(MtjState::kAntiParallel,
-                                                0.02, 1e-3,
-                                                dev.intra_stray_field());
+  const double p = disturb_at_bias(dev, MtjState::kAntiParallel, 0.02, 1e-3,
+                                   dev.intra_stray_field());
   EXPECT_LT(p, 1e-9);
 }
 
@@ -535,18 +527,15 @@ TEST(MtjDevice, ReadDisturbGrowsWithVoltageAndDuration) {
   const MtjDevice dev(reference35());
   double prev = 0.0;
   for (double v : {0.1, 0.2, 0.3, 0.4}) {
-    const double p = dev.read_disturb_probability(MtjState::kAntiParallel, v,
-                                                  1e-6, 0.0);
+    const double p = disturb_at_bias(dev, MtjState::kAntiParallel, v, 1e-6,
+                                     0.0);
     EXPECT_GE(p, prev);
     prev = p;
   }
-  EXPECT_GT(dev.read_disturb_probability(MtjState::kAntiParallel, 0.3, 1e-3,
-                                         0.0),
-            dev.read_disturb_probability(MtjState::kAntiParallel, 0.3, 1e-6,
-                                         0.0));
-  EXPECT_DOUBLE_EQ(dev.read_disturb_probability(MtjState::kAntiParallel, 0.3,
-                                                0.0, 0.0),
-                   0.0);
+  EXPECT_GT(disturb_at_bias(dev, MtjState::kAntiParallel, 0.3, 1e-3, 0.0),
+            disturb_at_bias(dev, MtjState::kAntiParallel, 0.3, 1e-6, 0.0));
+  EXPECT_DOUBLE_EQ(
+      disturb_at_bias(dev, MtjState::kAntiParallel, 0.3, 0.0, 0.0), 0.0);
 }
 
 

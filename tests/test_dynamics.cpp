@@ -20,6 +20,8 @@
 #include "util/stats.h"
 #include "util/units.h"
 
+#include "support/macrospin_sim.h"
+
 namespace mram::dyn {
 namespace {
 

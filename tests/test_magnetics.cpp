@@ -8,14 +8,14 @@
 #include <vector>
 
 #include "magnetics/current_loop.h"
-#include "magnetics/cylinder.h"
 #include "magnetics/dipole.h"
 #include "magnetics/disk_source.h"
-#include "magnetics/field_map.h"
 #include "magnetics/stray_field.h"
 #include "util/constants.h"
 #include "util/error.h"
 #include "util/units.h"
+
+#include "support/cylinder.h"
 
 namespace mram::mag {
 namespace {
@@ -118,10 +118,8 @@ TEST(CurrentLoop, RotationalSymmetry) {
   EXPECT_NEAR(ra, rb, std::max(ra, 1e-12) * 1e-9);
 }
 
-TEST(CurrentLoop, MomentAndPreconditions) {
+TEST(CurrentLoop, Preconditions) {
   const auto loop = reference_loop();
-  EXPECT_NEAR(loop_moment(loop),
-              loop.current * util::kPi * loop.radius * loop.radius, 1e-30);
   EXPECT_THROW(loop_field_biot_savart(loop, {0, 0, 0}, 2), ContractViolation);
   EXPECT_THROW(
       loop_field_exact(CurrentLoop{{0, 0, 0}, -1.0, 1.0}, {0, 0, 1e-9}),
@@ -138,7 +136,9 @@ class DipoleLimit : public ::testing::TestWithParam<double> {};
 TEST_P(DipoleLimit, LoopApproachesDipoleFarAway) {
   const auto loop = reference_loop();
   const double distance = GetParam() * loop.radius;
-  const Vec3 m{0.0, 0.0, loop_moment(loop)};
+  // The loop's moment I * pi R^2, along +z for positive current.
+  const Vec3 m{0.0, 0.0,
+               loop.current * util::kPi * loop.radius * loop.radius};
   // Probe several directions at this distance.
   for (const Vec3 dir : {Vec3{1, 0, 0}, Vec3{0, 0, 1}, Vec3{0.6, 0.0, 0.8},
                          Vec3{0.36, 0.48, 0.8}}) {
@@ -282,7 +282,7 @@ TEST(StrayFieldSolver, SuperposesTwoSources) {
   const Vec3 fa = disk_field(a, p);
   const Vec3 fb = disk_field(b, p);
   EXPECT_TRUE(num::almost_equal(total, fa + fb, 1e-9));
-  EXPECT_TRUE(num::almost_equal(solver.source_field_at(0, p), fa, 1e-12));
+  EXPECT_TRUE(num::almost_equal(solver.named_field_at("A", p), fa, 1e-12));
   EXPECT_TRUE(num::almost_equal(solver.named_field_at("B", p), fb, 1e-12));
   EXPECT_EQ(num::norm(solver.named_field_at("missing", p)), 0.0);
 }
@@ -297,61 +297,13 @@ TEST(StrayFieldSolver, MethodSelection) {
 
   solver.set_method(FieldMethod::kExact);
   const Vec3 exact = solver.field_at(p);
+  EXPECT_EQ(exact, disk_field(d, p, FieldMethod::kExact));
   solver.set_method(FieldMethod::kBiotSavart);
-  solver.set_segments(2048);
-  const Vec3 bs = solver.field_at(p);
+  EXPECT_EQ(solver.field_at(p), disk_field(d, p, FieldMethod::kBiotSavart));
+  // The polygon converges to the exact loop field.
+  const Vec3 bs = disk_field(d, p, FieldMethod::kBiotSavart, 2048);
   EXPECT_TRUE(num::almost_equal(exact, bs, num::norm(exact) * 1e-4));
-  EXPECT_THROW(solver.set_segments(2), ContractViolation);
-  EXPECT_THROW(solver.source(5), ContractViolation);
 }
-
-// --- field maps -------------------------------------------------------------
-
-TEST(FieldMap, LineSampleIsSymmetric) {
-  StrayFieldSolver solver;
-  DiskSource d;
-  d.radius = 17.5 * kNm;
-  d.ms_t = 2e-3;
-  solver.add_source("d", d);
-  const auto samples = sample_line_x(solver, 2.8 * kNm, 15 * kNm, 31);
-  ASSERT_EQ(samples.size(), 31u);
-  // Hz is symmetric about x = 0 for a centered source.
-  for (std::size_t i = 0; i < samples.size() / 2; ++i) {
-    EXPECT_NEAR(samples[i].field.z,
-                samples[samples.size() - 1 - i].field.z,
-                std::abs(samples[i].field.z) * 1e-9);
-  }
-}
-
-TEST(FieldMap, GridHasExpectedShape) {
-  StrayFieldSolver solver;
-  DiskSource d;
-  d.radius = 10 * kNm;
-  d.ms_t = 1e-3;
-  solver.add_source("d", d);
-  const auto grid = sample_grid(solver, {-40 * kNm, -40 * kNm, 2 * kNm},
-                                {40 * kNm, 40 * kNm, 10 * kNm}, 5);
-  EXPECT_EQ(grid.size(), 125u);
-  EXPECT_DOUBLE_EQ(grid.front().position.x, -40 * kNm);
-  EXPECT_DOUBLE_EQ(grid.back().position.z, 10 * kNm);
-}
-
-TEST(FieldMap, DiskAverageBelowCenterValueAboveLoopPlane) {
-  // Directly above a loop, Hz peaks on the axis; the FL-area average is
-  // smaller in magnitude (paper Fig. 3d: smaller at the edge).
-  StrayFieldSolver solver;
-  DiskSource d;
-  d.radius = 17.5 * kNm;
-  d.ms_t = 2e-3;
-  d.center = {0, 0, -5.2 * kNm};
-  solver.add_source("d", d);
-  const double center = solver.field_at({0, 0, 0}).z;
-  const double average = average_hz_over_disk(solver, 17.5 * kNm, 0.0);
-  EXPECT_GT(center, 0.0);
-  EXPECT_LT(average, center);
-  EXPECT_GT(average, 0.0);
-}
-
 
 // --- exact cylinder (Derby-Olbert) -------------------------------------------
 

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "array/intercell.h"
@@ -65,7 +67,11 @@ TEST(MramArray, LoadRequiresMatchingShape) {
   EXPECT_THROW(array.load(DataGrid(3, 3, 0)), util::ContractViolation);
   util::Rng rng(1);
   array.load(arr::make_pattern(PatternKind::kCheckerboard, 5, 5, rng));
-  EXPECT_EQ(array.data().popcount(), 12u);  // 5x5 checkerboard starting at 0
+  std::size_t ones = 0;  // 12 in a 5x5 checkerboard starting at 0
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) ones += array.data().at(r, c);
+  }
+  EXPECT_EQ(ones, 12u);
 }
 
 // --- field consistency --------------------------------------------------------
@@ -184,16 +190,26 @@ TEST(MramArray, StableArrayDoesNotFlip) {
 }
 
 TEST(Retention, WorstCaseIsAllParallelBackground) {
-  // Fig. 6a: the smallest Delta occurs for a P victim with NP8 = 0.
+  // Fig. 6a: the smallest Delta occurs for a P victim with NP8 = 0, i.e.
+  // the all-zero background, among every deterministic pattern.
   auto cfg = small_config(1.5);
   util::Rng rng(10);
-  const auto worst = worst_retention_pattern(cfg, rng);
-  EXPECT_EQ(worst.pattern, PatternKind::kAllZero);
-  // And the worst Delta is below the intra-only value.
   MramArray array(cfg);
+  double worst = std::numeric_limits<double>::infinity();
+  PatternKind worst_kind = PatternKind::kCheckerboard;
+  for (auto kind : arr::deterministic_patterns()) {
+    array.load(arr::make_pattern(kind, cfg.rows, cfg.cols, rng));
+    const double min_delta = analyze_retention(array, 1.0).min_delta;
+    if (min_delta < worst) {
+      worst = min_delta;
+      worst_kind = kind;
+    }
+  }
+  EXPECT_EQ(worst_kind, PatternKind::kAllZero);
+  // And the worst Delta is below the intra-only value.
   const double intra_only = array.device().delta(
       dev::MtjState::kParallel, array.device().intra_stray_field());
-  EXPECT_LT(worst.min_delta, intra_only);
+  EXPECT_LT(worst, intra_only);
 }
 
 TEST(Retention, ReportIsConsistent) {
@@ -307,12 +323,6 @@ TEST(March, MarginalPulseProducesCouplingFaults) {
     EXPECT_NE(f.expected, f.observed);
   }
 }
-
-TEST(March, OpNames) {
-  EXPECT_EQ(to_string(MarchOp::kR0), "r0");
-  EXPECT_EQ(to_string(MarchOp::kW1), "w1");
-}
-
 
 // --- retention probability table -------------------------------------------
 
@@ -536,7 +546,7 @@ TEST(March, DetectsInjectedRetentionFaults) {
   EXPECT_GT(result.count(FaultClass::kRetentionFault), 0u);
   EXPECT_EQ(result.count(FaultClass::kWriteFault), 0u);
   for (const auto& f : result.faults) {
-    EXPECT_TRUE(injection.is_volatile(f.row, f.col));
+    EXPECT_EQ(std::make_pair(f.row, f.col), injection.volatile_cells[0]);
   }
 }
 
@@ -581,7 +591,7 @@ TEST(March, ClassifiesMixedInjectedFaults) {
     if (injection.is_stuck(f.row, f.col)) {
       EXPECT_EQ(f.cls, FaultClass::kWriteFault);
     } else {
-      EXPECT_TRUE(injection.is_volatile(f.row, f.col));
+      EXPECT_EQ(std::make_pair(f.row, f.col), injection.volatile_cells[0]);
       EXPECT_EQ(f.cls, FaultClass::kRetentionFault);
     }
   }

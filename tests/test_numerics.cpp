@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "numerics/cel.h"
 #include "numerics/elliptic.h"
 #include "numerics/interp.h"
 #include "numerics/optimize.h"
@@ -22,6 +21,9 @@
 #include "util/constants.h"
 #include "util/error.h"
 #include "util/rng.h"
+
+#include "support/cel.h"
+#include "support/elliptic_ref.h"
 
 namespace mram::num {
 namespace {
@@ -258,15 +260,6 @@ TEST(Interp, Linspace) {
   EXPECT_DOUBLE_EQ(xs[2], 0.5);
   EXPECT_DOUBLE_EQ(xs[4], 1.0);
   EXPECT_EQ(linspace(3.0, 9.0, 1), std::vector<double>{3.0});
-}
-
-TEST(Interp, LerpLookup) {
-  const std::vector<double> xs{0.0, 1.0, 2.0};
-  const std::vector<double> ys{0.0, 10.0, 40.0};
-  EXPECT_DOUBLE_EQ(lerp_lookup(xs, ys, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(lerp_lookup(xs, ys, 1.5), 25.0);
-  EXPECT_DOUBLE_EQ(lerp_lookup(xs, ys, -1.0), 0.0);   // clamped
-  EXPECT_DOUBLE_EQ(lerp_lookup(xs, ys, 99.0), 40.0);  // clamped
 }
 
 TEST(Interp, BisectFindsRoot) {

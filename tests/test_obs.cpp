@@ -31,6 +31,9 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
+#include "support/json_parse.h"
+#include "support/metrics_parse.h"
+
 namespace mram::scn {
 namespace {
 
@@ -73,9 +76,9 @@ ScenarioRegistry mc_registry() {
           acc.add(x > 1.5 ? 1.0 : 0.0, rng.uniform(0.5, 1.5));
         });
     ResultSet out;
-    out.add("moments", "scalar moments", {"mean", "stddev", "min", "max"})
+    out.add("moments", "scalar moments", {"mean", "stddev", "min"})
         .add_row({Cell(stats.mean(), 17), Cell(stats.stddev(), 17),
-                  Cell(stats.min(), 17), Cell(stats.max(), 17)});
+                  Cell(stats.min(), 17)});
     out.add("tail", "weighted tail estimate", {"mean", "rel_err", "ess"})
         .add_row({Cell(tail.mean(), 17), Cell(tail.rel_error(), 17),
                   Cell(tail.effective_samples(), 17)});
@@ -457,7 +460,7 @@ obs::MetricsDoc sample_doc() {
 
 TEST(ObsMetricsDoc, JsonRoundTripIsLossless) {
   const obs::MetricsDoc doc = sample_doc();
-  const obs::MetricsDoc back = obs::MetricsDoc::parse(doc.to_json());
+  const obs::MetricsDoc back = obs::parse_metrics_doc(doc.to_json());
   EXPECT_EQ(back.tool, "mram_scenarios");
   EXPECT_EQ(back.threads, 4u);
   EXPECT_EQ(back.seed, 2026u);
@@ -481,10 +484,10 @@ TEST(ObsMetricsDoc, JsonRoundTripIsLossless) {
 }
 
 TEST(ObsMetricsDoc, ParseRejectsWrongSchema) {
-  EXPECT_THROW(obs::MetricsDoc::parse(
+  EXPECT_THROW(obs::parse_metrics_doc(
                    R"({"schema": "mram.metrics/999", "scenarios": []})"),
                util::ConfigError);
-  EXPECT_THROW(obs::MetricsDoc::parse(R"({"scenarios": []})"),
+  EXPECT_THROW(obs::parse_metrics_doc(R"({"scenarios": []})"),
                util::ConfigError);
 }
 
@@ -494,11 +497,11 @@ TEST(ObsMetricsDoc, WritesV2AndRejectsV1) {
   const obs::MetricsDoc doc = sample_doc();
   std::string json = doc.to_json();
   EXPECT_NE(json.find("\"mram.metrics/2\""), std::string::npos);
-  EXPECT_NO_THROW(obs::MetricsDoc::parse(json));
+  EXPECT_NO_THROW(obs::parse_metrics_doc(json));
   const std::string::size_type at = json.find("mram.metrics/2");
   ASSERT_NE(at, std::string::npos);
   json.replace(at, std::string("mram.metrics/2").size(), "mram.metrics/1");
-  EXPECT_THROW(obs::MetricsDoc::parse(json), util::ConfigError);
+  EXPECT_THROW(obs::parse_metrics_doc(json), util::ConfigError);
 }
 
 TEST(ObsMetricsDoc, HistogramJsonCarriesPercentilesAndDerivedSection) {
@@ -513,7 +516,7 @@ TEST(ObsMetricsDoc, HistogramJsonCarriesPercentilesAndDerivedSection) {
   EXPECT_NE(json.find("\"engine.ns_per_trial\""), std::string::npos);
   // Both sections are recomputed at emission time, never parsed back: the
   // round trip through parse() must still succeed and stay lossless.
-  const obs::MetricsDoc back = obs::MetricsDoc::parse(json);
+  const obs::MetricsDoc back = obs::parse_metrics_doc(json);
   const auto* s = find_scenario(back, "sample");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->snapshot.histograms.at("engine.chunk_ns").count, 4u);
@@ -725,7 +728,7 @@ TEST(ObsRun, PerfRunReportsHardwareCountersOrTheDocumentedFallback) {
   // And the summary gained the chunk-latency percentile columns.
   EXPECT_NE(err.str().find("chunk p50"), std::string::npos);
 
-  const auto doc = obs::MetricsDoc::load(opt.metrics_file);
+  const auto doc = obs::load_metrics_doc(opt.metrics_file);
   const auto* s = find_scenario(doc, "mc_pair");
   ASSERT_NE(s, nullptr);
   ASSERT_EQ(s->snapshot.gauges.count("perf.active"), 1u);
@@ -754,7 +757,7 @@ TEST(ObsRun, MetricsDashStreamsOneParseableDocumentToStdout) {
   ASSERT_EQ(run_scenarios(registry, opt, out, err), 0) << err.str();
   // The whole stdout payload parses as one document -- pipeable into
   // json.tool with no temp file.
-  const auto doc = obs::MetricsDoc::parse(out.str());
+  const auto doc = obs::parse_metrics_doc(out.str());
   ASSERT_NE(find_scenario(doc, "mc_solo"), nullptr);
   // The one-line scenario status moved to the stderr gate to keep it so.
   EXPECT_NE(err.str().find("ok   mc_solo"), std::string::npos);
@@ -788,7 +791,7 @@ TEST(ObsRun, MetricsFileMatchesTheSchemaAndTheTrialCounts) {
   opt.metrics_file = (dir / "metrics.json").string();
   run_csv(registry, opt);
 
-  const auto doc = obs::MetricsDoc::load(opt.metrics_file);
+  const auto doc = obs::load_metrics_doc(opt.metrics_file);
   EXPECT_EQ(doc.tool, "mram_scenarios");
   EXPECT_EQ(doc.threads, 4u);
   EXPECT_EQ(doc.seed, 2026u);
@@ -822,7 +825,7 @@ TEST(ObsRun, LadderSolvesCountEveryOperatingPointAndKeepCsvByteIdentical) {
   opt.metrics_file = (dir / "metrics.json").string();
   EXPECT_EQ(run_csv(registry, opt), reference);
 
-  const auto doc = obs::MetricsDoc::load(opt.metrics_file);
+  const auto doc = obs::load_metrics_doc(opt.metrics_file);
   const auto* s = find_scenario(doc, "sense_margin_ir_drop");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(counter_of(*s, "engine.trials"), 200u);
