@@ -183,15 +183,19 @@ inline constexpr std::size_t kSplittingMinTrials = 4;
 ///
 /// Lockstep evaluation: every level runs through runner.run_batched, each
 /// span walks its trials in blocks of up to kMaxLaneWidth, and the chains
-/// of one block advance in lockstep --
-/// level 0 draws all of the block's vectors, then scores them
-/// in one call; a resample level draws each chain's parent
-/// (rng.below(m)), then per MCMC step fills every chain's proposal
-/// (normal_fill), scores the whole block in one call and accepts chain by
-/// chain. Each chain still consumes its own stream in the per-trial order
-/// below(m), then kMcmcSteps normal_fill calls, and states are appended in
-/// lane (= trial) order, so the result does not depend on the block or span
-/// sizes, the chunking of the batch or the thread count.
+/// of one block advance in lockstep. Level 0 draws all of the block's
+/// vectors in one lane-parallel fill (Rng::normal_fill_lanes, dim values
+/// per chain), then scores them in one call. A resample level draws each
+/// chain's parent (rng.below(m)), then all of its proposal noise in one
+/// lane-parallel fill of kMcmcSteps * dim values per chain; per MCMC step
+/// it forms every chain's proposal, scores the whole block in one call and
+/// accepts chain by chain. Each chain therefore consumes its own stream in
+/// the per-trial order below(m), then kMcmcSteps fills of dim normals
+/// (normal_fill's split contract makes one fill of kMcmcSteps * dim the
+/// same draws). Trial i's state and score live in slot i of the level's
+/// generation buffer, written only by the span that runs trial i, so the
+/// result does not depend on the block or span sizes, the chunking of the
+/// batch or the thread count.
 RareEventEstimate subset_simulation(MonteCarloRunner& runner, std::size_t dim,
                                     std::size_t n_per_level,
                                     std::uint64_t seed,

@@ -16,7 +16,7 @@ std::size_t StrayFieldSolver::add_source(std::string name,
 Vec3 StrayFieldSolver::field_at(const Vec3& p) const {
   Vec3 h{};
   for (const auto& s : sources_) {
-    h += disk_field(s.disk, p, method_);
+    h += disk_field(s.disk, p, FieldMethod::kExact);
   }
   return h;
 }
@@ -25,7 +25,7 @@ Vec3 StrayFieldSolver::named_field_at(const std::string& name,
                                       const Vec3& p) const {
   Vec3 h{};
   for (const auto& s : sources_) {
-    if (s.name == name) h += disk_field(s.disk, p, method_);
+    if (s.name == name) h += disk_field(s.disk, p, FieldMethod::kExact);
   }
   return h;
 }

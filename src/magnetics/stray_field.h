@@ -32,9 +32,6 @@ class StrayFieldSolver {
   /// Removes all sources.
   void clear() { sources_.clear(); }
 
-  void set_method(FieldMethod m) { method_ = m; }
-  FieldMethod method() const { return method_; }
-
   /// Total H-field [A/m] at `p` (superposition of all sources).
   num::Vec3 field_at(const num::Vec3& p) const;
 
@@ -43,7 +40,6 @@ class StrayFieldSolver {
 
  private:
   std::vector<NamedSource> sources_;
-  FieldMethod method_ = FieldMethod::kExact;
 };
 
 }  // namespace mram::mag

@@ -52,7 +52,6 @@ class Grid {
   explicit Grid(GridAxis axis);
   Grid(GridAxis outer, GridAxis inner);
 
-  std::size_t dims() const { return axes_.size(); }
   std::size_t size() const;
 
   struct Point {

@@ -295,12 +295,13 @@ TEST(StrayFieldSolver, MethodSelection) {
   solver.add_source("d", d);
   const Vec3 p{40 * kNm, 0, 4 * kNm};
 
-  solver.set_method(FieldMethod::kExact);
-  const Vec3 exact = solver.field_at(p);
-  EXPECT_EQ(exact, disk_field(d, p, FieldMethod::kExact));
-  solver.set_method(FieldMethod::kBiotSavart);
-  EXPECT_EQ(solver.field_at(p), disk_field(d, p, FieldMethod::kBiotSavart));
-  // The polygon converges to the exact loop field.
+  // The solver sums exact loop fields.
+  const Vec3 exact = disk_field(d, p, FieldMethod::kExact);
+  EXPECT_EQ(solver.field_at(p), exact);
+  EXPECT_EQ(disk_field(d, p), exact);
+  // The Biot-Savart polygon is a different method, and converges to the
+  // exact loop field.
+  EXPECT_NE(disk_field(d, p, FieldMethod::kBiotSavart), exact);
   const Vec3 bs = disk_field(d, p, FieldMethod::kBiotSavart, 2048);
   EXPECT_TRUE(num::almost_equal(exact, bs, num::norm(exact) * 1e-4));
 }

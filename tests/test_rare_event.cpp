@@ -357,32 +357,65 @@ eng::RareEventEstimate per_trial_subset_simulation(
 }
 
 TEST(RareEvent, LockstepSubsetSimulationMatchesPerTrialReferenceBitwise) {
-  // A Gaussian tail, and a quantised score whose many exact ties make the
-  // adaptive level rest on the (score desc, index asc) tie-break that the
-  // partial sort must reproduce.
+  // Gaussian tails in the dimensions of the shipped drivers (wer 1, rer 3,
+  // retention 16, whose score is a max of per-cell deficits like
+  // measure_retention_faults'), plus dim-2 quantised scores whose many
+  // exact ties make the adaptive level rest on the (score desc, index asc)
+  // tie-break that the level selection must reproduce.
   using Scalar = std::function<double(const double*)>;
-  const Scalar gaussian = [](const double* z) {
-    return (z[0] + z[1]) / std::sqrt(2.0) - 3.9;
+  struct Case {
+    std::size_t dim;
+    const char* name;
+    Scalar score;
+    bool ties;
   };
-  const Scalar quantised = [](const double* z) {
-    return std::floor(4.0 * (z[0] + z[1])) / 4.0 - 4.0;
+  const auto sum_tail = [](std::size_t dim, double beta) -> Scalar {
+    return [dim, beta](const double* z) {
+      double s = 0.0;
+      for (std::size_t d = 0; d < dim; ++d) s += z[d];
+      return s / std::sqrt(static_cast<double>(dim)) - beta;
+    };
   };
+  const Scalar max_deficit = [](const double* z) {
+    double worst = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < 16; ++i) {
+      const double b = -4.6 + 0.05 * static_cast<double>(i);
+      worst = std::max(worst, b - z[i]);
+    }
+    return worst;
+  };
+  const std::vector<Case> cases = {
+      {1, "wer-like", sum_tail(1, 4.2), false},
+      {2, "gaussian", sum_tail(2, 3.9), false},
+      {2, "quantised",
+       [](const double* z) {
+         return std::floor(4.0 * (z[0] + z[1])) / 4.0 - 4.0;
+       },
+       true},
+      {3, "rer-like", sum_tail(3, 4.0), false},
+      {16, "retention-like", max_deficit, false},
+  };
+  std::size_t runs = 0;
   std::size_t tie_runs = 0;
-  // Effective chunks of 7, 10 and 64 trials.
-  for (const std::size_t n : {420u, 600u, 5000u}) {
-    for (const unsigned threads : {1u, 3u}) {
-      for (const Scalar* score : {&gaussian, &quantised}) {
-        const std::string where =
-            "n=" + std::to_string(n) + " threads=" + std::to_string(threads) +
-            (score == &gaussian ? " gaussian" : " quantised");
+  for (const Case& c : cases) {
+    // Effective chunks of 7, 10, 16 and 64 trials; at 1003 the last span's
+    // last lane block holds 43 trials, at 420 (one thread) 6.
+    const std::vector<std::size_t> ns =
+        c.dim == 2 ? std::vector<std::size_t>{420, 600, 5000}
+                   : std::vector<std::size_t>{420, 1003};
+    for (const std::size_t n : ns) {
+      for (const unsigned threads : {1u, 3u}) {
+        const std::string where = "dim=" + std::to_string(c.dim) + " " +
+                                  c.name + " n=" + std::to_string(n) +
+                                  " threads=" + std::to_string(threads);
         eng::MonteCarloRunner runner(eng::RunnerConfig{.threads = threads});
         const auto want =
-            per_trial_subset_simulation(runner, 2, n, 41, *score);
+            per_trial_subset_simulation(runner, c.dim, n, 41, c.score);
         const auto got = eng::subset_simulation(
-            runner, 2, n, 41,
-            [score](std::size_t n, const double* zs, double* out) {
+            runner, c.dim, n, 41,
+            [&c](std::size_t n, const double* zs, double* out) {
               for (std::size_t l = 0; l < n; ++l) {
-                out[l] = (*score)(zs + 2 * l);
+                out[l] = c.score(zs + c.dim * l);
               }
             });
         EXPECT_EQ(std::bit_cast<std::uint64_t>(got.probability),
@@ -393,10 +426,12 @@ TEST(RareEvent, LockstepSubsetSimulationMatchesPerTrialReferenceBitwise) {
         EXPECT_EQ(got.simulated_trials, want.simulated_trials) << where;
         EXPECT_GT(want.probability, 0.0) << where;
         EXPECT_GE(want.level_probabilities.size(), 3u) << where;
-        if (score == &quantised) ++tie_runs;
+        ++runs;
+        if (c.ties) ++tie_runs;
       }
     }
   }
+  EXPECT_EQ(runs, 24u);
   EXPECT_EQ(tie_runs, 6u);
 }
 

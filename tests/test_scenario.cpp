@@ -144,7 +144,6 @@ TEST(Grid, TwoDimensionalRowMajorOrder) {
   const Grid grid(GridAxis::list("outer", {10.0, 20.0}),
                   GridAxis::list("inner", {1.0, 2.0, 3.0}));
   ASSERT_EQ(grid.size(), 6u);
-  ASSERT_EQ(grid.dims(), 2u);
   EXPECT_DOUBLE_EQ(grid.point(0).x, 10.0);
   EXPECT_DOUBLE_EQ(grid.point(0).y, 1.0);
   EXPECT_DOUBLE_EQ(grid.point(2).y, 3.0);
